@@ -10,7 +10,7 @@ from .lattice import Lattice, build_lattice, lattice_violations
 from .typespace import NatureDraw, TypeStructure, build_structure
 from .outcomes import OutcomeModel
 from .scenario import Scenario, load_scenario, parse_scenario, serialize_scenario
-from .engine import InfoSet, Transcript, run, run_single_stage
+from .engine import Transcript, run, run_single_stage
 from .transfers import Mechanism, SchemeConfig, TransferReport, transfer_report
 from .fixtures import FIXTURES, fixture
 from .generate import generate_scenario
@@ -20,7 +20,7 @@ __all__ = [
     "NatureDraw", "TypeStructure", "build_structure",
     "OutcomeModel",
     "Scenario", "load_scenario", "parse_scenario", "serialize_scenario",
-    "InfoSet", "Transcript", "run", "run_single_stage",
+    "Transcript", "run", "run_single_stage",
     "Mechanism", "SchemeConfig", "TransferReport", "transfer_report",
     "FIXTURES", "fixture",
     "generate_scenario",

@@ -18,12 +18,33 @@ from . import engine, verify
 from .engine import InfeasibleReport, StrategySpaceTooLarge
 from .fixtures import FIXTURES, fixture
 from .generate import generate_scenario
-from .scenario import ParseError, Scenario, ValidationError, load_scenario
-from .transfers import KINDS, RSPA, STATIC_VICKREY, Mechanism
+from .lattice import UnknownLevel
+from .scenario import (ParseError, Scenario, UnknownDraw, ValidationError, load_scenario,
+                       scheme_violations)
+from .transfers import CLARKE, GROVES, KINDS, RSPA, STATIC_VICKREY, Mechanism
 
-PROPERTIES = ("efficiency", "pooled-implementation", "dominance", "stage-bound",
-              "budget-balance", "no-deficit", "participation-ex-post",
-              "participation-ex-ante", "nonnegative-valuations", "holmstrom")
+VCG = (GROVES, CLARKE)
+DYNAMIC = (GROVES, CLARKE, RSPA)
+
+# Property name -> (check of a scenario under its scheme and a play bound, the
+# scheme kinds whose --all runs it).  --all runs the properties in table order.
+PROPERTIES = {
+    "efficiency": (lambda s, bound: verify.check_efficiency(s), VCG),
+    "pooled-implementation":
+        (lambda s, bound: verify.check_pooled_implementation(s, s.scheme), KINDS),
+    "stage-bound": (lambda s, bound: verify.check_stage_bound(s), DYNAMIC),
+    "budget-balance":
+        (lambda s, bound: verify.check_budget(s, s.scheme, "balance", bound), (RSPA,)),
+    "no-deficit": (lambda s, bound: verify.check_budget(s, s.scheme, "no_deficit", bound), VCG),
+    "participation-ex-post":
+        (lambda s, bound: verify.check_participation(s, s.scheme, "ex_post"), (RSPA,)),
+    "participation-ex-ante":
+        (lambda s, bound: verify.check_participation(s, s.scheme, "ex_ante_anticipated"), VCG),
+    "nonnegative-valuations": (lambda s, bound: verify.check_nonnegative_valuations(s), ()),
+    "holmstrom": (lambda s, bound: verify.check_decomposition(s), ()),
+    "dominance":
+        (lambda s, bound: verify.check_conditional_dominance(s, s.scheme, bound), DYNAMIC),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,28 +99,31 @@ def _apply_scheme(scenario: Scenario, kind: str | None) -> Scenario:
     if kind is None or kind == scenario.scheme.kind:
         return scenario
     scheme = dataclasses.replace(scenario.scheme, kind=kind)
+    violations = scheme_violations(scenario.structure, scenario.outcomes, scheme)
+    if violations:
+        raise ValidationError([f"scheme: {v}" for v in violations])
     return dataclasses.replace(scenario, scheme=scheme)
 
 
 def _script_strategies(path: str, scenario: Scenario):
     script: dict[tuple[str, int], str] = {}
     with open(path, encoding="utf-8") as handle:
-        for raw in handle:
+        for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            agent, stage, report = line.split()
-            script[(agent, int(stage))] = report
-    def policy_for(agent: str):
-        def policy(info: engine.InfoSet) -> str:
-            stage = len(info.history) + 1
-            return script.get((agent, stage), info.perceived)
-        return policy
-    return {agent: policy_for(agent) for agent in scenario.agents}
+            try:
+                agent, stage, report = line.split()
+                script[(agent, int(stage))] = report
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: expected 'agent stage report', "
+                                 f"got {line!r}") from None
 
+    def policy(scenario: Scenario, state: engine.PlayState, agent: str) -> str:
+        return script.get((agent, state.stage),
+                          engine.truth_report(state, agent, scenario.agents))
 
-def _fraction_str(x) -> str:
-    return str(x)
+    return dict.fromkeys(scenario.agents, policy)
 
 
 def cmd_run(args) -> int:
@@ -138,46 +162,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def applicable_properties(scheme_kind: str) -> tuple[str, ...]:
-    if scheme_kind == RSPA:
-        return ("pooled-implementation", "stage-bound", "budget-balance",
-                "participation-ex-post", "dominance")
-    if scheme_kind == STATIC_VICKREY:
-        return ("pooled-implementation",)
-    return ("efficiency", "pooled-implementation", "stage-bound", "no-deficit",
-            "participation-ex-ante", "dominance")
-
-
-def run_property(scenario: Scenario, prop: str, bound: int) -> verify.VerificationResult:
-    scheme = scenario.scheme
-    if prop == "efficiency":
-        return verify.check_efficiency(scenario)
-    if prop == "pooled-implementation":
-        return verify.check_pooled_implementation(scenario, scheme)
-    if prop == "dominance":
-        return verify.check_conditional_dominance(scenario, scheme, bound)
-    if prop == "stage-bound":
-        return verify.check_stage_bound(scenario)
-    if prop == "budget-balance":
-        return verify.check_budget(scenario, scheme, "balance", bound)
-    if prop == "no-deficit":
-        return verify.check_budget(scenario, scheme, "no_deficit", bound)
-    if prop == "participation-ex-post":
-        return verify.check_participation(scenario, scheme, "ex_post")
-    if prop == "participation-ex-ante":
-        return verify.check_participation(scenario, scheme, "ex_ante_anticipated")
-    if prop == "nonnegative-valuations":
-        return verify.check_nonnegative_valuations(scenario)
-    if prop == "holmstrom":
-        g = verify.find_g(scenario)
-        if g is None:
-            certificate = verify.holmstrom_certificate(scenario)
-            return verify.VerificationResult(
-                "holmstrom", False, [verify.Witness(certificate or "infeasible")], 1)
-        return verify.check_holmstrom(scenario, g)
-    raise ValueError(prop)
-
-
 def cmd_verify(args) -> int:
     if args.generated is None and args.scenario is None:
         print("verify needs a scenario or --generated N", file=sys.stderr)
@@ -194,10 +178,12 @@ def cmd_verify(args) -> int:
     for scenario in scenarios:
         props = args.properties
         if args.all or not props:
-            props = applicable_properties(scenario.scheme.kind)
+            props = [prop for prop, (_, kinds) in PROPERTIES.items()
+                     if scenario.scheme.kind in kinds]
         for prop in props:
+            check = PROPERTIES[prop][0]
             try:
-                result = run_property(scenario, prop, args.bound)
+                result = check(scenario, args.bound)
             except StrategySpaceTooLarge as err:
                 print(f"{scenario.name}: {prop}: enumeration bound exceeded ({err})")
                 return 3
@@ -238,7 +224,7 @@ def cmd_report(args) -> int:
         table = {}
         for profile in scenario.structure.profiles(level):
             table["|".join(profile)] = {
-                x0: _fraction_str(scenario.outcomes.welfare(x0, profile))
+                x0: str(scenario.outcomes.welfare(x0, profile))
                 for x0 in scenario.outcomes.available[level]}
         payload["welfare"][level] = table
     text = json.dumps(payload, indent=2)
@@ -277,8 +263,8 @@ def main(argv: list[str] | None = None) -> int:
     except StrategySpaceTooLarge as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (ParseError, ValidationError, InfeasibleReport,
-            FileNotFoundError, KeyError) as err:
+    except (ParseError, ValidationError, InfeasibleReport, UnknownDraw, UnknownLevel,
+            OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     parser.error(f"unknown command {args.command!r}")

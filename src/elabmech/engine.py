@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .typespace import NatureDraw
 
@@ -33,17 +33,6 @@ class StrategySpaceTooLarge(Exception):
     def __init__(self, bound: int):
         super().__init__(f"enumeration exceeded {bound} plays")
         self.bound = bound
-
-
-@dataclass(frozen=True)
-class InfoSet:
-    """What an agent knows when called to report: her current (already
-    elaborated) perceived type plus the full sequence of past report
-    profiles."""
-
-    owner: str
-    perceived: str
-    history: tuple[tuple[str, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -80,7 +69,6 @@ class PlayState:
         return len(self.history) + 1
 
 
-Policy = Callable[[InfoSet], str]
 FREE = "free"
 TRUTH = "truth"
 
@@ -113,10 +101,6 @@ def state_from_draw(scenario: Scenario, draw: NatureDraw, partial_level: str) ->
     profile = tuple(structure.project(agent, t, partial_level)
                     for agent, t in zip(structure.agents, draw.true_types))
     return initial_state(scenario, partial_level, profile, draw.awareness)
-
-
-def info_set(state: PlayState, agent: str, agents: tuple[str, ...]) -> InfoSet:
-    return InfoSet(agent, state.perceived[agents.index(agent)], state.history)
 
 
 def feasible_reports(scenario: Scenario, state: PlayState, agent: str) -> tuple[str, ...]:
@@ -175,24 +159,36 @@ def max_stages(scenario: Scenario) -> int:
     return len(scenario.structure.agents) * scenario.lattice.height() + 2
 
 
-def run(scenario: Scenario, draw: NatureDraw, partial_level: str,
-        strategies: Mapping[str, Policy] | None = None) -> Transcript:
-    """Play the partial game to completion; agents without a strategy tell the truth."""
-    structure = scenario.structure
-    state = state_from_draw(scenario, draw, partial_level)
+def truthful_path(scenario: Scenario, state: PlayState,
+                  policies: Mapping[str, object] | None = None) -> list[PlayState]:
+    """Every state the play reaches from ``state``, ``state`` first and the
+    terminal last.
+
+    An agent with a callable policy ``(scenario, state, agent) -> report``
+    plays it; every other agent tells the truth.
+    """
+    agents = scenario.structure.agents
+    policies = policies or {}
     cap = max_stages(scenario)
+    path = [state]
     while not state.stopped:
         if state.stage > cap:
             raise AssertionError("protocol failed to stop within the stage cap")
         reports = []
-        for agent in structure.agents:
-            policy = (strategies or {}).get(agent)
-            if policy is None:
-                reports.append(truth_report(state, agent, structure.agents))
-            else:
-                reports.append(policy(info_set(state, agent, structure.agents)))
+        for i, agent in enumerate(agents):
+            policy = policies.get(agent, TRUTH)
+            reports.append(state.perceived[i] if policy == TRUTH
+                           else policy(scenario, state, agent))
         state = advance(scenario, state, tuple(reports))
-    return transcript(state)
+        path.append(state)
+    return path
+
+
+def run(scenario: Scenario, draw: NatureDraw, partial_level: str,
+        strategies: Mapping[str, object] | None = None) -> Transcript:
+    """Play the partial game to completion; agents without a strategy tell the truth."""
+    return transcript(truthful_path(scenario, state_from_draw(scenario, draw, partial_level),
+                                    strategies)[-1])
 
 
 def run_single_stage(scenario: Scenario, draw: NatureDraw, partial_level: str) -> Transcript:

@@ -102,11 +102,16 @@ class Lattice:
         }
         self.top = self.join_all(elements)
         self.bottom = self.meet_all(elements)
+        depth = {a: 0 for a in elements}
+        for a in sorted(elements, key=lambda x: len(self._down[x])):
+            for b in self._down[a] - {a}:
+                depth[a] = max(depth[a], depth[b] + 1)
+        self._height = max(depth.values())
 
     def _check(self, *levels: str) -> None:
         for level in levels:
             if level not in self._down:
-                raise UnknownLevel(level)
+                raise UnknownLevel(f"undeclared level {level!r}")
 
     def leq(self, a: str, b: str) -> bool:
         self._check(a, b)
@@ -162,12 +167,7 @@ class Lattice:
 
     def height(self) -> int:
         """Length (edge count) of the longest chain."""
-        order = sorted(self.elements, key=lambda x: len(self._down[x]))
-        depth = {a: 0 for a in self.elements}
-        for a in order:
-            for b in self._down[a] - {a}:
-                depth[a] = max(depth[a], depth[b] + 1)
-        return max(depth.values())
+        return self._height
 
     def __contains__(self, level: str) -> bool:
         return level in self._down

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
 from .lattice import Lattice, NotALattice, build_lattice
 from .outcomes import OutcomeModel
@@ -60,6 +59,10 @@ class ValidationError(Exception):
     def __init__(self, violations: list[str]):
         super().__init__("\n".join(violations))
         self.violations = violations
+
+
+class UnknownDraw(Exception):
+    pass
 
 
 @dataclass
@@ -78,10 +81,12 @@ class Scenario:
         return self.structure.agents
 
     def draw(self, name: str | None = None) -> NatureDraw:
+        if not self.draws:
+            raise UnknownDraw("scenario declares no nature draws")
         if name is None:
-            if not self.draws:
-                raise KeyError("scenario declares no nature draws")
             return next(iter(self.draws.values()))
+        if name not in self.draws:
+            raise UnknownDraw(f"unknown draw {name!r}; declared: {', '.join(self.draws)}")
         return self.draws[name]
 
 
@@ -267,9 +272,8 @@ def scheme_violations(structure: TypeStructure, model: OutcomeModel,
     if scheme.kind == GROVES:
         tables = scheme.y_tables or {}
         for agent in structure.agents:
-            others = tuple(a for a in structure.agents if a != agent)
             for level in structure.lattice.elements:
-                for opp in product(*(structure.space(o, level) for o in others)):
+                for opp in structure.opponent_profiles(agent, level):
                     if (agent, level, opp) not in tables:
                         out.append(f"missing y entry ({agent}, {level}, {', '.join(opp) or '-'})")
     if scheme.kind == RSPA:

@@ -106,6 +106,10 @@ class TypeStructure:
         """All full type profiles with every component at ``level``."""
         return product(*(self.spaces[(agent, level)] for agent in self.agents))
 
+    def opponent_profiles(self, agent: str, level: str) -> Iterator[tuple[str, ...]]:
+        """All type profiles of ``agent``'s opponents at ``level``, in agent order."""
+        return product(*(self.spaces[(a, level)] for a in self.agents if a != agent))
+
     def perceived_type(self, agent: str, draw: NatureDraw, level: str) -> tuple[str, str]:
         """Type and effective awareness of ``agent`` within the ``level``-partial game."""
         i = self.agents.index(agent)

@@ -30,7 +30,7 @@ from . import engine
 from .engine import FREE, PlayBudget, PlayState
 from .scenario import Scenario
 from .transfers import (RSPA, STATIC_VICKREY, Mechanism, SchemeConfig,
-                        scheme_outcome, sellers)
+                        opponent_profile, scheme_outcome, sellers)
 from .typespace import NatureDraw
 
 
@@ -133,21 +133,13 @@ def check_stage_bound(scenario: Scenario, bound: int = 3) -> VerificationResult:
         for profile, awareness in _partial_draws(scenario, level):
             checked += 1
             state = engine.initial_state(scenario, level, profile, awareness)
-            state = _run_truth(scenario, state)
+            state = engine.truthful_path(scenario, state)[-1]
             if len(state.history) > bound:
                 witnesses.append(Witness(
                     f"truthful run took {len(state.history)} stages at level {level}",
                     {"level": level, "profile": list(profile), "awareness": list(awareness),
                      "stages": [list(s) for s in state.history]}))
     return VerificationResult("stage-bound", not witnesses, witnesses, checked)
-
-
-def _run_truth(scenario: Scenario, state: PlayState) -> PlayState:
-    agents = scenario.structure.agents
-    while not state.stopped:
-        state = engine.advance(scenario, state,
-                               tuple(engine.truth_report(state, a, agents) for a in agents))
-    return state
 
 
 def check_budget(scenario: Scenario, scheme: SchemeConfig, mode: str = "balance",
@@ -222,20 +214,13 @@ def check_participation(scenario: Scenario, scheme: SchemeConfig, mode: str = "e
     checked = 0
     for level in scenario.lattice.elements:
         for profile, awareness in _partial_draws(scenario, level, require_join=True):
-            state = engine.initial_state(scenario, level, profile, awareness)
-            reached = [state]
-            while not state.stopped:
-                state = engine.advance(
-                    scenario, state,
-                    tuple(engine.truth_report(state, a, structure.agents)
-                          for a in structure.agents))
-                if not state.stopped:
-                    reached.append(state)
-            transcript = engine.transcript(state)
-            stop = 1 if mode == "ex_ante_anticipated" else len(reached)
+            path = engine.truthful_path(
+                scenario, engine.initial_state(scenario, level, profile, awareness))
+            transcript = engine.transcript(path[-1])
+            reached = path[:-1] if mode == "ex_post" else path[:1]
             for agent in only_agents:
                 i = structure.agent_index(agent)
-                for node in reached[:stop]:
+                for node in reached:
                     if structure.level_of(agent, node.perceived[i]) != level:
                         continue
                     checked += 1
@@ -364,7 +349,6 @@ def holmstrom_welfare(scenario: Scenario, profile: tuple[str, ...]) -> Fraction:
 def check_holmstrom(scenario: Scenario,
                     g: dict[tuple[str, str, tuple[str, ...]], Fraction]) -> VerificationResult:
     """The welfare decomposition holds at every level and profile for ``g``."""
-    from .transfers import opponent_profile
     witnesses = []
     checked = 0
     for level in scenario.lattice.elements:
@@ -415,18 +399,22 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
     return solution
 
 
-def find_g(scenario: Scenario) -> dict[tuple[str, str, tuple[str, ...]], Fraction] | None:
-    """Solve the welfare decomposition exactly, level by level."""
-    from .transfers import opponent_profile
+def _decompose(scenario: Scenario
+               ) -> tuple[dict[tuple[str, str, tuple[str, ...]], Fraction] | None, str | None]:
+    """Solve the welfare decomposition exactly, level by level.
+
+    Returns ``(g, None)``, or ``(None, reason)`` naming the first level whose
+    system is inconsistent.
+    """
+    structure = scenario.structure
     out: dict[tuple[str, str, tuple[str, ...]], Fraction] = {}
     for level in scenario.lattice.elements:
         index: dict[tuple[str, tuple[str, ...]], int] = {}
         for agent in scenario.agents:
-            others = tuple(a for a in scenario.agents if a != agent)
-            for opp in product(*(scenario.structure.space(o, level) for o in others)):
+            for opp in structure.opponent_profiles(agent, level):
                 index[(agent, opp)] = len(index)
         rows, rhs = [], []
-        for profile in scenario.structure.profiles(level):
+        for profile in structure.profiles(level):
             row = [Fraction(0)] * len(index)
             for agent in scenario.agents:
                 row[index[(agent, opponent_profile(scenario.agents, agent, profile))]] += 1
@@ -434,35 +422,31 @@ def find_g(scenario: Scenario) -> dict[tuple[str, str, tuple[str, ...]], Fractio
             rhs.append(holmstrom_welfare(scenario, profile))
         solution = _solve_exact(rows, rhs)
         if solution is None:
-            return None
+            return None, (f"no additive decomposition of welfare exists at level {level}: "
+                          f"the {len(rows)}-equation system over {len(index)} unknowns "
+                          f"is inconsistent")
         for (agent, opp), k in index.items():
             out[(agent, level, opp)] = solution[k]
-    return out
+    return out, None
+
+
+def find_g(scenario: Scenario) -> dict[tuple[str, str, tuple[str, ...]], Fraction] | None:
+    """Solve the welfare decomposition exactly, level by level."""
+    return _decompose(scenario)[0]
 
 
 def holmstrom_certificate(scenario: Scenario) -> str | None:
     """A human-readable reason the decomposition is infeasible, if it is."""
-    if find_g(scenario) is not None:
-        return None
-    from .transfers import opponent_profile
-    for level in scenario.lattice.elements:
-        # Re-run the single-level system to locate the inconsistency.
-        index: dict[tuple[str, tuple[str, ...]], int] = {}
-        for agent in scenario.agents:
-            others = tuple(a for a in scenario.agents if a != agent)
-            for opp in product(*(scenario.structure.space(o, level) for o in others)):
-                index[(agent, opp)] = len(index)
-        rows, rhs = [], []
-        for profile in scenario.structure.profiles(level):
-            row = [Fraction(0)] * len(index)
-            for agent in scenario.agents:
-                row[index[(agent, opponent_profile(scenario.agents, agent, profile))]] += 1
-            rows.append(row)
-            rhs.append(holmstrom_welfare(scenario, profile))
-        if _solve_exact(rows, rhs) is None:
-            return (f"no additive decomposition of welfare exists at level {level}: "
-                    f"the {len(rows)}-equation system over {len(index)} unknowns is inconsistent")
-    return "no additive decomposition of welfare exists"
+    return _decompose(scenario)[1]
+
+
+def check_decomposition(scenario: Scenario) -> VerificationResult:
+    """A welfare decomposition exists and holds at every level and profile,
+    from one solve per level."""
+    g, certificate = _decompose(scenario)
+    if g is None:
+        return VerificationResult("holmstrom", False, [Witness(certificate)], 1)
+    return check_holmstrom(scenario, g)
 
 
 def derive_y_from_g(scenario: Scenario,

@@ -153,3 +153,56 @@ def test_verify_report_file(tmp_path, capsys):
     payload = json.loads(target.read_text())
     assert payload[0]["property"] == "stage-bound"
     assert payload[0]["verdict"] == "holds"
+
+
+@pytest.mark.parametrize("line", ["a1 2", "a1 two a1lo2"])
+def test_run_with_malformed_script_line_exits_two(tmp_path, capsys, line):
+    script = tmp_path / "bad.txt"
+    script.write_text(f"# conceal\n{line}\n")
+    assert main(["run", "example2", "--strategy", str(script)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and len(err.splitlines()) == 1
+
+
+def test_run_with_a_directory_as_script_exits_two(tmp_path, capsys):
+    assert main(["run", "example2", "--strategy", str(tmp_path)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_run_unknown_partial_level_exits_two(capsys):
+    assert main(["run", "example2", "--partial", "nosuch"]) == 2
+    err = capsys.readouterr().err
+    assert "nosuch" in err and len(err.splitlines()) == 1
+
+
+def test_run_unknown_draw_exits_two_and_lists_the_declared_draws(capsys):
+    assert main(["run", "example1", "--draw", "nosuch"]) == 2
+    err = capsys.readouterr().err
+    assert "nosuch" in err and "declared: main" in err and len(err.splitlines()) == 1
+
+
+def test_run_groves_override_without_y_tables_exits_two(capsys):
+    assert main(["run", "example2", "--scheme", "groves"]) == 2
+    assert "missing y entry" in capsys.readouterr().err
+
+
+def test_run_rspa_override_without_a_buyer_exits_two(capsys):
+    assert main(["run", "example2", "--scheme", "rspa"]) == 2
+    assert "rspa needs a declared buyer" in capsys.readouterr().err
+
+
+def test_verify_holmstrom_solves_each_level_once(tmp_path, capsys, monkeypatch):
+    from elabmech import verify
+    from test_acceptance import GENERIC
+
+    path = tmp_path / "generic.scenario"
+    path.write_text(GENERIC)
+    calls = []
+    solve = verify._solve_exact
+    monkeypatch.setattr(verify, "_solve_exact",
+                        lambda rows, rhs: calls.append(1) or solve(rows, rhs))
+    assert main(["verify", str(path), "--property", "holmstrom"]) == 1
+    witnesses = [line for line in capsys.readouterr().out.splitlines() if "witness" in line]
+    assert witnesses == ["  witness: no additive decomposition of welfare exists at level l0: "
+                         "the 4-equation system over 4 unknowns is inconsistent"]
+    assert len(calls) <= 1  # one lattice level

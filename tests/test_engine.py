@@ -161,7 +161,7 @@ def test_run_single_stage_reports_perceptions_and_stops():
 
 def test_scripted_strategy_via_run():
     s = fixture("example2")
-    t = engine.run(s, s.draw(), "hi", {"a1": lambda info: "a1lo2"})
+    t = engine.run(s, s.draw(), "hi", {"a1": lambda scenario, state, agent: "a1lo2"})
     # concealment keeps the play at the low level and it stops immediately
     assert t.final_pooled == "lo"
     assert t.n_stages == 2

@@ -66,7 +66,7 @@ def test_dominance_example2_and_premium_knife_edge():
     mech = Mechanism(s, s.scheme)
     truth = engine.run(s, s.draw(), "hi")
     assert mech.utility(truth, "a1", "a1hi2") == 1
-    conceal = engine.run(s, s.draw(), "hi", {"a1": lambda info: "a1lo2"})
+    conceal = engine.run(s, s.draw(), "hi", {"a1": lambda scenario, state, agent: "a1lo2"})
     assert mech.utility(conceal, "a1", "a1hi2") == 1
 
 
@@ -458,3 +458,34 @@ def test_exact_solver_on_small_systems():
     assert verify._solve_exact([[one], [one]], [Fraction(1), Fraction(2)]) is None
     underdetermined = verify._solve_exact([[one, one]], [Fraction(5)])
     assert underdetermined is not None and sum(underdetermined) == 5
+
+
+# Counts measured before the truthful-run loops were merged into
+# engine.truthful_path; the merge must not move them.
+PINNED_COUNTS = {
+    # fixture: (participation ex_post, participation ex_ante as (checked, witnesses),
+    #           stage-bound checked, pooled-implementation checked)
+    "example1": ((6399, 2425), (675, 224), 1377, 1024),
+    "example2": ((64, 2), (20, 0), 18, 16),
+    "example4r": ((18, 2), (6, 0), 5, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+def test_truthful_run_checks_keep_their_counts(name):
+    s = fixture(name)
+    ex_post, ex_ante, stage_bound, pooled = PINNED_COUNTS[name]
+    for mode, want in (("ex_post", ex_post), ("ex_ante_anticipated", ex_ante)):
+        result = verify.check_participation(s, s.scheme, mode)
+        assert (result.checked, len(result.witnesses)) == want
+    assert verify.check_stage_bound(s).checked == stage_bound
+    assert verify.check_pooled_implementation(s, s.scheme).checked == pooled
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+def test_run_matches_the_single_truthful_completion(name):
+    s = fixture(name)
+    for draw in s.draws.values():
+        for level in s.lattice.elements:
+            (terminal,) = engine.iter_completions(s, engine.state_from_draw(s, draw, level), {})
+            assert engine.run(s, draw, level) == engine.transcript(terminal)
