@@ -22,6 +22,7 @@ from .lattice import UnknownLevel
 from .scenario import (ParseError, Scenario, UnknownDraw, ValidationError, load_scenario,
                        scheme_violations)
 from .transfers import CLARKE, GROVES, KINDS, RSPA, STATIC_VICKREY, Mechanism
+from .verify import InapplicableProperty
 
 VCG = (GROVES, CLARKE)
 DYNAMIC = (GROVES, CLARKE, RSPA)
@@ -106,7 +107,10 @@ def _apply_scheme(scenario: Scenario, kind: str | None) -> Scenario:
 
 
 def _script_strategies(path: str, scenario: Scenario):
+    """Policies playing a script of ``agent stage report`` lines, and the line
+    number of every scripted (agent, stage) the play has not consulted yet."""
     script: dict[tuple[str, int], str] = {}
+    unused: dict[tuple[str, int], int] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -114,29 +118,41 @@ def _script_strategies(path: str, scenario: Scenario):
                 continue
             try:
                 agent, stage, report = line.split()
-                script[(agent, int(stage))] = report
+                key = (agent, int(stage))
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: expected 'agent stage report', "
                                  f"got {line!r}") from None
+            if agent not in scenario.agents:
+                raise ParseError(f"{path}: line {lineno}: undeclared agent {agent!r}")
+            if key in script:
+                raise ParseError(f"{path}: line {lineno}: {agent} stage {stage} is already "
+                                 f"scripted on line {unused[key]}")
+            script[key] = report
+            unused[key] = lineno
 
     def policy(scenario: Scenario, state: engine.PlayState, agent: str) -> str:
-        return script.get((agent, state.stage),
-                          engine.truth_report(state, agent, scenario.agents))
+        key = (agent, state.stage)
+        unused.pop(key, None)
+        return script.get(key) or engine.truth_report(state, agent, scenario.agents)
 
-    return dict.fromkeys(scenario.agents, policy)
+    return dict.fromkeys(scenario.agents, policy), unused
 
 
 def cmd_run(args) -> int:
     scenario = _apply_scheme(_load(args.scenario), args.scheme)
     draw = scenario.draw(args.draw)
     partial = args.partial or scenario.lattice.top
-    strategies = None
+    strategies, unused = None, {}
     if args.strategy != "truth":
-        strategies = _script_strategies(args.strategy, scenario)
+        strategies, unused = _script_strategies(args.strategy, scenario)
     if scenario.scheme.kind == STATIC_VICKREY:
         transcript = engine.run_single_stage(scenario, draw, partial)
     else:
         transcript = engine.run(scenario, draw, partial, strategies)
+    if unused:
+        (agent, stage), lineno = next(iter(unused.items()))
+        raise ParseError(f"{args.strategy}: line {lineno}: {agent} stage {stage} was never "
+                         f"consulted (the play ended after stage {transcript.n_stages})")
     mech = Mechanism(scenario, scenario.scheme)
     report = mech.report(transcript)
     print(f"scenario: {scenario.name}   scheme: {scenario.scheme.kind}   "
@@ -264,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except (ParseError, ValidationError, InfeasibleReport, UnknownDraw, UnknownLevel,
-            OSError) as err:
+            InapplicableProperty, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     parser.error(f"unknown command {args.command!r}")

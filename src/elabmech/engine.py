@@ -11,6 +11,12 @@ agent must report a type that projects onto her previous report, at a
 level at least the join of her previous level with the broadcast pooled
 level, and no higher than her current awareness.
 
+:func:`iter_paths` is the one enumerator of the play tree: it walks every
+play under per-agent policies, charges the play budget and enforces the
+stage cap.  :func:`iter_completions` (terminal states), :func:`truthful_path`
+(the single play when no agent is FREE), :func:`run` and
+:func:`enumerate_deviation_plays` are views of it.
+
 All state is immutable; distinct plays may be explored concurrently.
 """
 from __future__ import annotations
@@ -162,26 +168,12 @@ def max_stages(scenario: Scenario) -> int:
 def truthful_path(scenario: Scenario, state: PlayState,
                   policies: Mapping[str, object] | None = None) -> list[PlayState]:
     """Every state the play reaches from ``state``, ``state`` first and the
-    terminal last.
+    terminal last: the one play of :func:`iter_paths` when no agent is FREE.
 
     An agent with a callable policy ``(scenario, state, agent) -> report``
     plays it; every other agent tells the truth.
     """
-    agents = scenario.structure.agents
-    policies = policies or {}
-    cap = max_stages(scenario)
-    path = [state]
-    while not state.stopped:
-        if state.stage > cap:
-            raise AssertionError("protocol failed to stop within the stage cap")
-        reports = []
-        for i, agent in enumerate(agents):
-            policy = policies.get(agent, TRUTH)
-            reports.append(state.perceived[i] if policy == TRUTH
-                           else policy(scenario, state, agent))
-        state = advance(scenario, state, tuple(reports))
-        path.append(state)
-    return path
+    return list(next(iter_paths(scenario, state, policies or {})))
 
 
 def run(scenario: Scenario, draw: NatureDraw, partial_level: str,
@@ -198,35 +190,62 @@ def run_single_stage(scenario: Scenario, draw: NatureDraw, partial_level: str) -
     return Transcript(state.history, state.pooled, True)
 
 
+def iter_paths(scenario: Scenario, state: PlayState,
+               policies: Mapping[str, object],
+               budget: PlayBudget | None = None) -> Iterator[tuple[PlayState, ...]]:
+    """Every play from ``state`` under per-agent policies, as the tuple of
+    states it reaches: ``state`` first, the terminal last.
+
+    A policy is FREE (explore every feasible report), TRUTH (current
+    perceived type; the default), or a callable ``(scenario, state, agent)
+    -> report``.  Plays come depth first, report profiles in ``product``
+    order over the agents.  Each terminal is charged to ``budget`` before
+    its play is yielded, and a play still running past :func:`max_stages`
+    is a protocol failure.  Every feasible report path is realized by some
+    strategy profile and vice versa, so enumerating paths is
+    outcome-equivalent to enumerating strategies.
+    """
+    rules = [(i, agent, policies.get(agent, TRUTH))
+             for i, agent in enumerate(scenario.structure.agents)]
+    cap = max_stages(scenario)
+    path = [state]
+    untried = []  # report profiles still to play at each running state of ``path``
+    while True:
+        if state.stopped:
+            if budget is not None:
+                budget.charge()
+            yield tuple(path)
+            path.pop()
+        else:
+            if state.stage > cap:
+                raise AssertionError("protocol failed to stop within the stage cap")
+            menus = []
+            for i, agent, policy in rules:
+                if policy == FREE:
+                    menus.append(feasible_reports(scenario, state, agent))
+                elif policy == TRUTH:
+                    menus.append((state.perceived[i],))
+                else:
+                    menus.append((policy(scenario, state, agent),))
+            untried.append(product(*menus))
+        while untried:
+            reports = next(untried[-1], None)
+            if reports is not None:
+                state = advance(scenario, path[-1], reports)
+                path.append(state)
+                break
+            untried.pop()
+            path.pop()
+        else:
+            return
+
+
 def iter_completions(scenario: Scenario, state: PlayState,
                      policies: Mapping[str, object],
                      budget: PlayBudget | None = None) -> Iterator[PlayState]:
-    """All terminal plays from ``state`` under per-agent policies.
-
-    A policy is FREE (explore every feasible report), TRUTH (current
-    perceived type), or a callable ``(scenario, state, agent) -> report``.
-    Every feasible report path is realized by some strategy profile and
-    vice versa, so enumerating paths is outcome-equivalent to enumerating
-    strategies.
-    """
-    agents = scenario.structure.agents
-    if state.stopped:
-        if budget is not None:
-            budget.charge()
-        yield state
-        return
-    menus = []
-    for agent in agents:
-        policy = policies.get(agent, TRUTH)
-        if policy == FREE:
-            menus.append(feasible_reports(scenario, state, agent))
-        elif policy == TRUTH:
-            menus.append((truth_report(state, agent, agents),))
-        else:
-            menus.append((policy(scenario, state, agent),))
-    for combo in product(*menus):
-        yield from iter_completions(scenario, advance(scenario, state, combo),
-                                    policies, budget)
+    """The terminal state of every play of :func:`iter_paths`."""
+    for path in iter_paths(scenario, state, policies, budget):
+        yield path[-1]
 
 
 def plan_policy(agent: str, reports_by_stage: tuple[str, ...], scenario: Scenario):

@@ -48,55 +48,62 @@ def _closure(elements: tuple[str, ...], pairs: Iterable[tuple[str, str]]) -> set
     return leq
 
 
+def _analyse(elements: Iterable[str], order: Iterable[tuple[str, str]]
+             ) -> tuple[tuple[str, ...], set[tuple[str, str]], dict, dict, list[str]]:
+    """Validate and tabulate in one pass.
+
+    Returns ``(elems, leq, join, meet, violations)``; the order, closure and
+    tables are complete only when ``violations`` is empty.
+    """
+    elems = tuple(dict.fromkeys(elements))
+    pairs = list(order)
+    join: dict[tuple[str, str], str] = {(a, a): a for a in elems}
+    meet = dict(join)
+    if not elems:
+        return elems, set(), join, meet, ["empty element set"]
+    violations = [f"order pair ({a}, {b}) references undeclared level"
+                  for a, b in pairs if a not in elems or b not in elems]
+    if violations:
+        return elems, set(), join, meet, violations
+    leq = _closure(elems, pairs)
+    violations = [f"antisymmetry breach: {a} and {b} are mutually below each other"
+                  for a, b in combinations(elems, 2) if (a, b) in leq and (b, a) in leq]
+    if violations:
+        return elems, leq, join, meet, violations
+    for a, b in combinations(elems, 2):
+        uppers = [c for c in elems if (a, c) in leq and (b, c) in leq]
+        least = [c for c in uppers if all((c, d) in leq for d in uppers)]
+        if len(least) == 1:
+            join[(a, b)] = join[(b, a)] = least[0]
+        else:
+            violations.append(f"no unique join witness for ({a}, {b})")
+        lowers = [c for c in elems if (c, a) in leq and (c, b) in leq]
+        greatest = [c for c in lowers if all((d, c) in leq for d in lowers)]
+        if len(greatest) == 1:
+            meet[(a, b)] = meet[(b, a)] = greatest[0]
+        else:
+            violations.append(f"no unique meet witness for ({a}, {b})")
+    return elems, leq, join, meet, violations
+
+
 def lattice_violations(elements: Iterable[str], order: Iterable[tuple[str, str]]) -> list[str]:
     """Check lattice axioms; return [] when (elements, order) form a lattice."""
-    elems = tuple(dict.fromkeys(elements))
-    if not elems:
-        return ["empty element set"]
-    violations = []
-    for (a, b) in order:
-        if a not in elems or b not in elems:
-            violations.append(f"order pair ({a}, {b}) references undeclared level")
-    if violations:
-        return violations
-    leq = _closure(elems, order)
-    for a, b in combinations(elems, 2):
-        if (a, b) in leq and (b, a) in leq:
-            violations.append(f"antisymmetry breach: {a} and {b} are mutually below each other")
-    if violations:
-        return violations
-    elemset = set(elems)
-    for a, b in combinations(elems, 2):
-        uppers = {c for c in elemset if (a, c) in leq and (b, c) in leq}
-        least = {c for c in uppers if all((c, d) in leq for d in uppers)}
-        if len(least) != 1:
-            violations.append(f"no unique join witness for ({a}, {b})")
-        lowers = {c for c in elemset if (c, a) in leq and (c, b) in leq}
-        greatest = {c for c in lowers if all((d, c) in leq for d in lowers)}
-        if len(greatest) != 1:
-            violations.append(f"no unique meet witness for ({a}, {b})")
-    return violations
+    return _analyse(elements, order)[4]
 
 
 class Lattice:
     """A validated finite lattice with precomputed join/meet tables.
 
     Construct through :func:`build_lattice`; the constructor assumes the
-    closure in ``leq`` already satisfies the axioms.
+    closure in ``leq`` and the tables already satisfy the axioms.
     """
 
-    def __init__(self, elements: tuple[str, ...], leq: set[tuple[str, str]]):
+    def __init__(self, elements: tuple[str, ...], leq: set[tuple[str, str]],
+                 join: dict[tuple[str, str], str], meet: dict[tuple[str, str], str]):
         self.elements = elements
         self._leq = frozenset(leq)
-        self._join: dict[tuple[str, str], str] = {}
-        self._meet: dict[tuple[str, str], str] = {}
-        elemset = set(elements)
-        for a in elements:
-            for b in elements:
-                uppers = {c for c in elemset if (a, c) in leq and (b, c) in leq}
-                self._join[(a, b)] = next(c for c in uppers if all((c, d) in leq for d in uppers))
-                lowers = {c for c in elemset if (c, a) in leq and (c, b) in leq}
-                self._meet[(a, b)] = next(c for c in lowers if all((d, c) in leq for d in lowers))
+        self._join = join
+        self._meet = meet
         self._down: dict[str, frozenset[str]] = {
             a: frozenset(b for b in elements if (b, a) in leq) for a in elements
         }
@@ -178,10 +185,9 @@ class Lattice:
 
 def build_lattice(elements: Iterable[str], order: Iterable[tuple[str, str]]) -> Lattice:
     """Validate and build a lattice from elements and a generating relation."""
-    elems = tuple(dict.fromkeys(elements))
+    elems, leq, join, meet, violations = _analyse(elements, order)
     if not elems:
         raise EmptyLattice("no elements")
-    violations = lattice_violations(elems, list(order))
     if violations:
         raise NotALattice(violations)
-    return Lattice(elems, _closure(elems, order))
+    return Lattice(elems, leq, join, meet)

@@ -105,7 +105,10 @@ def _tokens(text: str):
         if section is None:
             raise ParseError(f"line {lineno}: record outside any section")
         key, rest = line.split(":", 1)
-        yield lineno, section, key.strip(), rest.split()
+        key, args = key.strip(), rest.split()
+        if not args:
+            raise ParseError(f"line {lineno}: record {key!r} has no value")
+        yield lineno, section, key, args
 
 
 def _fraction(token: str, lineno: int) -> Fraction:

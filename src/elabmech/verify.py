@@ -10,13 +10,15 @@ parallel workers and their results merged in any order.
 Conditional dominance is the expensive check.  Opponents' strategies are
 enumerated as realized-report plans per nature draw: the report sequences
 they produce on the truthful play, replayed positionally (with an
-awareness cap) when the checked agent deviates.  Payoffs depend only on
-the realized transcript, so this enumeration covers every opponent
-strategy that does not condition on the checked agent's report content
-beyond what the pooled-level broadcasts force; fully report-reactive
-opponents could transfer utility across branches, which no transfer
-scheme can price.  Games whose initial awareness vector cannot reach the
-conditioning level are skipped: projecting such a draw downward
+awareness cap) when the checked agent deviates.  Both walks, the opponents'
+free reports against the truthful agent and the agent's deviations against
+the plans, are plays of :func:`engine.iter_paths`, charged to one budget.
+Payoffs depend only on the realized transcript, so this enumeration covers
+every opponent strategy that does not condition on the checked agent's
+report content beyond what the pooled-level broadcasts force; fully
+report-reactive opponents could transfer utility across branches, which no
+transfer scheme can price.  Games whose initial awareness vector cannot
+reach the conditioning level are skipped: projecting such a draw downward
 reproduces an instance already enumerated at the lower level.
 """
 from __future__ import annotations
@@ -27,11 +29,15 @@ from itertools import product
 from typing import Iterator
 
 from . import engine
-from .engine import FREE, PlayBudget, PlayState
+from .engine import FREE, PlayBudget
 from .scenario import Scenario
 from .transfers import (RSPA, STATIC_VICKREY, Mechanism, SchemeConfig,
                         opponent_profile, scheme_outcome, sellers)
 from .typespace import NatureDraw
+
+
+class InapplicableProperty(ValueError):
+    """The property is not defined for the scenario's scheme kind."""
 
 
 @dataclass
@@ -237,8 +243,21 @@ def check_participation(scenario: Scenario, scheme: SchemeConfig, mode: str = "e
     return VerificationResult(prop, not witnesses, witnesses, checked)
 
 
-class _Violated(Exception):
-    pass
+def _dominance_instances(scenario: Scenario, checked_agents: tuple[str, ...]
+                        ) -> Iterator[tuple[str, str, tuple[str, ...], tuple[str, ...]]]:
+    """(agent, level, profile, awareness) of every partial game the dominance
+    check starts from, in check order."""
+    structure = scenario.structure
+    for agent in checked_agents:
+        for level in scenario.lattice.elements:
+            for awareness in _awareness_vectors(scenario, level, require_join=True):
+                for own_true in structure.space(agent, level):
+                    # Opponents' true types never influence the check: their
+                    # reports range freely and utilities read only the agent's
+                    # own valuation plus the reported transcript.
+                    yield agent, level, tuple(own_true if a == agent
+                                              else structure.space(a, level)[0]
+                                              for a in structure.agents), awareness
 
 
 def check_conditional_dominance(scenario: Scenario, scheme: SchemeConfig,
@@ -254,7 +273,8 @@ def check_conditional_dominance(scenario: Scenario, scheme: SchemeConfig,
     information set are both evaluated at the type perceived there.
     """
     if scheme.kind == STATIC_VICKREY:
-        raise ValueError("conditional dominance applies to the dynamic protocol")
+        raise InapplicableProperty(
+            f"dominance applies to the dynamic protocol, not to {STATIC_VICKREY}")
     mech = Mechanism(scenario, scheme)
     structure = scenario.structure
     agents = structure.agents
@@ -264,42 +284,21 @@ def check_conditional_dominance(scenario: Scenario, scheme: SchemeConfig,
     # dominance is unattainable by construction.  Check the sellers.
     checked_agents = sellers(scenario, scheme) if scheme.kind == RSPA else agents
     budget = PlayBudget(bound)
-    witnesses: list[Witness] = []
     checked = 0
-
-    def check_instance(agent: str, level: str, profile: tuple[str, ...],
-                       awareness: tuple[str, ...]) -> None:
-        nonlocal checked
+    for agent, level, profile, awareness in _dominance_instances(scenario, checked_agents):
         i = structure.agent_index(agent)
-
-        def opponent_combos(state: PlayState):
-            menus = [engine.feasible_reports(scenario, state, a) if a != agent else (None,)
-                     for a in agents]
-            return product(*menus)
-
-        def walk(state: PlayState, nodes: list[PlayState]) -> None:
-            # DFS over opponents' free choices while the agent tells the
-            # truth; each terminal fixes one opponents' plan profile.
-            if state.stopped:
-                settle(state, nodes)
-                return
-            truth_rep = engine.truth_report(state, agent, agents)
-            for combo in opponent_combos(state):
-                merged = list(combo)
-                merged[i] = truth_rep
-                child = engine.advance(scenario, state, tuple(merged))
-                walk(child, nodes + [state])
-
-        def settle(terminal: PlayState, nodes: list[PlayState]) -> None:
-            nonlocal checked
-            budget.charge()
-            truth_transcript = engine.transcript(terminal)
+        start = engine.initial_state(scenario, level, profile, awareness)
+        opponents = {a: FREE for a in agents if a != agent}
+        # The agent tells the truth while opponents report freely; each play
+        # fixes one opponents' plan profile.
+        for path in engine.iter_paths(scenario, start, opponents, budget):
+            truth_transcript = engine.transcript(path[-1])
             policies: dict[str, object] = {
                 a: engine.plan_policy(a, tuple(stage[k] for stage in truth_transcript.stages),
                                       scenario)
                 for k, a in enumerate(agents) if a != agent}
             policies[agent] = FREE
-            for h_state in nodes:
+            for h_state in path[:-1]:
                 if structure.level_of(agent, h_state.perceived[i]) != level:
                     continue
                 eval_type = h_state.perceived[i]
@@ -309,7 +308,7 @@ def check_conditional_dominance(scenario: Scenario, scheme: SchemeConfig,
                     dev_transcript = engine.transcript(dev_terminal)
                     u_dev = mech.utility(dev_transcript, agent, eval_type)
                     if u_dev > u_truth:
-                        witnesses.append(Witness(
+                        return VerificationResult("dominance", False, [Witness(
                             f"{agent} gains {u_dev - u_truth} by deviating at stage "
                             f"{h_state.stage} (draw {profile} / {awareness} in the "
                             f"{level}-partial game)",
@@ -320,26 +319,8 @@ def check_conditional_dominance(scenario: Scenario, scheme: SchemeConfig,
                              "truth_stages": [list(s) for s in truth_transcript.stages],
                              "deviation_stages": [list(s) for s in dev_transcript.stages],
                              "truth_utility": str(u_truth),
-                             "deviation_utility": str(u_dev)}))
-                        raise _Violated()
-
-        walk(engine.initial_state(scenario, level, profile, awareness), [])
-
-    lattice = scenario.lattice
-    for agent in checked_agents:
-        for level in lattice.elements:
-            for awareness in _awareness_vectors(scenario, level, require_join=True):
-                for own_true in structure.space(agent, level):
-                    # Opponents' true types never influence the check: their
-                    # reports range freely and utilities read only the agent's
-                    # own valuation plus the reported transcript.
-                    profile = tuple(own_true if a == agent
-                                    else structure.space(a, level)[0] for a in agents)
-                    try:
-                        check_instance(agent, level, profile, awareness)
-                    except _Violated:
-                        return VerificationResult("dominance", False, witnesses, checked)
-    return VerificationResult("dominance", True, witnesses, checked)
+                             "deviation_utility": str(u_dev)})], checked)
+    return VerificationResult("dominance", True, [], checked)
 
 
 def holmstrom_welfare(scenario: Scenario, profile: tuple[str, ...]) -> Fraction:

@@ -206,3 +206,56 @@ def test_verify_holmstrom_solves_each_level_once(tmp_path, capsys, monkeypatch):
     assert witnesses == ["  witness: no additive decomposition of welfare exists at level l0: "
                          "the 4-equation system over 4 unknowns is inconsistent"]
     assert len(calls) <= 1  # one lattice level
+
+
+def _run_script(tmp_path, text, *extra):
+    script = tmp_path / "script.txt"
+    script.write_text(text)
+    return main(["run", "example2", "--strategy", str(script), *extra])
+
+
+def test_run_script_rejects_an_undeclared_agent(tmp_path, capsys):
+    assert _run_script(tmp_path, "a1 1 a1lo2\na3 1 a1lo2\n") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {tmp_path / 'script.txt'}: line 2: undeclared agent 'a3'"]
+
+
+def test_run_script_rejects_a_repeated_agent_stage(tmp_path, capsys):
+    assert _run_script(tmp_path, "a1 1 a1lo2\na1 1 a1lo1\n") == 2
+    err = capsys.readouterr().err
+    assert "line 2: a1 stage 1 is already scripted on line 1" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("stage", [0, 9])
+def test_run_script_rejects_a_stage_the_play_never_reaches(tmp_path, capsys, stage):
+    assert _run_script(tmp_path, f"a1 1 a1lo2\na1 2 a1lo2\na1 {stage} a1lo2\n") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {tmp_path / 'script.txt'}: line 3: a1 stage {stage} was never consulted "
+        f"(the play ended after stage 2)"]
+
+
+def test_run_script_rejects_every_line_under_the_static_scheme(tmp_path, capsys):
+    assert _run_script(tmp_path, "a1 1 a1lo2\n", "--scheme", "static_vickrey") == 2
+    err = capsys.readouterr().err
+    assert "line 1: a1 stage 1 was never consulted (the play ended after stage 1)" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_verify_dominance_under_the_static_scheme_exits_two(capsys):
+    assert main(["verify", "example2", "--scheme", "static_vickrey",
+                 "--property", "dominance"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: dominance applies to the dynamic protocol, not to static_vickrey"]
+
+
+@pytest.mark.parametrize("prop", ["holmstrom", "nonnegative-valuations"])
+def test_scheme_free_properties_run_under_the_static_scheme(capsys, prop):
+    assert main(["verify", "example2", "--scheme", "static_vickrey",
+                 "--property", prop]) == 0
+    assert f"{prop}: holds" in capsys.readouterr().out

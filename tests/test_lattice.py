@@ -139,3 +139,12 @@ def test_random_sublattices_of_powerset_validate_or_fail_cleanly(subset):
     else:
         # every reported violation names a concrete witness pair
         assert all("witness" in v or "breach" in v for v in violations)
+
+
+def test_build_lattice_accepts_a_generator_order():
+    pairs = [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")]
+    lat = build_lattice(["bot", "a", "b", "top"], (p for p in pairs))
+    assert lat.join("a", "b") == "top" and lat.meet("a", "b") == "bot"
+    assert lattice_violations(["bot", "a", "b", "top"], (p for p in pairs)) == []
+    assert lattice_violations(["a", "b"], (p for p in [])) == [
+        "no unique join witness for (a, b)", "no unique meet witness for (a, b)"]

@@ -143,3 +143,13 @@ def test_rspa_requires_supply_outcomes_available_everywhere():
     with pytest.raises(ValidationError) as err:
         parse_scenario(text)
     assert any("unavailable at level lo" in v for v in err.value.violations)
+
+
+@pytest.mark.parametrize("section, record", [
+    ("lattice", "top"), ("lattice", "bottom"), ("outcomes", "available"),
+    ("scheme", "kind"), ("scheme", "buyer"), ("scheme", "simplified_premium_ok")])
+def test_record_without_a_value_is_a_parse_error(section, record):
+    text = MINIMAL.replace(f"[{section}]\n", f"[{section}]\n{record}:\n", 1)
+    lineno = text.splitlines().index(f"{record}:") + 1
+    with pytest.raises(ParseError, match=f"line {lineno}: record '{record}' has no value"):
+        parse_scenario(text)

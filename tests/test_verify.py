@@ -489,3 +489,46 @@ def test_run_matches_the_single_truthful_completion(name):
         for level in s.lattice.elements:
             (terminal,) = engine.iter_completions(s, engine.state_from_draw(s, draw, level), {})
             assert engine.run(s, draw, level) == engine.transcript(terminal)
+
+
+# Dominance counts measured before the opponent walk of
+# check_conditional_dominance was merged into engine.iter_paths; the merge
+# must not move them.  Each case: (verdict holds, checked, plays), where
+# plays is the exact play budget the check consumes.
+PINNED_DOMINANCE = {
+    "example2": (True, 104, 264),
+    "example2-ablated": (False, 31, 88),
+    "gen301-0": (True, 52, 115),
+    "gen301-3": (True, 160, 452),
+    "gen301-4": (True, 548, 2043),
+}
+
+ABLATED_EXAMPLE2_WITNESS = {
+    "agent": "a1", "level": "hi", "profile": ["a1hi2", "a2hi2"], "awareness": ["hi", "lo"],
+    "conditioning_stage": 1, "perceived": "a1hi2",
+    "truth_stages": [["a1hi2", "a2lo"], ["a1hi2", "a2hi2"], ["a1hi2", "a2hi2"]],
+    "deviation_stages": [["a1lo1", "a2lo"], ["a1lo1", "a2lo"]],
+    "truth_utility": "0", "deviation_utility": "1",
+}
+
+
+def _dominance_case(name):
+    if name.startswith("gen301-"):
+        s = generate_scenario(301, int(name.split("-")[1]))
+        return s, s.scheme
+    s = fixture("example2")
+    if name.endswith("-ablated"):
+        return s, dataclasses.replace(s.scheme, ablate_premium=True)
+    return s, s.scheme
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DOMINANCE))
+def test_dominance_keeps_its_counts_and_play_budget(name):
+    s, scheme = _dominance_case(name)
+    holds, checked, plays = PINNED_DOMINANCE[name]
+    result = verify.check_conditional_dominance(s, scheme, bound=plays)
+    assert (result.holds, result.checked) == (holds, checked)
+    if not holds:
+        assert result.witnesses[0].replay == ABLATED_EXAMPLE2_WITNESS
+    with pytest.raises(engine.StrategySpaceTooLarge):
+        verify.check_conditional_dominance(s, scheme, bound=plays - 1)
