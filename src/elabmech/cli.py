@@ -21,7 +21,8 @@ from .generate import generate_scenario
 from .lattice import UnknownLevel
 from .scenario import (ParseError, Scenario, UnknownDraw, ValidationError, load_scenario,
                        scheme_violations)
-from .transfers import CLARKE, GROVES, KINDS, RSPA, STATIC_VICKREY, Mechanism
+from .transfers import (CLARKE, GROVES, KINDS, RSPA, STATIC_VICKREY, Mechanism,
+                        PremiumAssumptionFails)
 from .verify import InapplicableProperty
 
 VCG = (GROVES, CLARKE)
@@ -191,33 +192,36 @@ def cmd_verify(args) -> int:
         scenarios = [_apply_scheme(_load(args.scenario), args.scheme)]
     results = []
     worst = 0
-    for scenario in scenarios:
-        props = args.properties
-        if args.all or not props:
-            props = [prop for prop, (_, kinds) in PROPERTIES.items()
-                     if scenario.scheme.kind in kinds]
-        for prop in props:
-            check = PROPERTIES[prop][0]
-            try:
-                result = check(scenario, args.bound)
-            except StrategySpaceTooLarge as err:
-                print(f"{scenario.name}: {prop}: enumeration bound exceeded ({err})")
-                return 3
-            results.append((scenario.name, result))
-            verdict = "holds" if result.holds else "VIOLATED"
-            expected = prop in args.expect_fail
-            print(f"{scenario.name}: {result.prop}: {verdict} "
-                  f"({result.checked} cases)"
-                  + (" [expected violation]" if expected and not result.holds else ""))
-            for witness in result.witnesses[:3]:
-                print(f"  witness: {witness.description}")
-            if result.holds == expected:
-                worst = max(worst, 1)
-    if args.report:
-        payload = [{"scenario": name, **result.jsonable()} for name, result in results]
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-    return worst
+    try:
+        for scenario in scenarios:
+            props = args.properties
+            if args.all or not props:
+                props = [prop for prop, (_, kinds) in PROPERTIES.items()
+                         if scenario.scheme.kind in kinds]
+            for prop in props:
+                check = PROPERTIES[prop][0]
+                try:
+                    result = check(scenario, args.bound)
+                except StrategySpaceTooLarge as err:
+                    print(f"{scenario.name}: {prop}: enumeration bound exceeded ({err})")
+                    return 3
+                results.append((scenario.name, result))
+                verdict = "holds" if result.holds else "VIOLATED"
+                expected = prop in args.expect_fail
+                print(f"{scenario.name}: {result.prop}: {verdict} "
+                      f"({result.checked} cases)"
+                      + (" [expected violation]" if expected and not result.holds else ""))
+                for witness in result.witnesses[:3]:
+                    print(f"  witness: {witness.description}")
+                if result.holds == expected:
+                    worst = max(worst, 1)
+        return worst
+    finally:
+        # Written also when a property ends the run early, with the results so far.
+        if args.report:
+            payload = [{"scenario": name, **result.jsonable()} for name, result in results]
+            with open(args.report, "w", encoding="utf-8") as handle:
+                json.dump(payload, handle, indent=2)
 
 
 def cmd_report(args) -> int:
@@ -280,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except (ParseError, ValidationError, InfeasibleReport, UnknownDraw, UnknownLevel,
-            InapplicableProperty, OSError) as err:
+            InapplicableProperty, PremiumAssumptionFails, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     parser.error(f"unknown command {args.command!r}")

@@ -36,14 +36,20 @@ Sections appear in square brackets; records are ``key: tokens`` lines;
     [nature]
     draw: main types a1=a1hi a2=a2hi levels a1=hi a2=lo
 
-A scenario loads only if the lattice axioms, the projection laws, the
-valuation-domain rules, and the scheme requirements all pass; the
+``RECORDS`` defines what each record takes: its section and how many values
+it carries.  A record in the wrong section, with too few or too many values,
+or repeated where it may appear once (``top``, ``bottom``, ``tie_break``,
+``kind``, ``buyer``, ``simplified_premium_ok``) is a :class:`ParseError`
+naming the line; ``simplified_premium_ok`` is one of true/yes/1/false/no/0
+in any case.  A scenario loads only if the lattice axioms, the projection
+laws, the valuation-domain rules, and the scheme requirements all pass; the
 diagnostics list every violation found.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import inf
 
 from .lattice import Lattice, NotALattice, build_lattice
 from .outcomes import OutcomeModel
@@ -90,25 +96,71 @@ class Scenario:
         return self.draws[name]
 
 
-def _tokens(text: str):
-    """Yield (lineno, section, key, args) for every record line."""
-    section = None
+# Section -> record key -> (least, most) values; most inf means unbounded.
+# Sections and records are written in this order, and record keys are unique
+# across sections.
+RECORDS: dict[str, dict[str, tuple[int, float]]] = {
+    "lattice": {"elements": (1, inf), "edge": (2, 2), "top": (1, 1), "bottom": (1, 1)},
+    "agents": {"agents": (1, inf)},
+    "types": {"space": (3, inf)},
+    "projections": {"map": (5, 5)},
+    "outcomes": {"outcomes": (1, inf), "available": (1, inf), "tie_break": (1, inf)},
+    "valuations": {"value": (4, 4)},
+    "scheme": {"kind": (1, 1), "buyer": (1, 1), "supply": (2, 2),
+               "simplified_premium_ok": (1, 1), "y": (3, inf)},
+    "nature": {"draw": (3, inf)},
+}
+
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _records(text: str) -> dict[str, list[tuple[int, list[str]]]]:
+    """Each record key's (lineno, values) list, in file order, checked
+    against ``RECORDS``."""
+    records: dict[str, list[tuple[int, list[str]]]] = {
+        key: [] for keys in RECORDS.values() for key in keys}
+    section = keys = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
+            keys = RECORDS.get(section)
+            if keys is None:
+                raise ParseError(f"line {lineno}: unknown section {section!r}")
             continue
         if ":" not in line:
             raise ParseError(f"line {lineno}: expected 'key: values', got {raw!r}")
-        if section is None:
+        if keys is None:
             raise ParseError(f"line {lineno}: record outside any section")
         key, rest = line.split(":", 1)
-        key, args = key.strip(), rest.split()
-        if not args:
+        key, values = key.strip(), rest.split()
+        if not values:
             raise ParseError(f"line {lineno}: record {key!r} has no value")
-        yield lineno, section, key, args
+        counts = keys.get(key)
+        if counts is None:
+            raise ParseError(f"line {lineno}: unknown {section} record {key!r}")
+        least, most = counts
+        if not least <= len(values) <= most:
+            want = f"at least {least}" if most == inf else f"exactly {least}"
+            raise ParseError(f"line {lineno}: record {key!r} takes {want} "
+                             f"value{'s' if least > 1 else ''}, got {len(values)}")
+        records[key].append((lineno, values))
+    return records
+
+
+def _once(records: dict[str, list[tuple[int, list[str]]]], key: str) -> list[str] | None:
+    """The values of a record that may appear at most once, or None."""
+    found = records[key]
+    if len(found) > 1:
+        raise ParseError(f"line {found[1][0]}: record {key!r} repeats line {found[0][0]}")
+    return found[0][1] if found else None
+
+
+def _joined(records: dict[str, list[tuple[int, list[str]]]], key: str) -> list[str]:
+    """The values of every ``key`` record, in file order."""
+    return [value for _, values in records[key] for value in values]
 
 
 def _fraction(token: str, lineno: int) -> Fraction:
@@ -124,99 +176,54 @@ def _assignments(tokens: list[str], lineno: int) -> dict[str, str]:
         if "=" not in token:
             raise ParseError(f"line {lineno}: expected name=value, got {token!r}")
         name, value = token.split("=", 1)
+        if name in out:
+            raise ParseError(f"line {lineno}: draw names {name} twice")
         out[name] = value
     return out
 
 
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
-    elements: list[str] = []
-    edges: list[tuple[str, str]] = []
-    declared_top = declared_bottom = None
-    agents: list[str] = []
+    records = _records(text)
+    elements = _joined(records, "elements")
+    edges = [tuple(values) for _, values in records["edge"]]
+    [declared_top] = _once(records, "top") or [None]
+    [declared_bottom] = _once(records, "bottom") or [None]
+    agents = _joined(records, "agents")
     spaces: dict[tuple[str, str], list[str]] = {}
+    for _, (agent, level, *types) in records["space"]:
+        spaces.setdefault((agent, level), []).extend(types)
     edge_maps: dict[tuple[str, str, str], dict[str, str]] = {}
-    outcome_ids: list[str] = []
+    for _, (agent, hi, lo, src, dst) in records["map"]:
+        edge_maps.setdefault((agent, hi, lo), {})[src] = dst
+    outcome_ids = _joined(records, "outcomes")
     available: dict[str, list[str]] = {}
-    tie_break: list[str] | None = None
-    valuations: dict[tuple[str, str, str], Fraction] = {}
-    scheme_kind = None
-    buyer = None
-    supplies: dict[str, str] = {}
-    simplified_ok = False
-    y_tables: dict[tuple[str, str, tuple[str, ...]], Fraction] = {}
-    draws: dict[str, NatureDraw] = {}
-    draw_specs: list[tuple[int, str, dict[str, str], dict[str, str]]] = []
-
-    for lineno, section, key, args in _tokens(text):
-        if section == "lattice":
-            if key == "elements":
-                elements.extend(args)
-            elif key == "edge":
-                if len(args) != 2:
-                    raise ParseError(f"line {lineno}: edge wants two levels")
-                edges.append((args[0], args[1]))
-            elif key == "top":
-                declared_top = args[0]
-            elif key == "bottom":
-                declared_bottom = args[0]
-            else:
-                raise ParseError(f"line {lineno}: unknown lattice record {key!r}")
-        elif section == "agents":
-            if key != "agents":
-                raise ParseError(f"line {lineno}: unknown agents record {key!r}")
-            agents.extend(args)
-        elif section == "types":
-            if key != "space" or len(args) < 3:
-                raise ParseError(f"line {lineno}: space wants agent, level, types...")
-            spaces.setdefault((args[0], args[1]), []).extend(args[2:])
-        elif section == "projections":
-            if key != "map" or len(args) != 5:
-                raise ParseError(f"line {lineno}: map wants agent from to fromtype totype")
-            agent, hi, lo, src, dst = args
-            edge_maps.setdefault((agent, hi, lo), {})[src] = dst
-        elif section == "outcomes":
-            if key == "outcomes":
-                outcome_ids.extend(args)
-            elif key == "available":
-                available.setdefault(args[0], []).extend(args[1:])
-            elif key == "tie_break":
-                tie_break = list(args)
-            else:
-                raise ParseError(f"line {lineno}: unknown outcomes record {key!r}")
-        elif section == "valuations":
-            if key != "value" or len(args) != 4:
-                raise ParseError(f"line {lineno}: value wants agent type outcome rational")
-            valuations[(args[0], args[1], args[2])] = _fraction(args[3], lineno)
-        elif section == "scheme":
-            if key == "kind":
-                scheme_kind = args[0]
-            elif key == "buyer":
-                buyer = args[0]
-            elif key == "supply":
-                if len(args) != 2:
-                    raise ParseError(f"line {lineno}: supply wants seller outcome")
-                supplies[args[0]] = args[1]
-            elif key == "simplified_premium_ok":
-                simplified_ok = args[0].lower() in ("true", "yes", "1")
-            elif key == "y":
-                if len(args) < 3:
-                    raise ParseError(f"line {lineno}: y wants agent level opptypes... value")
-                y_tables[(args[0], args[1], tuple(args[2:-1]))] = _fraction(args[-1], lineno)
-            else:
-                raise ParseError(f"line {lineno}: unknown scheme record {key!r}")
-        elif section == "nature":
-            if key != "draw" or len(args) < 3 or args[1] != "types":
-                raise ParseError(
-                    f"line {lineno}: draw wants name types a=t... levels a=l...")
-            try:
-                split = args.index("levels")
-            except ValueError:
-                raise ParseError(f"line {lineno}: draw is missing the levels part") from None
-            draw_specs.append((lineno, args[0],
-                               _assignments(args[2:split], lineno),
-                               _assignments(args[split + 1:], lineno)))
-        else:
-            raise ParseError(f"line {lineno}: unknown section {section!r}")
+    for _, (level, *outcomes) in records["available"]:
+        available.setdefault(level, []).extend(outcomes)
+    tie_break = _once(records, "tie_break")
+    valuations = {(agent, t, x0): _fraction(v, lineno)
+                  for lineno, (agent, t, x0, v) in records["value"]}
+    [scheme_kind] = _once(records, "kind") or ["clarke"]
+    [buyer] = _once(records, "buyer") or [None]
+    supplies = dict(values for _, values in records["supply"])
+    [simplified_ok] = _once(records, "simplified_premium_ok") or ["false"]
+    if simplified_ok.lower() not in _BOOLEANS:
+        raise ParseError(f"line {records['simplified_premium_ok'][0][0]}: "
+                         f"record 'simplified_premium_ok' takes true/yes/1 or false/no/0, "
+                         f"got {simplified_ok!r}")
+    y_tables = {(agent, level, tuple(opp)): _fraction(v, lineno)
+                for lineno, (agent, level, *opp, v) in records["y"]}
+    draw_specs = []
+    for lineno, (draw_name, part, *rest) in records["draw"]:
+        if part != "types":
+            raise ParseError(f"line {lineno}: draw wants name types a=t... levels a=l...")
+        if "levels" not in rest:
+            raise ParseError(f"line {lineno}: draw is missing the levels part")
+        split = rest.index("levels")
+        draw_specs.append((draw_name, _assignments(rest[:split], lineno),
+                           _assignments(rest[split + 1:], lineno)))
+    # Free the raw records before validation allocates: holding them to the
+    # end measurably slows a cold load.
+    del records
 
     try:
         lattice = build_lattice(elements, edges)
@@ -242,17 +249,21 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     model = OutcomeModel(structure, outcome_ids, available, valuations, tie_break)
     violations = [f"outcomes: {v}" for v in model.violations()]
 
-    scheme = SchemeConfig(kind=scheme_kind or "clarke",
+    scheme = SchemeConfig(kind=scheme_kind,
                           y_tables=y_tables or None,
                           buyer=buyer,
                           supplies=supplies or None,
-                          simplified_premium_ok=simplified_ok)
+                          simplified_premium_ok=_BOOLEANS[simplified_ok.lower()])
     violations.extend(f"scheme: {v}" for v in scheme_violations(structure, model, scheme))
 
-    for lineno, draw_name, type_map, level_map in draw_specs:
+    draws: dict[str, NatureDraw] = {}
+    for draw_name, type_map, level_map in draw_specs:
+        undeclared = [a for a in {**type_map, **level_map} if a not in structure.agents]
+        violations.extend(f"draw {draw_name}: undeclared agent {a}" for a in undeclared)
         missing = [a for a in structure.agents if a not in type_map or a not in level_map]
         if missing:
             violations.append(f"draw {draw_name}: missing entries for {', '.join(missing)}")
+        if undeclared or missing:
             continue
         draw = NatureDraw(tuple(type_map[a] for a in structure.agents),
                           tuple(level_map[a] for a in structure.agents))
@@ -317,59 +328,41 @@ def load_scenario(path: str) -> Scenario:
 
 
 def serialize_scenario(scenario: Scenario) -> str:
-    lines = ["[lattice]",
-             "elements: " + " ".join(scenario.lattice.elements)]
-    for a, b in scenario.lattice.covers():
-        lines.append(f"edge: {a} {b}")
-    lines.append(f"top: {scenario.lattice.top}")
-    lines.append(f"bottom: {scenario.lattice.bottom}")
-    lines.append("")
-    lines.append("[agents]")
-    lines.append("agents: " + " ".join(scenario.agents))
-    lines.append("")
-    lines.append("[types]")
-    for agent in scenario.agents:
-        for level in scenario.lattice.elements:
-            lines.append(f"space: {agent} {level} "
-                         + " ".join(scenario.structure.space(agent, level)))
-    lines.append("")
-    lines.append("[projections]")
-    for agent in scenario.agents:
-        for lo, hi in scenario.lattice.covers():
-            for t in scenario.structure.space(agent, hi):
-                lines.append(f"map: {agent} {hi} {lo} {t} "
-                             f"{scenario.structure.project(agent, t, lo)}")
-    lines.append("")
-    lines.append("[outcomes]")
-    lines.append("outcomes: " + " ".join(scenario.outcomes.outcomes))
-    for level in scenario.lattice.elements:
-        lines.append(f"available: {level} " + " ".join(scenario.outcomes.available[level]))
-    lines.append("tie_break: " + " ".join(scenario.outcomes.tie_break))
-    lines.append("")
-    lines.append("[valuations]")
-    for agent in scenario.agents:
-        for level in scenario.lattice.elements:
-            for t in scenario.structure.space(agent, level):
-                for x0 in scenario.outcomes.outcomes:
-                    v = scenario.outcomes.valuations.get((agent, t, x0))
-                    if v is not None:
-                        lines.append(f"value: {agent} {t} {x0} {v}")
-    lines.append("")
-    lines.append("[scheme]")
-    lines.append(f"kind: {scenario.scheme.kind}")
-    if scenario.scheme.buyer is not None:
-        lines.append(f"buyer: {scenario.scheme.buyer}")
-    for seller, x0 in (scenario.scheme.supplies or {}).items():
-        lines.append(f"supply: {seller} {x0}")
-    if scenario.scheme.simplified_premium_ok:
-        lines.append("simplified_premium_ok: true")
-    for (agent, level, opp), v in (scenario.scheme.y_tables or {}).items():
-        lines.append(f"y: {agent} {level} " + " ".join(opp) + f" {v}")
-    if scenario.draws:
-        lines.append("")
-        lines.append("[nature]")
-        for name, draw in scenario.draws.items():
-            types = " ".join(f"{a}={t}" for a, t in zip(scenario.agents, draw.true_types))
-            levels = " ".join(f"{a}={l}" for a, l in zip(scenario.agents, draw.awareness))
-            lines.append(f"draw: {name} types {types} levels {levels}")
-    return "\n".join(lines) + "\n"
+    """Scenario text in ``RECORDS`` order; a section without records is left out."""
+    lattice, structure, outcomes, scheme = (scenario.lattice, scenario.structure,
+                                            scenario.outcomes, scenario.scheme)
+    agents, levels, covers = scenario.agents, lattice.elements, lattice.covers()
+    records = {
+        "elements": [levels],
+        "edge": covers,
+        "top": [[lattice.top]],
+        "bottom": [[lattice.bottom]],
+        "agents": [agents],
+        "space": [(agent, level, *structure.space(agent, level))
+                  for agent in agents for level in levels],
+        "map": [(agent, hi, lo, t, structure.project(agent, t, lo))
+                for agent in agents for lo, hi in covers
+                for t in structure.space(agent, hi)],
+        "outcomes": [outcomes.outcomes],
+        "available": [(level, *outcomes.available[level]) for level in levels],
+        "tie_break": [outcomes.tie_break],
+        "value": [(agent, t, x0, str(v))
+                  for agent in agents for level in levels
+                  for t in structure.space(agent, level) for x0 in outcomes.outcomes
+                  if (v := outcomes.valuations.get((agent, t, x0))) is not None],
+        "kind": [[scheme.kind]],
+        "buyer": [[scheme.buyer]] if scheme.buyer is not None else [],
+        "supply": (scheme.supplies or {}).items(),
+        "simplified_premium_ok": [["true"]] if scheme.simplified_premium_ok else [],
+        "y": [(agent, level, *opp, str(v))
+              for (agent, level, opp), v in (scheme.y_tables or {}).items()],
+        "draw": [(name, "types", *(f"{a}={t}" for a, t in zip(agents, draw.true_types)),
+                  "levels", *(f"{a}={l}" for a, l in zip(agents, draw.awareness)))
+                 for name, draw in scenario.draws.items()],
+    }
+    sections = []
+    for section, keys in RECORDS.items():
+        lines = [f"{key}: {' '.join(values)}" for key in keys for values in records[key]]
+        if lines:
+            sections.append("\n".join([f"[{section}]", *lines]))
+    return "\n\n".join(sections) + "\n"

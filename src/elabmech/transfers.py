@@ -44,6 +44,10 @@ class FewerThanTwoSellers(Exception):
     pass
 
 
+class PremiumAssumptionFails(ValueError):
+    """The declared simplified rspa premium disagrees with the full recursion."""
+
+
 GROVES = "groves"
 CLARKE = "clarke"
 RSPA = "rspa"
@@ -191,7 +195,7 @@ class PremiumTable:
             if self.scheme.simplified_premium_ok:
                 short = self._rspa_premium_simplified(agent, level)
                 if short != value:
-                    raise ValueError(
+                    raise PremiumAssumptionFails(
                         f"simplified premium {short} for ({agent}, {level}) disagrees with the "
                         f"full recursion {value}; the opt-out assumption does not hold here")
             return value

@@ -40,6 +40,10 @@ class InapplicableProperty(ValueError):
     """The property is not defined for the scenario's scheme kind."""
 
 
+# Every truthful run stops within this many stages (the paper's three-stage bound).
+STAGE_BOUND = 3
+
+
 @dataclass
 class Witness:
     description: str
@@ -131,8 +135,8 @@ def check_pooled_implementation(scenario: Scenario, scheme: SchemeConfig) -> Ver
     return VerificationResult("pooled-implementation", not witnesses, witnesses, checked)
 
 
-def check_stage_bound(scenario: Scenario, bound: int = 3) -> VerificationResult:
-    """Every truthful run, in every partial game, stops within ``bound`` stages."""
+def check_stage_bound(scenario: Scenario) -> VerificationResult:
+    """Every truthful run, in every partial game, stops within ``STAGE_BOUND`` stages."""
     witnesses = []
     checked = 0
     for level in scenario.lattice.elements:
@@ -140,7 +144,7 @@ def check_stage_bound(scenario: Scenario, bound: int = 3) -> VerificationResult:
             checked += 1
             state = engine.initial_state(scenario, level, profile, awareness)
             state = engine.truthful_path(scenario, state)[-1]
-            if len(state.history) > bound:
+            if len(state.history) > STAGE_BOUND:
                 witnesses.append(Witness(
                     f"truthful run took {len(state.history)} stages at level {level}",
                     {"level": level, "profile": list(profile), "awareness": list(awareness),
@@ -201,8 +205,8 @@ def check_nonnegative_valuations(scenario: Scenario) -> VerificationResult:
     return VerificationResult("nonnegative-valuations", not witnesses, witnesses, checked)
 
 
-def check_participation(scenario: Scenario, scheme: SchemeConfig, mode: str = "ex_post",
-                        only_agents: tuple[str, ...] | None = None) -> VerificationResult:
+def check_participation(scenario: Scenario, scheme: SchemeConfig,
+                        mode: str = "ex_post") -> VerificationResult:
     """Truthful play leaves the agent weakly above her outside option of zero.
 
     ``ex_post`` asserts this at every information set reached under truth;
@@ -212,8 +216,7 @@ def check_participation(scenario: Scenario, scheme: SchemeConfig, mode: str = "e
     """
     if mode not in ("ex_post", "ex_ante_anticipated"):
         raise ValueError(mode)
-    if only_agents is None:
-        only_agents = sellers(scenario, scheme) if scheme.kind == RSPA else scenario.agents
+    checked_agents = sellers(scenario, scheme) if scheme.kind == RSPA else scenario.agents
     mech = Mechanism(scenario, scheme)
     structure = scenario.structure
     witnesses = []
@@ -224,7 +227,7 @@ def check_participation(scenario: Scenario, scheme: SchemeConfig, mode: str = "e
                 scenario, engine.initial_state(scenario, level, profile, awareness))
             transcript = engine.transcript(path[-1])
             reached = path[:-1] if mode == "ex_post" else path[:1]
-            for agent in only_agents:
+            for agent in checked_agents:
                 i = structure.agent_index(agent)
                 for node in reached:
                     if structure.level_of(agent, node.perceived[i]) != level:

@@ -259,3 +259,34 @@ def test_scheme_free_properties_run_under_the_static_scheme(capsys, prop):
     assert main(["verify", "example2", "--scheme", "static_vickrey",
                  "--property", prop]) == 0
     assert f"{prop}: holds" in capsys.readouterr().out
+
+
+def test_verify_report_is_written_when_an_inapplicable_property_ends_the_run(tmp_path, capsys):
+    target = tmp_path / "r.json"
+    assert main(["verify", "example2", "--scheme", "static_vickrey", "--property", "efficiency",
+                 "--property", "dominance", "--report", str(target)]) == 2
+    payload = json.loads(target.read_text())
+    assert [(p["property"], p["verdict"]) for p in payload] == [("efficiency", "holds")]
+
+
+def test_verify_report_is_written_when_the_bound_ends_the_run(tmp_path, capsys):
+    target = tmp_path / "r2.json"
+    assert main(["verify", "example1", "--property", "efficiency", "--property", "dominance",
+                 "--bound", "5", "--report", str(target)]) == 3
+    payload = json.loads(target.read_text())
+    assert [(p["property"], p["verdict"]) for p in payload] == [("efficiency", "holds")]
+
+
+def test_verify_failed_premium_assumption_exits_two(tmp_path, capsys):
+    from test_transfers import PROCUREMENT
+    # seller s1 always wins, so the simplified premium disagrees with the recursion
+    text = PROCUREMENT.replace("value: s1 s1lo supply_s1 -64", "value: s1 s1lo supply_s1 -1") \
+                      .replace("value: s1 s1hi supply_s1 -80", "value: s1 s1hi supply_s1 -1") \
+                      .replace("kind: rspa", "kind: rspa\nsimplified_premium_ok: true")
+    path = tmp_path / "always_s1.scenario"
+    path.write_text(text)
+    assert main(["verify", str(path), "--property", "budget-balance"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: simplified premium ")
+    assert err[0].endswith("the opt-out assumption does not hold here")

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from elabmech.fixtures import FIXTURES, fixture
 from elabmech.generate import generate_scenario
@@ -153,3 +154,111 @@ def test_record_without_a_value_is_a_parse_error(section, record):
     lineno = text.splitlines().index(f"{record}:") + 1
     with pytest.raises(ParseError, match=f"line {lineno}: record '{record}' has no value"):
         parse_scenario(text)
+
+
+# (section, line) of every record that takes one value, each valid in MINIMAL
+SINGLE_VALUED = [("lattice", "top: l0"), ("lattice", "bottom: l0"), ("scheme", "kind: clarke"),
+                 ("scheme", "buyer: solo"), ("scheme", "simplified_premium_ok: true")]
+
+
+def _with_record(section, line):
+    """MINIMAL, less its kind record, with ``line`` first in ``section``."""
+    bare = MINIMAL.replace("kind: clarke\n", "")
+    return bare.replace(f"[{section}]\n", f"[{section}]\n{line}\n", 1)
+
+
+@pytest.mark.parametrize("section, line", SINGLE_VALUED)
+def test_surplus_value_on_a_single_valued_record_is_a_parse_error(section, line):
+    text = _with_record(section, line)
+    parse_scenario(text)
+    lineno = text.splitlines().index(line) + 1
+    with pytest.raises(ParseError, match=f"line {lineno}: record '{line.split(':')[0]}' takes "
+                                         f"exactly 1 value, got 2"):
+        parse_scenario(text.replace(line, line + " junk"))
+
+
+@pytest.mark.parametrize("section, line", SINGLE_VALUED + [("outcomes", "tie_break: x")])
+def test_repeated_single_record_is_a_parse_error_naming_both_lines(section, line):
+    text = _with_record(section, f"{line}\n{line}")
+    lineno = text.splitlines().index(line) + 1
+    with pytest.raises(ParseError, match=f"line {lineno + 1}: record '{line.split(':')[0]}' "
+                                         f"repeats line {lineno}"):
+        parse_scenario(text)
+
+
+@pytest.mark.parametrize("word, value", [("true", True), ("YES", True), ("1", True),
+                                         ("False", False), ("no", False), ("0", False)])
+def test_premium_flag_accepts_six_words_in_any_case(word, value):
+    text = _with_record("scheme", f"simplified_premium_ok: {word}")
+    assert parse_scenario(text).scheme.simplified_premium_ok is value
+
+
+@pytest.mark.parametrize("word", ["ture", "flase", "2", "on"])
+def test_misspelled_premium_flag_is_a_parse_error(word):
+    text = _with_record("scheme", f"simplified_premium_ok: {word}")
+    lineno = text.splitlines().index(f"simplified_premium_ok: {word}") + 1
+    with pytest.raises(ParseError, match=f"line {lineno}: record 'simplified_premium_ok' takes "
+                                         f"true/yes/1 or false/no/0, got '{word}'"):
+        parse_scenario(text)
+
+
+def test_draw_naming_an_undeclared_agent_is_a_violation():
+    text = FIXTURES["example2"].replace("levels a1=hi", "a9=zz levels a1=hi")
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(text)
+    assert err.value.violations == ["draw main: undeclared agent a9"]
+
+
+@pytest.mark.parametrize("old, new", [("types a1=a1hi2", "types a1=a1hi2 a1=a1lo2"),
+                                      ("levels a1=hi", "levels a1=hi a1=lo")])
+def test_draw_naming_an_agent_twice_is_a_parse_error(old, new):
+    text = FIXTURES["example2"].replace(old, new)
+    lineno = next(n for n, line in enumerate(text.splitlines(), 1) if new in line)
+    with pytest.raises(ParseError, match=f"line {lineno}: draw names a1 twice"):
+        parse_scenario(text)
+
+
+FUZZ_TEXTS = [FIXTURES[name] for name in sorted(FIXTURES)] + [MINIMAL]
+JUNK = ["zz", "0", "-1/2", "1/0", "a9=zz", "types", "levels", "[zz]", ":", "x:y", "#"]
+
+
+@st.composite
+def mutated_text(draw):
+    """A fixture text with a few tokens deleted, duplicated, swapped or
+    replaced, or lines deleted."""
+    text = draw(st.sampled_from(FUZZ_TEXTS))
+    pool = sorted(set(text.split())) + JUNK
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split()
+        op = draw(st.sampled_from(["delete line", "delete", "duplicate", "swap", "replace"]))
+        if op == "delete line" or not tokens:
+            del lines[i]
+            continue
+        j = draw(st.integers(0, len(tokens) - 1))
+        if op == "delete":
+            del tokens[j]
+        elif op == "duplicate":
+            tokens.insert(j, tokens[j])
+        elif op == "swap":
+            k = draw(st.integers(0, len(tokens) - 1))
+            tokens[j], tokens[k] = tokens[k], tokens[j]
+        else:
+            tokens[j] = draw(st.sampled_from(pool))
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_text())
+def test_mutated_fixture_text_fails_cleanly_or_round_trips(text):
+    try:
+        scenario = parse_scenario(text)
+    except (ParseError, ValidationError):
+        return
+    once = serialize_scenario(scenario)
+    assert serialize_scenario(parse_scenario(once)) == once
