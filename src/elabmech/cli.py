@@ -5,7 +5,8 @@ checks on a scenario or a batch of generated ones), ``report`` (validated
 scenario summary with welfare tables), ``fixtures`` (built-in scenarios).
 
 Exit status: 0 success / all properties hold, 1 property violation,
-2 input error, 3 enumeration bound exceeded.
+2 input error, 3 enumeration bound exceeded, 4 internal error (any other
+exception, reported as one ``internal error: <Type>: <message>`` line).
 """
 from __future__ import annotations
 
@@ -287,6 +288,9 @@ def main(argv: list[str] | None = None) -> int:
             InapplicableProperty, PremiumAssumptionFails, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 4
     parser.error(f"unknown command {args.command!r}")
 
 

@@ -11,11 +11,14 @@ agent must report a type that projects onto her previous report, at a
 level at least the join of her previous level with the broadcast pooled
 level, and no higher than her current awareness.
 
-:func:`iter_paths` is the one enumerator of the play tree: it walks every
-play under per-agent policies, charges the play budget and enforces the
-stage cap.  :func:`iter_completions` (terminal states), :func:`truthful_path`
-(the single play when no agent is FREE), :func:`run` and
-:func:`enumerate_deviation_plays` are views of it.
+:func:`report_profiles` is the one place that expands a running state: it
+dispatches the per-agent policies and enforces the stage cap.
+:func:`iter_paths` is the one enumerator of the play tree built on it: it
+walks every play and charges the play budget.  :func:`iter_completions`
+(terminal states), :func:`truthful_path` (the single play when no agent is
+FREE), :func:`run` and :func:`enumerate_deviation_plays` are views of it;
+the dominance check's memoized deviation recursion expands states through
+:func:`report_profiles` as well.
 
 All state is immutable; distinct plays may be explored concurrently.
 """
@@ -190,24 +193,42 @@ def run_single_stage(scenario: Scenario, draw: NatureDraw, partial_level: str) -
     return Transcript(state.history, state.pooled, True)
 
 
+def report_profiles(scenario: Scenario, state: PlayState,
+                    policies: Mapping[str, object]) -> Iterator[tuple[str, ...]]:
+    """Every report profile the per-agent policies allow at the running
+    ``state``, in ``product`` order over the agents.
+
+    This is the one place that dispatches a policy: FREE offers every
+    feasible report, TRUTH (the default) the current perceived type, and a
+    callable ``(scenario, state, agent) -> report`` its one report.  A play
+    still running past :func:`max_stages` is a protocol failure.
+    """
+    if state.stage > max_stages(scenario):
+        raise AssertionError("protocol failed to stop within the stage cap")
+    menus = []
+    for i, agent in enumerate(scenario.structure.agents):
+        policy = policies.get(agent, TRUTH)
+        if policy == FREE:
+            menus.append(feasible_reports(scenario, state, agent))
+        elif policy == TRUTH:
+            menus.append((state.perceived[i],))
+        else:
+            menus.append((policy(scenario, state, agent),))
+    return product(*menus)
+
+
 def iter_paths(scenario: Scenario, state: PlayState,
                policies: Mapping[str, object],
                budget: PlayBudget | None = None) -> Iterator[tuple[PlayState, ...]]:
     """Every play from ``state`` under per-agent policies, as the tuple of
     states it reaches: ``state`` first, the terminal last.
 
-    A policy is FREE (explore every feasible report), TRUTH (current
-    perceived type; the default), or a callable ``(scenario, state, agent)
-    -> report``.  Plays come depth first, report profiles in ``product``
-    order over the agents.  Each terminal is charged to ``budget`` before
-    its play is yielded, and a play still running past :func:`max_stages`
-    is a protocol failure.  Every feasible report path is realized by some
-    strategy profile and vice versa, so enumerating paths is
-    outcome-equivalent to enumerating strategies.
+    Policies are those of :func:`report_profiles`.  Plays come depth first,
+    report profiles in ``product`` order over the agents.  Each terminal is
+    charged to ``budget`` before its play is yielded.  Every feasible report
+    path is realized by some strategy profile and vice versa, so enumerating
+    paths is outcome-equivalent to enumerating strategies.
     """
-    rules = [(i, agent, policies.get(agent, TRUTH))
-             for i, agent in enumerate(scenario.structure.agents)]
-    cap = max_stages(scenario)
     path = [state]
     untried = []  # report profiles still to play at each running state of ``path``
     while True:
@@ -217,17 +238,7 @@ def iter_paths(scenario: Scenario, state: PlayState,
             yield tuple(path)
             path.pop()
         else:
-            if state.stage > cap:
-                raise AssertionError("protocol failed to stop within the stage cap")
-            menus = []
-            for i, agent, policy in rules:
-                if policy == FREE:
-                    menus.append(feasible_reports(scenario, state, agent))
-                elif policy == TRUTH:
-                    menus.append((state.perceived[i],))
-                else:
-                    menus.append((policy(scenario, state, agent),))
-            untried.append(product(*menus))
+            untried.append(report_profiles(scenario, state, policies))
         while untried:
             reports = next(untried[-1], None)
             if reports is not None:

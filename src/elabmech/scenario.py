@@ -36,14 +36,17 @@ Sections appear in square brackets; records are ``key: tokens`` lines;
     [nature]
     draw: main types a1=a1hi a2=a2hi levels a1=hi a2=lo
 
-``RECORDS`` defines what each record takes: its section and how many values
-it carries.  A record in the wrong section, with too few or too many values,
-or repeated where it may appear once (``top``, ``bottom``, ``tie_break``,
-``kind``, ``buyer``, ``simplified_premium_ok``) is a :class:`ParseError`
-naming the line; ``simplified_premium_ok`` is one of true/yes/1/false/no/0
-in any case.  A scenario loads only if the lattice axioms, the projection
-laws, the valuation-domain rules, and the scheme requirements all pass; the
-diagnostics list every violation found.
+``RECORDS`` defines what each record takes: its section, how many values
+it carries, and which of them are its key.  A record in the wrong section,
+with too few or too many values, or repeating the key of an earlier record
+is a :class:`ParseError` naming the line.  ``top``, ``bottom``,
+``tie_break``, ``kind``, ``buyer`` and ``simplified_premium_ok`` may appear
+once; ``map`` is keyed by its first four values (agent, from, to,
+fromtype), ``value`` by its first three, ``y`` by all but its last, and
+``supply`` and ``draw`` by their first.  ``simplified_premium_ok`` is one of
+true/yes/1/false/no/0 in any case.  A scenario loads only if the lattice
+axioms, the projection laws, the valuation-domain rules, and the scheme
+requirements all pass; the diagnostics list every violation found.
 """
 from __future__ import annotations
 
@@ -96,19 +99,25 @@ class Scenario:
         return self.draws[name]
 
 
-# Section -> record key -> (least, most) values; most inf means unbounded.
-# Sections and records are written in this order, and record keys are unique
-# across sections.
-RECORDS: dict[str, dict[str, tuple[int, float]]] = {
-    "lattice": {"elements": (1, inf), "edge": (2, 2), "top": (1, 1), "bottom": (1, 1)},
-    "agents": {"agents": (1, inf)},
-    "types": {"space": (3, inf)},
-    "projections": {"map": (5, 5)},
-    "outcomes": {"outcomes": (1, inf), "available": (1, inf), "tie_break": (1, inf)},
-    "valuations": {"value": (4, 4)},
-    "scheme": {"kind": (1, 1), "buyer": (1, 1), "supply": (2, 2),
-               "simplified_premium_ok": (1, 1), "y": (3, inf)},
-    "nature": {"draw": (3, inf)},
+# Section -> record key -> (least, most, key); least and most bound the
+# number of values, most inf meaning unbounded.  ``key`` slices out the
+# values that identify a record: a second record with the same key repeats
+# the first, so an empty key makes a record once-only, and None lets it
+# repeat freely.  Sections and records are written in this order, and record
+# keys are unique across sections.
+ONCE = slice(0, 0)
+RECORDS: dict[str, dict[str, tuple[int, float, slice | None]]] = {
+    "lattice": {"elements": (1, inf, None), "edge": (2, 2, None), "top": (1, 1, ONCE),
+                "bottom": (1, 1, ONCE)},
+    "agents": {"agents": (1, inf, None)},
+    "types": {"space": (3, inf, None)},
+    "projections": {"map": (5, 5, slice(4))},
+    "outcomes": {"outcomes": (1, inf, None), "available": (1, inf, None),
+                 "tie_break": (1, inf, ONCE)},
+    "valuations": {"value": (4, 4, slice(3))},
+    "scheme": {"kind": (1, 1, ONCE), "buyer": (1, 1, ONCE), "supply": (2, 2, slice(1)),
+               "simplified_premium_ok": (1, 1, ONCE), "y": (3, inf, slice(-1))},
+    "nature": {"draw": (3, inf, slice(1))},
 }
 
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -141,20 +150,29 @@ def _records(text: str) -> dict[str, list[tuple[int, list[str]]]]:
         counts = keys.get(key)
         if counts is None:
             raise ParseError(f"line {lineno}: unknown {section} record {key!r}")
-        least, most = counts
+        least, most, _ = counts
         if not least <= len(values) <= most:
             want = f"at least {least}" if most == inf else f"exactly {least}"
             raise ParseError(f"line {lineno}: record {key!r} takes {want} "
                              f"value{'s' if least > 1 else ''}, got {len(values)}")
         records[key].append((lineno, values))
+    for keys in RECORDS.values():
+        for key, (_, _, ident) in keys.items():
+            found = records[key]
+            if (ident is None or len(found) < 2
+                    or len({tuple(v[ident]) for _, v in found}) == len(found)):
+                continue
+            first: dict[tuple[str, ...], int] = {}
+            for lineno, values in found:
+                seen = first.setdefault(tuple(values[ident]), lineno)
+                if seen != lineno:
+                    raise ParseError(f"line {lineno}: record {key!r} repeats line {seen}")
     return records
 
 
 def _once(records: dict[str, list[tuple[int, list[str]]]], key: str) -> list[str] | None:
-    """The values of a record that may appear at most once, or None."""
+    """The values of a once-only record, or None."""
     found = records[key]
-    if len(found) > 1:
-        raise ParseError(f"line {found[1][0]}: record {key!r} repeats line {found[0][0]}")
     return found[0][1] if found else None
 
 

@@ -9,17 +9,24 @@ parallel workers and their results merged in any order.
 
 Conditional dominance is the expensive check.  Opponents' strategies are
 enumerated as realized-report plans per nature draw: the report sequences
-they produce on the truthful play, replayed positionally (with an
-awareness cap) when the checked agent deviates.  Both walks, the opponents'
-free reports against the truthful agent and the agent's deviations against
-the plans, are plays of :func:`engine.iter_paths`, charged to one budget.
-Payoffs depend only on the realized transcript, so this enumeration covers
-every opponent strategy that does not condition on the checked agent's
-report content beyond what the pooled-level broadcasts force; fully
-report-reactive opponents could transfer utility across branches, which no
-transfer scheme can price.  Games whose initial awareness vector cannot
-reach the conditioning level are skipped: projecting such a draw downward
-reproduces an instance already enumerated at the lower level.
+they produce on the truthful play, replayed positionally (with an awareness
+cap) when the checked agent deviates.  The opponents' free reports against
+the truthful agent are plays of :func:`engine.iter_paths`.  The agent's
+deviations against the plans are a memoized recursion over
+:func:`engine.report_profiles`: each running node of the deviation tree
+maps (state, plans, evaluation type) to its best deviation utility and its
+play count, in one exact table per (agent, level).  An information set
+without a profitable deviation is charged its play count at once; one with
+a profitable deviation is walked again with :func:`engine.iter_paths`.  So
+the witness, the ``checked`` count and the information set where the play
+budget trips are those of walking every deviation play.  Payoffs depend
+only on the realized transcript, so this enumeration covers every opponent
+strategy that does not condition on the checked agent's report content
+beyond what the pooled-level broadcasts force; fully report-reactive
+opponents could transfer utility across branches, which no transfer scheme
+can price.  Games whose initial awareness vector cannot reach the
+conditioning level are skipped: projecting such a draw downward reproduces
+an instance already enumerated at the lower level.
 """
 from __future__ import annotations
 
@@ -263,6 +270,36 @@ def _dominance_instances(scenario: Scenario, checked_agents: tuple[str, ...]
                                               for a in structure.agents), awareness
 
 
+def _best_deviation(scenario: Scenario, mech: Mechanism, agent: str,
+                    policies: dict[str, object], memo: dict,
+                    tail: tuple[tuple[tuple[str, ...], ...], str],
+                    state: engine.PlayState) -> tuple[Fraction, int]:
+    """(best utility, play count) over the plays of ``engine.iter_paths``
+    from ``state`` under ``policies``, the agent's utility valued at the
+    type ``eval_type``, where ``tail`` is (opponents' plans, ``eval_type``).
+
+    The plans fix the opponents' policies, so ``(state, tail)`` fixes the
+    subtree and its payoffs; ``memo`` maps it to the result at every running
+    state.  Terminals are valued, not stored: a terminal is reached again
+    almost only through a parent the memo already answers.  Every running
+    state has a feasible report, so there is at least one play.
+    """
+    if state.stopped:
+        return mech.utility(engine.transcript(state), agent, tail[1]), 1
+    key = (state, tail)
+    found = memo.get(key)
+    if found is None:
+        best, plays = None, 0
+        for reports in engine.report_profiles(scenario, state, policies):
+            u, n = _best_deviation(scenario, mech, agent, policies, memo, tail,
+                                   engine.advance(scenario, state, reports))
+            plays += n
+            if best is None or u > best:
+                best = u
+        found = memo[key] = (best, plays)
+    return found
+
+
 def check_conditional_dominance(scenario: Scenario, scheme: SchemeConfig,
                                 bound: int = 10 ** 6) -> VerificationResult:
     """Truth-telling weakly beats every feasible continuation of the agent,
@@ -288,18 +325,27 @@ def check_conditional_dominance(scenario: Scenario, scheme: SchemeConfig,
     checked_agents = sellers(scenario, scheme) if scheme.kind == RSPA else agents
     budget = PlayBudget(bound)
     checked = 0
+    # One table per (agent, level): every key carries both, so dropping the
+    # table when either changes loses no hit.
+    memo: dict[tuple, tuple[Fraction, int]] = {}
+    table_for = None
     for agent, level, profile, awareness in _dominance_instances(scenario, checked_agents):
+        if table_for != (agent, level):
+            memo = {}
+            table_for = (agent, level)
         i = structure.agent_index(agent)
         start = engine.initial_state(scenario, level, profile, awareness)
-        opponents = {a: FREE for a in agents if a != agent}
+        rivals = [(k, a) for k, a in enumerate(agents) if a != agent]
+        opponents = {a: FREE for _, a in rivals}
         # The agent tells the truth while opponents report freely; each play
         # fixes one opponents' plan profile.
         for path in engine.iter_paths(scenario, start, opponents, budget):
             truth_transcript = engine.transcript(path[-1])
+            plans = tuple(tuple(stage[k] for stage in truth_transcript.stages)
+                          for k, _ in rivals)
             policies: dict[str, object] = {
-                a: engine.plan_policy(a, tuple(stage[k] for stage in truth_transcript.stages),
-                                      scenario)
-                for k, a in enumerate(agents) if a != agent}
+                a: engine.plan_policy(a, plan, scenario)
+                for (_, a), plan in zip(rivals, plans)}
             policies[agent] = FREE
             for h_state in path[:-1]:
                 if structure.level_of(agent, h_state.perceived[i]) != level:
@@ -307,6 +353,15 @@ def check_conditional_dominance(scenario: Scenario, scheme: SchemeConfig,
                 eval_type = h_state.perceived[i]
                 u_truth = mech.utility(truth_transcript, agent, eval_type)
                 checked += 1
+                best, plays = _best_deviation(scenario, mech, agent, policies, memo,
+                                              (plans, eval_type), h_state)
+                if best <= u_truth:
+                    # Walking these plays would charge each of them and find
+                    # no witness.
+                    budget.charge(plays)
+                    continue
+                # Walk the plays in order, so that the witness and the point
+                # where the budget trips are those of the plain walk.
                 for dev_terminal in engine.iter_completions(scenario, h_state, policies, budget):
                     dev_transcript = engine.transcript(dev_terminal)
                     u_dev = mech.utility(dev_transcript, agent, eval_type)

@@ -290,3 +290,14 @@ def test_verify_failed_premium_assumption_exits_two(tmp_path, capsys):
     assert len(err) == 1
     assert err[0].startswith("error: simplified premium ")
     assert err[0].endswith("the opt-out assumption does not hold here")
+
+
+def test_internal_error_exits_four_with_one_line(capsys, monkeypatch):
+    from elabmech import verify
+
+    def broken(scenario):
+        raise RuntimeError("table lost its row")
+
+    monkeypatch.setattr(verify, "check_efficiency", broken)
+    assert main(["verify", "example2", "--property", "efficiency"]) == 4
+    assert capsys.readouterr().err == "internal error: RuntimeError: table lost its row\n"

@@ -262,3 +262,27 @@ def test_mutated_fixture_text_fails_cleanly_or_round_trips(text):
         return
     once = serialize_scenario(scenario)
     assert serialize_scenario(parse_scenario(once)) == once
+
+
+@pytest.mark.parametrize("section, first, repeat", [
+    ("projections", "map: a1 hi lo a1hi2 a1lo1", "map: a1 hi lo a1hi2 a1lo2"),
+    ("valuations", "value: a2 a2hi3 win1 5", "value: a2 a2hi3 win1 0"),
+    ("scheme", "supply: a1 win1", "supply: a1 win2"),
+    ("scheme", "y: a1 hi a2hi2 1", "y: a1 hi a2hi2 2"),
+    ("nature", "draw: main types a1=a1hi1 a2=a2lo levels a1=hi a2=lo",
+     "draw: main types a1=a1hi2 a2=a2hi3 levels a1=hi a2=lo"),
+], ids=["map", "value", "supply", "y", "draw"])
+def test_repeated_keyed_record_is_a_parse_error_naming_both_lines(section, first, repeat):
+    text = FIXTURES["example2"].replace(f"[{section}]\n", f"[{section}]\n{first}\n{repeat}\n", 1)
+    lineno = text.splitlines().index(first) + 1
+    with pytest.raises(ParseError, match=f"line {lineno + 1}: record '{first.split(':')[0]}' "
+                                         f"repeats line {lineno}"):
+        parse_scenario(text)
+
+
+def test_keyed_records_with_distinct_keys_load():
+    text = FIXTURES["example2"].replace("[scheme]\n", "[scheme]\ny: a1 hi a2hi2 1\n"
+                                        "y: a1 hi a2hi3 1\ny: a1 lo a2lo 1\n", 1)
+    tables = parse_scenario(text).scheme.y_tables
+    assert sorted(tables) == [("a1", "hi", ("a2hi2",)), ("a1", "hi", ("a2hi3",)),
+                              ("a1", "lo", ("a2lo",))]

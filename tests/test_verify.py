@@ -8,7 +8,7 @@ from elabmech import engine, verify
 from elabmech.fixtures import fixture
 from elabmech.generate import generate_scenario
 from elabmech.scenario import parse_scenario
-from elabmech.transfers import Mechanism, SchemeConfig
+from elabmech.transfers import RSPA, Mechanism, SchemeConfig, sellers
 
 
 def test_efficiency_holds_on_fixtures():
@@ -532,3 +532,85 @@ def test_dominance_keeps_its_counts_and_play_budget(name):
         assert result.witnesses[0].replay == ABLATED_EXAMPLE2_WITNESS
     with pytest.raises(engine.StrategySpaceTooLarge):
         verify.check_conditional_dominance(s, scheme, bound=plays - 1)
+
+
+def _reference_dominance(scenario, scheme, bound=10 ** 6):
+    """The dominance check without memoization: every deviation from every
+    conditioning information set walked as plays of ``engine.iter_paths``,
+    each play charged.  Returns (holds, checked, first witness replay)."""
+    mech = Mechanism(scenario, scheme)
+    structure = scenario.structure
+    agents = structure.agents
+    checked_agents = sellers(scenario, scheme) if scheme.kind == RSPA else agents
+    budget = verify.PlayBudget(bound)
+    checked = 0
+    for agent, level, profile, awareness in verify._dominance_instances(scenario,
+                                                                        checked_agents):
+        i = structure.agent_index(agent)
+        start = engine.initial_state(scenario, level, profile, awareness)
+        opponents = {a: engine.FREE for a in agents if a != agent}
+        for path in engine.iter_paths(scenario, start, opponents, budget):
+            truth = engine.transcript(path[-1])
+            policies = {a: engine.plan_policy(a, tuple(stage[k] for stage in truth.stages),
+                                              scenario)
+                        for k, a in enumerate(agents) if a != agent}
+            policies[agent] = engine.FREE
+            for h_state in path[:-1]:
+                if structure.level_of(agent, h_state.perceived[i]) != level:
+                    continue
+                eval_type = h_state.perceived[i]
+                u_truth = mech.utility(truth, agent, eval_type)
+                checked += 1
+                for terminal in engine.iter_completions(scenario, h_state, policies, budget):
+                    deviation = engine.transcript(terminal)
+                    u_dev = mech.utility(deviation, agent, eval_type)
+                    if u_dev > u_truth:
+                        return False, checked, {
+                            "agent": agent, "level": level, "profile": list(profile),
+                            "awareness": list(awareness),
+                            "conditioning_stage": h_state.stage, "perceived": eval_type,
+                            "truth_stages": [list(s) for s in truth.stages],
+                            "deviation_stages": [list(s) for s in deviation.stages],
+                            "truth_utility": str(u_truth), "deviation_utility": str(u_dev)}
+    return True, checked, None
+
+
+# The fixtures, and the generated scenarios of index below 10 that the plain
+# walk covers in well under a second, plus gen301-1 as one larger case.
+DIFFERENTIAL_CASES = (["example2", "example4r", "gen301-1"]
+                      + [f"gen{seed}-{k}" for seed, ks in ((301, (0, 3, 4, 5, 6, 7)),
+                                                           (401, (0, 1, 3, 4, 5, 6, 7, 9)),
+                                                           (501, (0, 2, 3, 5, 8, 9)),
+                                                           (701, (0, 2, 3, 4, 5, 6, 7, 8, 9)))
+                         for k in ks]
+                      + [f"proc901-{k}" for k in (0, 1, 4, 7)])
+
+
+def _differential_scenario(name):
+    if name.startswith("gen"):
+        seed, k = name[3:].split("-")
+        return generate_scenario(int(seed), int(k))
+    if name.startswith("proc"):
+        seed, k = name[4:].split("-")
+        return generate_scenario(int(seed), int(k), procurement=True)
+    return fixture(name)
+
+
+@pytest.mark.parametrize("ablate", [False, True], ids=["plain", "ablated"])
+@pytest.mark.parametrize("name", DIFFERENTIAL_CASES)
+def test_memoized_dominance_matches_the_plain_walk(name, ablate, monkeypatch):
+    budgets = []
+
+    class RecordedBudget(engine.PlayBudget):
+        def __init__(self, bound=10 ** 6):
+            super().__init__(bound)
+            budgets.append(self)
+
+    monkeypatch.setattr(verify, "PlayBudget", RecordedBudget)
+    s = _differential_scenario(name)
+    scheme = dataclasses.replace(s.scheme, ablate_premium=ablate)
+    holds, checked, replay = _reference_dominance(s, scheme)
+    reference_used = budgets[-1].used
+    result = verify.check_conditional_dominance(s, scheme)
+    assert (result.holds, result.checked, budgets[-1].used) == (holds, checked, reference_used)
+    assert (result.witnesses[0].replay if result.witnesses else None) == replay
