@@ -9,7 +9,8 @@ accordingly, and reporting continues until a profile repeats.
 Reports are constrained to elaboration chains: after the first stage an
 agent must report a type that projects onto her previous report, at a
 level at least the join of her previous level with the broadcast pooled
-level, and no higher than her current awareness.
+level, and no higher than her current awareness.  :func:`report_menus`
+tabulates every such menu once per scenario.
 
 :func:`report_profiles` is the one place that expands a running state: it
 dispatches the per-agent policies and enforces the stage cap.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING, Iterator, Mapping
 
-from .typespace import NatureDraw
+from .typespace import NatureDraw, TypeStructure
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -112,30 +113,36 @@ def state_from_draw(scenario: Scenario, draw: NatureDraw, partial_level: str) ->
     return initial_state(scenario, partial_level, profile, draw.awareness)
 
 
-def feasible_reports(scenario: Scenario, state: PlayState, agent: str) -> tuple[str, ...]:
-    structure = scenario.structure
+def report_menus(structure: TypeStructure) -> dict[tuple, tuple[str, ...]]:
+    """Every feasible-report menu, keyed (agent, awareness, last report,
+    pooled level), the last two None at the first stage.
+
+    A first-stage menu lists every type at every level weakly below the
+    agent's awareness; a later one lists the elaborations of her last
+    report at every level between the pooled level and her awareness.  The
+    pooled level is at least the last report's level, so it is the
+    protocol floor.  Levels come by down-set size, then name.
+    """
     lattice = structure.lattice
-    i = structure.agent_index(agent)
-    aware = state.awareness[i]
-    last = state.history[-1][i] if state.history else None
-    pooled = state.pooled[-1] if state.history else None
-    key = (agent, aware, last, pooled)
-    cached = scenario.feasible_cache.get(key)
-    if cached is not None:
-        return cached
-    levels = sorted(lattice.down_set(aware), key=lambda x: (len(lattice.down_set(x)), x))
-    out = []
-    if last is None:
-        for level in levels:
-            out.extend(structure.space(agent, level))
-    else:
-        base = lattice.join(structure.level_of(agent, last), pooled)
-        for level in levels:
-            if lattice.leq(base, level):
-                out.extend(structure.preimage(agent, last, level))
-    result = tuple(out)
-    scenario.feasible_cache[key] = result
-    return result
+    menus: dict[tuple, tuple[str, ...]] = {}
+    for aware in lattice.elements:
+        levels = sorted(lattice.down_set(aware), key=lambda x: (len(lattice.down_set(x)), x))
+        for agent in structure.agents:
+            menus[(agent, aware, None, None)] = tuple(
+                t for level in levels for t in structure.space(agent, level))
+            for pooled in levels:
+                above = [level for level in levels if pooled in lattice.down_set(level)]
+                for own in lattice.down_set(pooled):
+                    for last in structure.space(agent, own):
+                        menus[(agent, aware, last, pooled)] = tuple(
+                            t for level in above for t in structure.preimage(agent, last, level))
+    return menus
+
+
+def feasible_reports(scenario: Scenario, state: PlayState, agent: str) -> tuple[str, ...]:
+    i = scenario.structure.agent_index(agent)
+    last, pooled = (state.history[-1][i], state.pooled[-1]) if state.history else (None, None)
+    return scenario.menus[(agent, state.awareness[i], last, pooled)]
 
 
 def truth_report(state: PlayState, agent: str, agents: tuple[str, ...]) -> str:
@@ -147,6 +154,8 @@ def advance(scenario: Scenario, state: PlayState, reports: tuple[str, ...]) -> P
         raise InfeasibleReport("play already stopped")
     structure = scenario.structure
     lattice = structure.lattice
+    if len(reports) != len(structure.agents):
+        raise InfeasibleReport(f"{len(reports)} reports for {len(structure.agents)} agents")
     for agent, report in zip(structure.agents, reports):
         if report not in feasible_reports(scenario, state, agent):
             raise InfeasibleReport(f"{agent}: {report}")

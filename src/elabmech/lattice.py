@@ -35,17 +35,15 @@ class NotALattice(LatticeError):
 
 
 def _closure(elements: tuple[str, ...], pairs: Iterable[tuple[str, str]]) -> set[tuple[str, str]]:
-    leq = {(a, a) for a in elements}
-    leq.update(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(leq):
-            for (c, d) in list(leq):
-                if b == c and (a, d) not in leq:
-                    leq.add((a, d))
-                    changed = True
-    return leq
+    """Reflexive-transitive closure of ``pairs`` by Warshall's algorithm."""
+    up = {a: {a} for a in elements}
+    for a, b in pairs:
+        up[a].add(b)
+    for k in elements:
+        for a in elements:
+            if k in up[a]:
+                up[a] |= up[k]
+    return {(a, b) for a in elements for b in up[a]}
 
 
 def _analyse(elements: Iterable[str], order: Iterable[tuple[str, str]]
@@ -70,19 +68,16 @@ def _analyse(elements: Iterable[str], order: Iterable[tuple[str, str]]
                   for a, b in combinations(elems, 2) if (a, b) in leq and (b, a) in leq]
     if violations:
         return elems, leq, join, meet, violations
+    geq = {(b, a) for a, b in leq}
     for a, b in combinations(elems, 2):
-        uppers = [c for c in elems if (a, c) in leq and (b, c) in leq]
-        least = [c for c in uppers if all((c, d) in leq for d in uppers)]
-        if len(least) == 1:
-            join[(a, b)] = join[(b, a)] = least[0]
-        else:
-            violations.append(f"no unique join witness for ({a}, {b})")
-        lowers = [c for c in elems if (c, a) in leq and (c, b) in leq]
-        greatest = [c for c in lowers if all((d, c) in leq for d in lowers)]
-        if len(greatest) == 1:
-            meet[(a, b)] = meet[(b, a)] = greatest[0]
-        else:
-            violations.append(f"no unique meet witness for ({a}, {b})")
+        # the join is the least upper bound; the meet, the same in the dual order
+        for name, table, order_ in (("join", join, leq), ("meet", meet, geq)):
+            bounds = [c for c in elems if (a, c) in order_ and (b, c) in order_]
+            best = [c for c in bounds if all((c, d) in order_ for d in bounds)]
+            if len(best) == 1:
+                table[(a, b)] = table[(b, a)] = best[0]
+            else:
+                violations.append(f"no unique {name} witness for ({a}, {b})")
     return elems, leq, join, meet, violations
 
 
@@ -91,48 +86,48 @@ def lattice_violations(elements: Iterable[str], order: Iterable[tuple[str, str]]
     return _analyse(elements, order)[4]
 
 
-class Lattice:
-    """A validated finite lattice with precomputed join/meet tables.
+class _Table(dict):
+    """A table keyed by a level or a pair of levels, total over the declared
+    levels, so that a miss names an undeclared one."""
 
-    Construct through :func:`build_lattice`; the constructor assumes the
-    closure in ``leq`` and the tables already satisfy the axioms.
+    def __missing__(self, key):
+        declared = {k[0] if isinstance(k, tuple) else k for k in self}
+        bad = next(x for x in (key if isinstance(key, tuple) else (key,)) if x not in declared)
+        raise UnknownLevel(f"undeclared level {bad!r}")
+
+
+class Lattice:
+    """A validated finite lattice whose every query is one table lookup.
+
+    Construct through :func:`build_lattice`, which checks the axioms.  The
+    constructor fills every table; none is written afterwards.
     """
 
     def __init__(self, elements: tuple[str, ...], leq: set[tuple[str, str]],
                  join: dict[tuple[str, str], str], meet: dict[tuple[str, str], str]):
         self.elements = elements
-        self._leq = frozenset(leq)
-        self._join = join
-        self._meet = meet
-        self._down: dict[str, frozenset[str]] = {
-            a: frozenset(b for b in elements if (b, a) in leq) for a in elements
-        }
+        self._leq = _Table({(a, b): (a, b) in leq for a in elements for b in elements})
+        self._join = _Table(join)
+        self._meet = _Table(meet)
+        self._down = _Table({a: frozenset(b for b in elements if (b, a) in leq) for a in elements})
+        self._below = _Table({a: down - {a} for a, down in self._down.items()})
         self.top = self.join_all(elements)
-        self.bottom = self.meet_all(elements)
-        depth = {a: 0 for a in elements}
+        self.bottom = next(a for a in elements if not self._below[a])
+        depth: dict[str, int] = {}
         for a in sorted(elements, key=lambda x: len(self._down[x])):
-            for b in self._down[a] - {a}:
-                depth[a] = max(depth[a], depth[b] + 1)
+            depth[a] = max((depth[b] + 1 for b in self._below[a]), default=0)
         self._height = max(depth.values())
 
-    def _check(self, *levels: str) -> None:
-        for level in levels:
-            if level not in self._down:
-                raise UnknownLevel(f"undeclared level {level!r}")
-
     def leq(self, a: str, b: str) -> bool:
-        self._check(a, b)
-        return (a, b) in self._leq
+        return self._leq[(a, b)]
 
     def lt(self, a: str, b: str) -> bool:
-        return a != b and self.leq(a, b)
+        return self.leq(a, b) and a != b
 
     def join(self, a: str, b: str) -> str:
-        self._check(a, b)
         return self._join[(a, b)]
 
     def meet(self, a: str, b: str) -> str:
-        self._check(a, b)
         return self._meet[(a, b)]
 
     def join_all(self, levels: Iterable[str]) -> str:
@@ -143,34 +138,17 @@ class Lattice:
             raise EmptyLattice("join of no levels")
         return result
 
-    def meet_all(self, levels: Iterable[str]) -> str:
-        result = None
-        for level in levels:
-            result = level if result is None else self.meet(result, level)
-        if result is None:
-            raise EmptyLattice("meet of no levels")
-        return result
-
     def down_set(self, level: str) -> frozenset[str]:
         """All levels weakly below ``level``, including itself."""
-        self._check(level)
         return self._down[level]
 
     def strictly_below(self, level: str) -> frozenset[str]:
-        self._check(level)
-        return self._down[level] - {level}
+        return self._below[level]
 
     def covers(self) -> list[tuple[str, str]]:
         """Hasse-diagram edges (a, b) with b covering a."""
-        edges = []
-        for a in self.elements:
-            for b in self.elements:
-                if a == b or not self.leq(a, b):
-                    continue
-                if not any(c not in (a, b) and self.leq(a, c) and self.leq(c, b)
-                           for c in self.elements):
-                    edges.append((a, b))
-        return edges
+        return [(a, b) for a in self.elements for b in self.elements
+                if a in self._below[b] and not any(a in self._below[c] for c in self._below[b])]
 
     def height(self) -> int:
         """Length (edge count) of the longest chain."""

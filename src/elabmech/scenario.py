@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
 
+from .engine import report_menus
 from .lattice import Lattice, NotALattice, build_lattice
 from .outcomes import OutcomeModel
 from .transfers import KINDS, RSPA, GROVES, SchemeConfig
@@ -76,14 +77,20 @@ class UnknownDraw(Exception):
 
 @dataclass
 class Scenario:
+    """A validated scenario.  ``menus``, every feasible-report menu
+    (:func:`engine.report_menus`), is built by each construction,
+    ``dataclasses.replace`` included, and never written afterwards."""
+
     lattice: Lattice
     structure: TypeStructure
     outcomes: OutcomeModel
     scheme: SchemeConfig
     draws: dict[str, NatureDraw] = field(default_factory=dict)
     name: str = "scenario"
-    # feasible-report memo, keyed (agent, awareness, last report, prev pooled)
-    feasible_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    menus: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.menus = report_menus(self.structure)
 
     @property
     def agents(self) -> tuple[str, ...]:

@@ -51,20 +51,16 @@ class TypeStructure:
         self.agents = agents
         self.spaces = dict(spaces)
         self._proj = dict(projection)  # (agent, type, target level) -> type
+        # One pass over the spaces: each type records its level and joins,
+        # in space order, the preimage of each of its projections.
         self._level_of: dict[tuple[str, str], str] = {}
-        for (agent, level), types in self.spaces.items():
-            for t in types:
-                self._level_of[(agent, t)] = level
-        self._preimage: dict[tuple[str, str, str], tuple[str, ...]] = {}
-        for agent in agents:
-            for level in lattice.elements:
-                for t in self.spaces[(agent, level)]:
-                    for hi in lattice.elements:
-                        if not lattice.leq(level, hi):
-                            continue
-                        pre = tuple(s for s in self.spaces[(agent, hi)]
-                                    if self._proj[(agent, s, level)] == t)
-                        self._preimage[(agent, t, hi)] = pre
+        preimage: dict[tuple[str, str, str], list[str]] = {}
+        for (agent, hi), types in self.spaces.items():
+            for s in types:
+                self._level_of[(agent, s)] = hi
+                for lo in lattice.down_set(hi):
+                    preimage.setdefault((agent, self._proj[(agent, s, lo)], hi), []).append(s)
+        self._preimage = {key: tuple(pre) for key, pre in preimage.items()}
 
     def space(self, agent: str, level: str) -> tuple[str, ...]:
         return self.spaces[(agent, level)]

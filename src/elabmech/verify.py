@@ -38,8 +38,8 @@ from typing import Iterator
 from . import engine
 from .engine import FREE, PlayBudget
 from .scenario import Scenario
-from .transfers import (RSPA, STATIC_VICKREY, Mechanism, SchemeConfig,
-                        opponent_profile, scheme_outcome, sellers)
+from .transfers import (RSPA, STATIC_VICKREY, Mechanism, PremiumTable, SchemeConfig,
+                        opponent_profile, scheme_outcome, sellers, transfer_report)
 from .typespace import NatureDraw
 
 
@@ -169,7 +169,7 @@ def check_budget(scenario: Scenario, scheme: SchemeConfig, mode: str = "balance"
     """
     if mode not in ("balance", "no_deficit"):
         raise ValueError(mode)
-    mech = Mechanism(scenario, scheme)
+    premiums = PremiumTable(scenario, scheme)
     structure = scenario.structure
     top = scenario.lattice.top
     true_profile = next(structure.profiles(top))
@@ -182,14 +182,14 @@ def check_budget(scenario: Scenario, scheme: SchemeConfig, mode: str = "balance"
     for terminal in engine.iter_completions(scenario, state, policies, budget):
         checked += 1
         transcript = engine.transcript(terminal)
-        total = sum(mech.report(transcript).transfers.values())
+        transfers = transfer_report(scenario, scheme, transcript, premiums).transfers
+        total = sum(transfers.values())
         bad = total != 0 if mode == "balance" else total > 0
         if bad:
             witnesses.append(Witness(
                 f"transfers sum to {total} on transcript {transcript.stages}",
                 {"stages": [list(s) for s in transcript.stages], "sum": str(total),
-                 "transfers": {a: str(v) for a, v in
-                               mech.report(transcript).transfers.items()}}))
+                 "transfers": {a: str(v) for a, v in transfers.items()}}))
             break
     prop = "budget-balance" if mode == "balance" else "no-deficit"
     return VerificationResult(prop, not witnesses, witnesses, checked)

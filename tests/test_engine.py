@@ -1,6 +1,6 @@
 import pytest
 
-from elabmech import engine
+from elabmech import engine, verify
 from elabmech.fixtures import fixture
 from elabmech.generate import generate_scenario
 from elabmech.scenario import parse_scenario
@@ -116,6 +116,66 @@ def test_infeasible_report_rejected():
     state = stage1(s)
     with pytest.raises(engine.InfeasibleReport):
         engine.advance(s, state, ("a1hi2", "a2hi3"))  # a2 is only aware of lo
+
+
+def test_report_profile_of_the_wrong_length_rejected():
+    s = fixture("example2")
+    state = stage1(s)
+    for reports in (state.perceived[:1], state.perceived + ("a2lo",), ()):
+        with pytest.raises(engine.InfeasibleReport):
+            engine.advance(s, state, reports)
+
+
+def reference_feasible_reports(scenario, state, agent):
+    """The per-call menu rule that the table built at load replaced, kept as
+    the oracle: elaboration chains at levels between the protocol floor and
+    the agent's awareness, levels by down-set size, then name."""
+    structure = scenario.structure
+    lattice = structure.lattice
+    i = structure.agent_index(agent)
+    aware = state.awareness[i]
+    last = state.history[-1][i] if state.history else None
+    pooled = state.pooled[-1] if state.history else None
+    levels = sorted(lattice.down_set(aware), key=lambda x: (len(lattice.down_set(x)), x))
+    out = []
+    if last is None:
+        for level in levels:
+            out.extend(structure.space(agent, level))
+    else:
+        base = lattice.join(structure.level_of(agent, last), pooled)
+        for level in levels:
+            if lattice.leq(base, level):
+                out.extend(structure.preimage(agent, last, level))
+    return tuple(out)
+
+
+# (seed, index, procurement) of generated scenarios whose free play trees,
+# from every partial draw, stay small enough to walk in full here.
+MENU_CORPUS = ([(2026, k, False) for k in (1, 2, 5, 6, 7, 9, 17, 24, 30, 38)]
+               + [(2026, k, True) for k in (5, 8, 10, 13, 15, 17, 20, 25, 37, 38)])
+
+
+def test_menu_table_matches_the_per_call_rule_on_every_reached_state():
+    scenarios = [fixture("example2"), fixture("example4r")]
+    scenarios += [generate_scenario(*args) for args in MENU_CORPUS]
+    shapes = {(s.scheme.kind, len(s.lattice.elements)) for s in scenarios[2:]}
+    assert shapes == {(kind, n) for kind in ("clarke", "rspa") for n in (2, 3, 4)}
+    for s in scenarios:
+        free = {agent: engine.FREE for agent in s.agents}
+        seen = set()
+        for level in s.lattice.elements:
+            for profile, awareness in verify._partial_draws(s, level):
+                start = engine.initial_state(s, level, profile, awareness)
+                for path in engine.iter_paths(s, start, free):
+                    for state in path:
+                        if state in seen:
+                            continue
+                        seen.add(state)
+                        for agent in s.agents:
+                            assert (engine.feasible_reports(s, state, agent)
+                                    == reference_feasible_reports(s, state, agent)), (
+                                s.name, state, agent)
+        assert seen
 
 
 def test_run_example1_transcript():

@@ -116,6 +116,14 @@ def test_unknown_level_raises():
         lat.join("ab", "zz")
     with pytest.raises(UnknownLevel):
         lat.down_set("zz")
+    queries = [lat.leq, lat.lt, lat.join, lat.meet, lambda a, b: lat.join_all([a, b])]
+    for query in queries:
+        for args in (("ab", "zz"), ("zz", "ab")):
+            with pytest.raises(UnknownLevel, match="'zz'"):
+                query(*args)
+    for query in (lat.down_set, lat.strictly_below):
+        with pytest.raises(UnknownLevel, match="'zz'"):
+            query("zz")
 
 
 def test_covers_are_hasse_edges():
