@@ -134,8 +134,10 @@ class Lattice:
         result = None
         for level in levels:
             result = level if result is None else self.join(result, level)
-        if result is None:
-            raise EmptyLattice("join of no levels")
+        if result not in self._down:  # no level at all, or one undeclared level
+            if result is None:
+                raise EmptyLattice("join of no levels")
+            raise UnknownLevel(f"undeclared level {result!r}")
         return result
 
     def down_set(self, level: str) -> frozenset[str]:

@@ -19,6 +19,12 @@ zero and paid to the unique first reporter of the final pooled level.  Under
 groves/clarke every other agent funds an equal share, keeping the adjustment
 terms budget neutral; under rspa the buyer pays and non-recipients owe
 nothing.
+
+A settlement therefore reads only the final profile, the final pooled level
+and the premium recipient.  :class:`PremiumTable` is a lazy memo of premia
+and of settlements keyed on those three, so the many transcripts that share
+a payoff summary are settled once; the reports it hands out are shared and
+read-only.
 """
 from __future__ import annotations
 
@@ -170,15 +176,20 @@ def first_pooled_reporter(scenario: Scenario, transcript: Transcript) -> str | N
 
 
 class PremiumTable:
-    """Memoized awareness premia m_i(level) for one (scenario, scheme) pair.
+    """Lazy memo of one (scenario, scheme) pair's premia and settlements.
 
-    Read-only after warm-up; safe to share across transcript evaluations.
+    ``premium`` fills m_i(level) per (agent, level) asked; ``transfer_report``
+    fills one settlement per (final profile, final pooled level, premium
+    recipient).  Entries are exact and never change once written, and the
+    reports handed out are shared between transcripts, so callers must treat
+    them as read-only.
     """
 
     def __init__(self, scenario: Scenario, scheme: SchemeConfig):
         self.scenario = scenario
         self.scheme = scheme
         self._memo: dict[tuple[str, str], Fraction] = {}
+        self._settlements: dict[tuple, TransferReport] = {}
 
     def premium(self, agent: str, level: str) -> Fraction:
         key = (agent, level)
@@ -283,8 +294,29 @@ def awareness_adjustments(scenario: Scenario, scheme: SchemeConfig, transcript: 
 
 def transfer_report(scenario: Scenario, scheme: SchemeConfig, transcript: Transcript,
                     premiums: PremiumTable | None = None) -> TransferReport:
+    """The settlement of a stopped transcript, memoized in ``premiums`` on
+    its payoff summary (final profile, final pooled level, premium recipient).
+
+    ``premiums`` must have been built from these very scenario and scheme
+    objects, since the memo key names neither; without one, a fresh table is
+    used.
+    """
     if not transcript.stopped:
         raise TranscriptNotStopped()
+    premiums = premiums or PremiumTable(scenario, scheme)
+    if premiums.scenario is not scenario or premiums.scheme is not scheme:
+        raise ValueError("premium table built for another scenario or scheme")
+    recipient = (None if scheme.kind == STATIC_VICKREY
+                 else first_pooled_reporter(scenario, transcript))
+    key = (transcript.final, transcript.final_pooled, recipient)
+    report = premiums._settlements.get(key)
+    if report is None:
+        report = premiums._settlements[key] = _settle(scenario, scheme, transcript, premiums)
+    return report
+
+
+def _settle(scenario: Scenario, scheme: SchemeConfig, transcript: Transcript,
+            premiums: PremiumTable) -> TransferReport:
     agents = scenario.structure.agents
     final = transcript.final
     adjustments, recipient = awareness_adjustments(scenario, scheme, transcript, premiums)
@@ -311,10 +343,12 @@ def transfer_report(scenario: Scenario, scheme: SchemeConfig, transcript: Transc
 
 
 class Mechanism:
-    """A scheme bound to a scenario, with premium and report caches.
+    """A scheme bound to a scenario, with lazy premium and report memos.
 
-    Pure function of its inputs; reports for distinct transcripts may be
-    computed concurrently once the premium table is warm.
+    ``report`` looks a transcript up in its own cache first; a miss goes to
+    :func:`transfer_report`, which settles each payoff summary once in
+    ``premiums``.  Reports are shared, so callers must treat them as
+    read-only.
     """
 
     def __init__(self, scenario: Scenario, scheme: SchemeConfig):

@@ -182,14 +182,14 @@ def check_budget(scenario: Scenario, scheme: SchemeConfig, mode: str = "balance"
     for terminal in engine.iter_completions(scenario, state, policies, budget):
         checked += 1
         transcript = engine.transcript(terminal)
-        transfers = transfer_report(scenario, scheme, transcript, premiums).transfers
-        total = sum(transfers.values())
+        report = transfer_report(scenario, scheme, transcript, premiums)
+        total = -report.operator_balance
         bad = total != 0 if mode == "balance" else total > 0
         if bad:
             witnesses.append(Witness(
                 f"transfers sum to {total} on transcript {transcript.stages}",
                 {"stages": [list(s) for s in transcript.stages], "sum": str(total),
-                 "transfers": {a: str(v) for a, v in transfers.items()}}))
+                 "transfers": {a: str(v) for a, v in report.transfers.items()}}))
             break
     prop = "budget-balance" if mode == "balance" else "no-deficit"
     return VerificationResult(prop, not witnesses, witnesses, checked)

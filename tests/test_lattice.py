@@ -121,7 +121,7 @@ def test_unknown_level_raises():
         for args in (("ab", "zz"), ("zz", "ab")):
             with pytest.raises(UnknownLevel, match="'zz'"):
                 query(*args)
-    for query in (lat.down_set, lat.strictly_below):
+    for query in (lat.down_set, lat.strictly_below, lambda a: lat.join_all([a])):
         with pytest.raises(UnknownLevel, match="'zz'"):
             query("zz")
 

@@ -465,3 +465,41 @@ def test_report_jsonable_renders_exact_and_decimal():
     payload = transfer_report(s, s.scheme, t).jsonable()
     assert payload["transfers"]["buyer"] == {"exact": "-80", "decimal": -80.0}
     assert payload["operator_balance"]["exact"] == "80"
+
+
+# Seed 2026 generated scenarios of every shape, 10 clarke and 10 procurement,
+# whose all-FREE play trees are small enough to walk in full.
+SETTLEMENT_CASES = (["example2", "example4r"]
+                    + [f"gen2026-{k}" for k in (1, 2, 5, 6, 7, 9, 17, 24, 30, 38)]
+                    + [f"proc2026-{k}" for k in (5, 8, 10, 13, 15, 17, 20, 25, 37, 38)])
+
+
+def _settlement_scenario(name):
+    if name.startswith("example"):
+        return fixture(name)
+    kind, k = name.split("-")
+    return generate_scenario(2026, int(k), procurement=kind == "proc2026")
+
+
+@pytest.mark.parametrize("variant", ["scheme", "ablated", "static"])
+@pytest.mark.parametrize("name", SETTLEMENT_CASES)
+def test_memoized_settlement_matches_a_fresh_report(name, variant):
+    import dataclasses
+    s = _settlement_scenario(name)
+    scheme = {"scheme": s.scheme,
+              "ablated": dataclasses.replace(s.scheme, ablate_premium=True),
+              "static": SchemeConfig(kind="static_vickrey")}[variant]
+    top = s.lattice.top
+    state = engine.initial_state(s, top, next(s.structure.profiles(top)),
+                                 (top,) * len(s.agents))
+    shared = PremiumTable(s, scheme)
+    seen = 0
+    for terminal in engine.iter_completions(s, state, {a: engine.FREE for a in s.agents}):
+        transcript = engine.transcript(terminal)
+        assert (transfer_report(s, scheme, transcript, shared)
+                == transfer_report(s, scheme, transcript, PremiumTable(s, scheme))), (
+            name, transcript)
+        seen += 1
+    assert seen > len(shared._settlements) > 0
+    with pytest.raises(ValueError, match="another scenario or scheme"):
+        transfer_report(s, dataclasses.replace(scheme), transcript, shared)

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from elabmech import engine, verify
+from elabmech import engine, transfers, verify
 from elabmech.fixtures import fixture
 from elabmech.generate import generate_scenario
 from elabmech.scenario import parse_scenario
@@ -245,16 +245,20 @@ def test_no_deficit_clarke_over_generated_scenarios():
         assert verify.check_budget(s, s.scheme, "no_deficit").holds
 
 
-def test_budget_balance_violations_are_pinpointed():
-    s = fixture("example2")
+def _adversarial_groves(s):
+    """Groves on ``s`` with y = 7 for a1 and 0 for everyone else."""
     y = {}
     for agent in s.agents:
         others = [a for a in s.agents if a != agent]
         for level in s.lattice.elements:
             for opp in product(*(s.structure.space(o, level) for o in others)):
                 y[(agent, level, opp)] = Fraction(7 if agent == "a1" else 0)
-    adversarial = SchemeConfig(kind="groves", y_tables=y)
-    result = verify.check_budget(s, adversarial, "balance")
+    return SchemeConfig(kind="groves", y_tables=y)
+
+
+def test_budget_balance_violations_are_pinpointed():
+    s = fixture("example2")
+    result = verify.check_budget(s, _adversarial_groves(s), "balance")
     assert not result.holds
     witness = result.witnesses[0]
     assert "sum" in witness.replay and Fraction(witness.replay["sum"]) != 0
@@ -614,3 +618,70 @@ def test_memoized_dominance_matches_the_plain_walk(name, ablate, monkeypatch):
     result = verify.check_conditional_dominance(s, scheme)
     assert (result.holds, result.checked, budgets[-1].used) == (holds, checked, reference_used)
     assert (result.witnesses[0].replay if result.witnesses else None) == replay
+
+
+# check_budget verdicts, checked counts and first witnesses, measured before
+# transfer_report memoized settlements; the memo must not move them.  Each
+# case: (verdict holds, checked, first witness replay or None).
+PINNED_BUDGET = {
+    ("example1", "no_deficit"): (True, 47923, None),
+    ("example1", "balance"): (False, 2, {
+        "stages": [["s1e", "s2e", "bue"], ["s1e", "s2e", "bua"], ["s1a", "s2a", "bua"],
+                   ["s1a", "s2a", "bua"]],
+        "sum": "-23", "transfers": {"s1": "-23/2", "s2": "-23/2", "buyer": "0"}}),
+    ("example2", "no_deficit"): (True, 26, None),
+    ("example2", "balance"): (False, 1, {
+        "stages": [["a1lo1", "a2lo"], ["a1lo1", "a2lo"]],
+        "sum": "-1", "transfers": {"a1": "-1", "a2": "0"}}),
+    ("example4r", "no_deficit"): (True, 7, None),
+    ("example4r", "balance"): (False, 2, {
+        "stages": [["p1lo", "p2lo"], ["p1lo", "p2hi"], ["p1hi", "p2hi"], ["p1hi", "p2hi"]],
+        "sum": "-2", "transfers": {"a1": "-4", "a2": "2"}}),
+}
+
+
+@pytest.mark.parametrize("name, mode", sorted(PINNED_BUDGET))
+def test_budget_keeps_its_counts_and_first_witness(name, mode):
+    s = fixture(name)
+    holds, checked, replay = PINNED_BUDGET[name, mode]
+    result = verify.check_budget(s, s.scheme, mode)
+    assert (result.holds, result.checked) == (holds, checked)
+    assert (result.witnesses[0].replay if result.witnesses else None) == replay
+
+
+def test_adversarial_groves_balance_keeps_its_first_witness():
+    s = fixture("example2")
+    result = verify.check_budget(s, _adversarial_groves(s), "balance")
+    assert (result.holds, result.checked) == (False, 1)
+    assert result.witnesses[0].replay == {
+        "stages": [["a1lo1", "a2lo"], ["a1lo1", "a2lo"]],
+        "sum": "8", "transfers": {"a1": "7", "a2": "1"}}
+
+
+def test_operator_funded_premium_keeps_its_planted_breach(monkeypatch):
+    # The rejected operator-funded reading (see tests/test_transfers.py):
+    # the recipient keeps the premium and nobody funds a share.
+    plain = transfers.awareness_adjustments
+
+    def operator_funded(scenario, scheme, transcript, premiums=None):
+        adjustments, recipient = plain(scenario, scheme, transcript, premiums)
+        return ({a: v if a == recipient else Fraction(0) for a, v in adjustments.items()},
+                recipient)
+
+    monkeypatch.setattr(transfers, "awareness_adjustments", operator_funded)
+    s = fixture("example1")
+    result = verify.check_budget(s, s.scheme, "no_deficit")
+    assert (result.holds, result.checked) == (False, 4)
+    assert result.witnesses[0].replay == {
+        "stages": [["s1e", "s2e", "bue"], ["s1e", "s2e", "bua"], ["s1a", "s2a", "bua"],
+                   ["s1a", "s2a", "buab"], ["s1ab", "s2ab", "buab"],
+                   ["s1ab", "s2ab", "buabc"], ["s1t80", "s2t86", "buabc"],
+                   ["s1t80", "s2t86", "buabc"]],
+        "sum": "2", "transfers": {"s1": "0", "s2": "0", "buyer": "2"}}
+
+
+def test_budget_play_bound_trips_exactly_past_the_walk():
+    s = fixture("example2")
+    assert verify.check_budget(s, s.scheme, "no_deficit", bound=26).holds
+    with pytest.raises(engine.StrategySpaceTooLarge):
+        verify.check_budget(s, s.scheme, "no_deficit", bound=25)
