@@ -66,7 +66,6 @@ class Transcript:
 
 @dataclass(frozen=True)
 class PlayState:
-    game_level: str
     true_profile: tuple[str, ...]
     awareness: tuple[str, ...]
     perceived: tuple[str, ...]
@@ -103,7 +102,7 @@ def initial_state(scenario: Scenario, game_level: str, true_profile: tuple[str, 
     effective = tuple(lattice.meet(a, game_level) for a in awareness)
     perceived = tuple(structure.project(agent, t, eff)
                       for agent, t, eff in zip(structure.agents, true_profile, effective))
-    return PlayState(game_level, true_profile, effective, perceived, (), (), False)
+    return PlayState(true_profile, effective, perceived, (), (), False)
 
 
 def state_from_draw(scenario: Scenario, draw: NatureDraw, partial_level: str) -> PlayState:
@@ -165,8 +164,8 @@ def advance(scenario: Scenario, state: PlayState, reports: tuple[str, ...]) -> P
     perceived = tuple(structure.project(agent, t, a)
                       for agent, t, a in zip(structure.agents, state.true_profile, awareness))
     stopped = bool(state.history) and reports == state.history[-1]
-    return PlayState(state.game_level, state.true_profile, awareness, perceived,
-                     state.history + (reports,), state.pooled + (pooled,), stopped)
+    return PlayState(state.true_profile, awareness, perceived, state.history + (reports,),
+                     state.pooled + (pooled,), stopped)
 
 
 def transcript(state: PlayState) -> Transcript:

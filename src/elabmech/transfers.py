@@ -20,11 +20,12 @@ groves/clarke every other agent funds an equal share, keeping the adjustment
 terms budget neutral; under rspa the buyer pays and non-recipients owe
 nothing.
 
-A settlement therefore reads only the final profile, the final pooled level
-and the premium recipient.  :class:`PremiumTable` is a lazy memo of premia
-and of settlements keyed on those three, so the many transcripts that share
-a payoff summary are settled once; the reports it hands out are shared and
-read-only.
+A settlement therefore reads only its payoff summary: the final profile,
+the final pooled level and the premium recipient.  :func:`transfer_report`
+finds that summary once per transcript, and :class:`PremiumTable` is the one
+memo, of premia and of settlements keyed on the summary, so the many
+transcripts that share a summary are settled once; the reports it hands out
+are shared and read-only.  :class:`Mechanism` keeps no cache of its own.
 """
 from __future__ import annotations
 
@@ -68,7 +69,6 @@ class SchemeConfig:
     buyer: str | None = None
     supplies: Mapping[str, str] | None = None
     simplified_premium_ok: bool = False
-    ablate_premium: bool = False  # diagnostic switch: drop all adjustment terms
 
 
 @dataclass(frozen=True)
@@ -154,35 +154,39 @@ def clarke_y(scenario: Scenario, agent: str, profile: tuple[str, ...]) -> Fracti
 
 
 def first_pooled_reporter(scenario: Scenario, transcript: Transcript) -> str | None:
-    """The unique agent who first reported a type at the final pooled level.
+    """The unique agent who first reported a type at the final pooled level,
+    or None when two or more agents tie there.
 
-    None when nobody ever reported that level or when two or more agents
-    tie at the earliest such stage.
+    The domain is the stopped transcripts of feasible plays.  Along such a
+    play pooled levels never fall and no report lies above its stage's
+    pooled level, so a first report at the final pooled level can only be
+    made at the first stage whose pooled level is final.  If nobody makes
+    one there, every agent reaches the level together at the next stage,
+    which is a tie.
     """
     if not transcript.stopped:
         raise TranscriptNotStopped()
     structure = scenario.structure
     target = transcript.final_pooled
-    earliest: dict[str, int] = {}
-    for stage, profile in enumerate(transcript.stages, start=1):
-        for agent, report in zip(structure.agents, profile):
-            if agent not in earliest and structure.level_of(agent, report) == target:
-                earliest[agent] = stage
-    if not earliest:
-        return None
-    best = min(earliest.values())
-    firsts = [a for a, k in earliest.items() if k == best]
-    return firsts[0] if len(firsts) == 1 else None
+    stage = transcript.stages[transcript.pooled.index(target)]
+    recipient = None
+    for agent, report in zip(structure.agents, stage):
+        if structure.level_of(agent, report) == target:
+            if recipient is not None:
+                return None
+            recipient = agent
+    return recipient
 
 
 class PremiumTable:
-    """Lazy memo of one (scenario, scheme) pair's premia and settlements.
+    """The one memo of a (scenario, scheme) pair: its premia and settlements.
 
     ``premium`` fills m_i(level) per (agent, level) asked; ``transfer_report``
-    fills one settlement per (final profile, final pooled level, premium
-    recipient).  Entries are exact and never change once written, and the
-    reports handed out are shared between transcripts, so callers must treat
-    them as read-only.
+    fills one settlement per payoff summary (final profile, final pooled
+    level, premium recipient), which is everything a settlement reads.
+    Entries are exact and never change once written, and the reports handed
+    out are shared between transcripts, so callers must treat them as
+    read-only.
     """
 
     def __init__(self, scenario: Scenario, scheme: SchemeConfig):
@@ -266,60 +270,46 @@ class PremiumTable:
         return best
 
 
-def awareness_adjustments(scenario: Scenario, scheme: SchemeConfig, transcript: Transcript,
-                          premiums: PremiumTable | None = None) -> tuple[dict[str, Fraction], str | None]:
-    """Per-agent adjustment terms and the premium recipient."""
-    if not transcript.stopped:
-        raise TranscriptNotStopped()
-    agents = scenario.structure.agents
-    zero = {a: Fraction(0) for a in agents}
-    if scheme.kind == STATIC_VICKREY:
-        return zero, None
-    recipient = first_pooled_reporter(scenario, transcript)
-    if scheme.ablate_premium or recipient is None or len(agents) == 1:
-        return zero, recipient
-    if scheme.kind == RSPA and recipient == scheme.buyer:
-        return zero, recipient
-    premiums = premiums or PremiumTable(scenario, scheme)
-    m = premiums.premium(recipient, transcript.final_pooled)
-    out = dict(zero)
-    out[recipient] = m
+def awareness_adjustments(premiums: PremiumTable, level: str,
+                          recipient: str | None) -> dict[str, Fraction]:
+    """Per-agent adjustment terms when ``recipient`` first reported the
+    final pooled ``level``."""
+    scheme = premiums.scheme
+    agents = premiums.scenario.structure.agents
+    out = {a: Fraction(0) for a in agents}
+    if (scheme.kind == STATIC_VICKREY or recipient is None or len(agents) == 1
+            or (scheme.kind == RSPA and recipient == scheme.buyer)):
+        return out
+    m = out[recipient] = premiums.premium(recipient, level)
     if scheme.kind in (GROVES, CLARKE):
         share = -m / (len(agents) - 1)
         for a in agents:
             if a != recipient:
                 out[a] = share
-    return out, recipient
+    return out
 
 
-def transfer_report(scenario: Scenario, scheme: SchemeConfig, transcript: Transcript,
-                    premiums: PremiumTable | None = None) -> TransferReport:
-    """The settlement of a stopped transcript, memoized in ``premiums`` on
-    its payoff summary (final profile, final pooled level, premium recipient).
-
-    ``premiums`` must have been built from these very scenario and scheme
-    objects, since the memo key names neither; without one, a fresh table is
-    used.
-    """
+def transfer_report(premiums: PremiumTable, transcript: Transcript) -> TransferReport:
+    """The settlement of a stopped transcript under the scenario and scheme of
+    ``premiums``, memoized there on its payoff summary (final profile, final
+    pooled level, premium recipient; the recipient is None under
+    ``static_vickrey``)."""
     if not transcript.stopped:
         raise TranscriptNotStopped()
-    premiums = premiums or PremiumTable(scenario, scheme)
-    if premiums.scenario is not scenario or premiums.scheme is not scheme:
-        raise ValueError("premium table built for another scenario or scheme")
-    recipient = (None if scheme.kind == STATIC_VICKREY
-                 else first_pooled_reporter(scenario, transcript))
+    recipient = (None if premiums.scheme.kind == STATIC_VICKREY
+                 else first_pooled_reporter(premiums.scenario, transcript))
     key = (transcript.final, transcript.final_pooled, recipient)
     report = premiums._settlements.get(key)
     if report is None:
-        report = premiums._settlements[key] = _settle(scenario, scheme, transcript, premiums)
+        report = premiums._settlements[key] = _settle(premiums, *key)
     return report
 
 
-def _settle(scenario: Scenario, scheme: SchemeConfig, transcript: Transcript,
-            premiums: PremiumTable) -> TransferReport:
+def _settle(premiums: PremiumTable, final: tuple[str, ...], level: str,
+            recipient: str | None) -> TransferReport:
+    scenario, scheme = premiums.scenario, premiums.scheme
     agents = scenario.structure.agents
-    final = transcript.final
-    adjustments, recipient = awareness_adjustments(scenario, scheme, transcript, premiums)
+    adjustments = awareness_adjustments(premiums, level, recipient)
     if scheme.kind == RSPA:
         outcome = rspa_outcome(scenario, scheme, final)
         price = second_lowest_cost(scenario, scheme, final)
@@ -332,7 +322,6 @@ def _settle(scenario: Scenario, scheme: SchemeConfig, transcript: Transcript,
         transfers[scheme.buyer] = -price - sum(adjustments.values())
     else:
         outcome = scenario.outcomes.efficient_outcome(final)
-        level = transcript.final_pooled
         transfers = {}
         for a in agents:
             transfers[a] = (scenario.outcomes.opponents_welfare(a, outcome, final)
@@ -343,27 +332,18 @@ def _settle(scenario: Scenario, scheme: SchemeConfig, transcript: Transcript,
 
 
 class Mechanism:
-    """A scheme bound to a scenario, with lazy premium and report memos.
-
-    ``report`` looks a transcript up in its own cache first; a miss goes to
-    :func:`transfer_report`, which settles each payoff summary once in
-    ``premiums``.  Reports are shared, so callers must treat them as
-    read-only.
+    """A scheme bound to a scenario and its :class:`PremiumTable`, the one
+    memo every report goes through.  Reports are shared, so callers must
+    treat them as read-only.
     """
 
     def __init__(self, scenario: Scenario, scheme: SchemeConfig):
         self.scenario = scenario
         self.scheme = scheme
         self.premiums = PremiumTable(scenario, scheme)
-        self._reports: dict[tuple, TransferReport] = {}
 
     def report(self, transcript: Transcript) -> TransferReport:
-        key = (transcript.stages, transcript.final_pooled)
-        cached = self._reports.get(key)
-        if cached is None:
-            cached = transfer_report(self.scenario, self.scheme, transcript, self.premiums)
-            self._reports[key] = cached
-        return cached
+        return transfer_report(self.premiums, transcript)
 
     def utility(self, transcript: Transcript, agent: str, eval_type: str) -> Fraction:
         """Quasilinear payoff of the play, valued at ``eval_type``."""

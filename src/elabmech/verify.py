@@ -182,7 +182,7 @@ def check_budget(scenario: Scenario, scheme: SchemeConfig, mode: str = "balance"
     for terminal in engine.iter_completions(scenario, state, policies, budget):
         checked += 1
         transcript = engine.transcript(terminal)
-        report = transfer_report(scenario, scheme, transcript, premiums)
+        report = transfer_report(premiums, transcript)
         total = -report.operator_balance
         bad = total != 0 if mode == "balance" else total > 0
         if bad:

@@ -112,7 +112,7 @@ def test_criterion_02b_example2_published_settlement():
     ])
 
 
-def test_criterion_03_conditional_dominance_at_desk_scale():
+def test_criterion_03_conditional_dominance_at_desk_scale(ablate_premium):
     clauses = []
     for name in ("example1", "example2"):
         s = fixture(name)
@@ -135,8 +135,8 @@ def test_criterion_03_conditional_dominance_at_desk_scale():
                         ok_clarke and ok_groves))
         clauses.append((f"generated {k} under 60 s", elapsed < 60.0))
     s2 = fixture("example2")
-    ablated = dataclasses.replace(s2.scheme, ablate_premium=True)
-    result = verify.check_conditional_dominance(s2, ablated)
+    ablate_premium()
+    result = verify.check_conditional_dominance(s2, s2.scheme)
     concealment = (not result.holds
                    and result.witnesses[0].replay["deviation_stages"][0][0]
                    in ("a1lo1", "a1lo2"))

@@ -12,7 +12,7 @@ import pytest
 
 from elabmech import engine, transfers, verify
 from elabmech.fixtures import fixture
-from elabmech.generate import generate_scenario
+from elabmech.generate import CHAIN2, CHAIN3, DIAMOND, generate_scenario
 from elabmech.scenario import parse_scenario
 from elabmech.transfers import (FewerThanTwoSellers, Mechanism, MissingYEntry,
                                 PremiumTable, SchemeConfig, TranscriptNotStopped,
@@ -75,6 +75,16 @@ def run_fixture(name):
     return s, t
 
 
+def _stopped_transcripts(s, limit=None):
+    """The first ``limit`` (default all) stopped transcripts of the all-FREE
+    walk from the top level."""
+    top = s.lattice.top
+    state = engine.initial_state(s, top, next(s.structure.profiles(top)),
+                                 (top,) * len(s.agents))
+    terminals = engine.iter_completions(s, state, {a: engine.FREE for a in s.agents})
+    return [engine.transcript(terminal) for terminal in islice(terminals, limit)]
+
+
 def test_first_pooled_reporter_example2_is_the_aware_bidder():
     s, t = run_fixture("example2")
     assert first_pooled_reporter(s, t) == "a1"
@@ -87,8 +97,7 @@ def test_first_pooled_reporter_example1_is_nobody():
     assert first_pooled_reporter(s, t) is None
 
 
-def test_first_pooled_reporter_ties_and_misses():
-    one = parse_scenario("""
+TIE = """
 [lattice]
 elements: l0
 [agents]
@@ -105,9 +114,14 @@ value: a1 p x 1
 value: a2 r x 1
 [scheme]
 kind: clarke
-""")
-    t = engine.Transcript(stages=(("p", "r"), ("p", "r")), pooled=("l0", "l0"), stopped=True)
-    assert first_pooled_reporter(one, t) is None  # simultaneous at stage 1
+"""
+TIE_TRANSCRIPT = engine.Transcript(stages=(("p", "r"), ("p", "r")), pooled=("l0", "l0"),
+                                   stopped=True)
+
+
+def test_first_pooled_reporter_ties_and_misses():
+    one = parse_scenario(TIE)
+    assert first_pooled_reporter(one, TIE_TRANSCRIPT) is None  # simultaneous at stage 1
     with pytest.raises(TranscriptNotStopped):
         first_pooled_reporter(one, engine.Transcript((("p", "r"),), ("l0",), False))
 
@@ -162,36 +176,35 @@ def test_premium_matches_unmemoized_brute_force_on_generated_scenarios():
 
 def test_adjustments_example2():
     s, t = run_fixture("example2")
-    adjustments, recipient = awareness_adjustments(s, s.scheme, t)
+    recipient = first_pooled_reporter(s, t)
     assert recipient == "a1"
+    adjustments = awareness_adjustments(PremiumTable(s, s.scheme), t.final_pooled, recipient)
     assert adjustments == {"a1": Fraction(1), "a2": Fraction(-1)}
 
 
 def test_adjustments_zero_when_nobody_is_first():
     s, t = run_fixture("example1")
-    adjustments, recipient = awareness_adjustments(s, s.scheme, t)
+    recipient = first_pooled_reporter(s, t)
     assert recipient is None
+    adjustments = awareness_adjustments(PremiumTable(s, s.scheme), t.final_pooled, recipient)
     assert all(v == 0 for v in adjustments.values())
 
 
 def test_adjustments_sum_to_zero_on_every_feasible_transcript():
     for name in ("example2", "example4r"):
         s = fixture(name)
-        top = s.lattice.top
-        state = engine.initial_state(s, top, next(s.structure.profiles(top)),
-                                     (top,) * len(s.agents))
-        count = 0
-        for terminal in islice(engine.iter_completions(
-                s, state, {a: engine.FREE for a in s.agents}), 3000):
-            adjustments, _ = awareness_adjustments(s, s.scheme, engine.transcript(terminal))
+        premiums = PremiumTable(s, s.scheme)
+        transcripts = _stopped_transcripts(s, 3000)
+        for t in transcripts:
+            adjustments = awareness_adjustments(premiums, t.final_pooled,
+                                                first_pooled_reporter(s, t))
             assert sum(adjustments.values()) == 0
-            count += 1
-        assert count > 0
+        assert transcripts
 
 
 def test_clarke_transfers_example1():
     s, t = run_fixture("example1")
-    report = transfer_report(s, s.scheme, t)
+    report = transfer_report(PremiumTable(s, s.scheme), t)
     assert report.outcome == "produce1"
     assert report.transfers == {"s1": Fraction(0), "s2": Fraction(0),
                                 "buyer": Fraction(-80)}
@@ -203,7 +216,7 @@ def test_clarke_transfers_example2():
     # discloser's reward: pivot parts are (0, -2), the premium is +1 to a1 and
     # -1 to a2
     s, t = run_fixture("example2")
-    report = transfer_report(s, s.scheme, t)
+    report = transfer_report(PremiumTable(s, s.scheme), t)
     assert report.outcome == "win2"
     assert report.transfers == {"a1": Fraction(1), "a2": Fraction(-3)}
     assert report.adjustments == {"a1": Fraction(1), "a2": Fraction(-1)}
@@ -214,14 +227,13 @@ def test_operator_funded_premium_gives_published_pair_and_a_deficit(monkeypatch)
     # Plant the rejected reading: the operator pays the premium and nobody
     # funds a share.  It yields the published (-2, 1) on example2 but makes
     # the example1 pivot scheme run a deficit.
-    def operator_funded(scenario, scheme, transcript, premiums=None):
-        adjustments, recipient = awareness_adjustments(scenario, scheme, transcript, premiums)
-        return ({a: v if a == recipient else Fraction(0) for a, v in adjustments.items()},
-                recipient)
+    def operator_funded(premiums, level, recipient):
+        adjustments = awareness_adjustments(premiums, level, recipient)
+        return {a: v if a == recipient else Fraction(0) for a, v in adjustments.items()}
 
     monkeypatch.setattr(transfers, "awareness_adjustments", operator_funded)
     s, t = run_fixture("example2")
-    report = transfer_report(s, s.scheme, t)
+    report = transfer_report(PremiumTable(s, s.scheme), t)
     assert report.outcome == "win2"
     assert report.transfers == {"a1": Fraction(1), "a2": Fraction(-2)}
     assert report.operator_balance == 1
@@ -250,7 +262,7 @@ kind: groves
 y: only l0 0
 """)
     t = engine.Transcript(stages=(("t",), ("t",)), pooled=("l0", "l0"), stopped=True)
-    report = transfer_report(solo, solo.scheme, t)
+    report = transfer_report(PremiumTable(solo, solo.scheme), t)
     assert report.transfers == {"only": Fraction(0)}
     assert report.outcome == "x"
 
@@ -286,7 +298,7 @@ draw: main types only=f levels only=hi
     premiums = PremiumTable(solo, solo.scheme)
     assert premiums.premium("only", "hi") == 4
     t = engine.run(solo, solo.draw(), "hi")
-    report = transfer_report(solo, solo.scheme, t)
+    report = transfer_report(PremiumTable(solo, solo.scheme), t)
     assert report.premium_recipient == "only"
     assert report.adjustments == {"only": Fraction(0)}
     assert report.transfers == {"only": Fraction(0)}
@@ -315,7 +327,7 @@ def test_static_vickrey_example2():
     s = fixture("example2")
     static = dataclasses.replace(s.scheme, kind="static_vickrey")
     t = engine.run_single_stage(s, s.draw(), "hi")
-    report = transfer_report(s, static, t)
+    report = transfer_report(PremiumTable(s, static), t)
     assert report.outcome == "win1"
     assert report.transfers == {"a1": Fraction(-1), "a2": Fraction(0)}
     assert report.premium_recipient is None
@@ -325,7 +337,7 @@ def test_missing_y_entry():
     s, t = run_fixture("example2")
     groves = SchemeConfig(kind="groves", y_tables={})
     with pytest.raises(MissingYEntry):
-        transfer_report(s, groves, t)
+        transfer_report(PremiumTable(s, groves), t)
 
 
 def test_rspa_second_lowest_cost_and_winner():
@@ -340,7 +352,7 @@ def test_rspa_transfers_pay_second_price_with_premium_funded_by_buyer():
     t = engine.run(s, s.draw(), "hi")
     # seller 2 alone was aware of hi, so she reveals it first and collects
     # the premium even though seller 1 wins the project
-    report = transfer_report(s, s.scheme, t)
+    report = transfer_report(PremiumTable(s, s.scheme), t)
     assert report.outcome == "supply_s1"
     assert report.premium_recipient == "s2"
     assert report.transfers["s1"] == 86
@@ -457,12 +469,12 @@ def test_transcript_not_stopped_rejected():
     s = fixture("example2")
     t = engine.Transcript((("a1hi2", "a2lo"),), ("hi",), False)
     with pytest.raises(TranscriptNotStopped):
-        transfer_report(s, s.scheme, t)
+        transfer_report(PremiumTable(s, s.scheme), t)
 
 
 def test_report_jsonable_renders_exact_and_decimal():
     s, t = run_fixture("example1")
-    payload = transfer_report(s, s.scheme, t).jsonable()
+    payload = transfer_report(PremiumTable(s, s.scheme), t).jsonable()
     assert payload["transfers"]["buyer"] == {"exact": "-80", "decimal": -80.0}
     assert payload["operator_balance"]["exact"] == "80"
 
@@ -483,23 +495,97 @@ def _settlement_scenario(name):
 
 @pytest.mark.parametrize("variant", ["scheme", "ablated", "static"])
 @pytest.mark.parametrize("name", SETTLEMENT_CASES)
-def test_memoized_settlement_matches_a_fresh_report(name, variant):
-    import dataclasses
+def test_memoized_settlement_matches_a_fresh_report(name, variant, ablate_premium):
     s = _settlement_scenario(name)
-    scheme = {"scheme": s.scheme,
-              "ablated": dataclasses.replace(s.scheme, ablate_premium=True),
-              "static": SchemeConfig(kind="static_vickrey")}[variant]
-    top = s.lattice.top
-    state = engine.initial_state(s, top, next(s.structure.profiles(top)),
-                                 (top,) * len(s.agents))
+    scheme = SchemeConfig(kind="static_vickrey") if variant == "static" else s.scheme
+    if variant == "ablated":
+        ablate_premium()
     shared = PremiumTable(s, scheme)
-    seen = 0
-    for terminal in engine.iter_completions(s, state, {a: engine.FREE for a in s.agents}):
-        transcript = engine.transcript(terminal)
-        assert (transfer_report(s, scheme, transcript, shared)
-                == transfer_report(s, scheme, transcript, PremiumTable(s, scheme))), (
-            name, transcript)
-        seen += 1
-    assert seen > len(shared._settlements) > 0
-    with pytest.raises(ValueError, match="another scenario or scheme"):
-        transfer_report(s, dataclasses.replace(scheme), transcript, shared)
+    transcripts = _stopped_transcripts(s)
+    for transcript in transcripts:
+        assert (transfer_report(shared, transcript)
+                == transfer_report(PremiumTable(s, scheme), transcript)), (name, transcript)
+    assert len(transcripts) > len(shared._settlements) > 0
+
+
+def reference_first_reports(scenario, transcript):
+    """Each agent's first stage with a report at the final pooled level, by
+    scanning every stage and agent."""
+    structure = scenario.structure
+    target = transcript.final_pooled
+    earliest = {}
+    for stage, profile in enumerate(transcript.stages, start=1):
+        for agent, report in zip(structure.agents, profile):
+            if agent not in earliest and structure.level_of(agent, report) == target:
+                earliest[agent] = stage
+    return earliest
+
+
+def reference_first_pooled_reporter(scenario, transcript):
+    """The all-stages reading of the first pooled reporter: the unique agent
+    with the earliest first report at the final pooled level, else None."""
+    earliest = reference_first_reports(scenario, transcript)
+    firsts = [a for a, k in earliest.items() if k == min(earliest.values())]
+    return firsts[0] if len(firsts) == 1 else None
+
+
+def test_one_stage_first_reporter_matches_the_all_stages_scan():
+    corpus = [(fixture("example1"), _stopped_transcripts(fixture("example1"), 3000)),
+              (parse_scenario(TIE), [TIE_TRANSCRIPT])]
+    corpus += [(s, _stopped_transcripts(s))
+               for s in map(_settlement_scenario, SETTLEMENT_CASES)]
+    found = set()
+    for s, transcripts in corpus:
+        for t in transcripts:
+            expected = reference_first_pooled_reporter(s, t)
+            assert first_pooled_reporter(s, t) == expected, (s.agents, t)
+            found.add(expected is None)
+    assert found == {True, False}
+    assert {CHAIN2, CHAIN3, DIAMOND} <= {s.lattice.elements for s, _ in corpus}
+    assert any(s.scheme.kind == "rspa" for s, _ in corpus)
+
+
+def test_recipient_found_once_per_settlement(monkeypatch):
+    calls = {"transfer_report": 0, "first_pooled_reporter": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(verify, "transfer_report")
+    counted(transfers, "first_pooled_reporter")
+    s = fixture("example2")
+    result = verify.check_budget(s, s.scheme, "no_deficit")
+    assert result.checked == 26
+    assert calls == {"transfer_report": 26, "first_pooled_reporter": 26}
+
+
+# Planted first-reporter defects and the property that kills each.
+
+def _tie_read_as_first_agent(scenario, transcript):
+    earliest = reference_first_reports(scenario, transcript)
+    return min(earliest, key=earliest.get) if earliest else None
+
+
+def _premium_to_last_reporter(scenario, transcript):
+    earliest = reference_first_reports(scenario, transcript)
+    return max(earliest, key=earliest.get) if earliest else None
+
+
+def test_mutant_tie_read_as_first_agent_is_killed_by_ex_ante_participation(monkeypatch):
+    s = fixture("example2")
+    assert verify.check_participation(s, s.scheme, "ex_ante_anticipated").holds
+    monkeypatch.setattr(transfers, "first_pooled_reporter", _tie_read_as_first_agent)
+    assert not verify.check_participation(s, s.scheme, "ex_ante_anticipated").holds
+
+
+def test_mutant_premium_to_last_reporter_is_killed_by_dominance(monkeypatch):
+    s = fixture("example2")
+    assert verify.check_conditional_dominance(s, s.scheme).holds
+    monkeypatch.setattr(transfers, "first_pooled_reporter", _premium_to_last_reporter)
+    assert not verify.check_conditional_dominance(s, s.scheme).holds

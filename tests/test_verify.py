@@ -70,10 +70,10 @@ def test_dominance_example2_and_premium_knife_edge():
     assert mech.utility(conceal, "a1", "a1hi2") == 1
 
 
-def test_dominance_fails_without_the_premium_term():
+def test_dominance_fails_without_the_premium_term(ablate_premium):
     s = fixture("example2")
-    ablated = dataclasses.replace(s.scheme, ablate_premium=True)
-    result = verify.check_conditional_dominance(s, ablated)
+    ablate_premium()
+    result = verify.check_conditional_dominance(s, s.scheme)
     assert not result.holds
     witness = result.witnesses[0]
     assert witness.replay["agent"] == "a1"
@@ -82,11 +82,11 @@ def test_dominance_fails_without_the_premium_term():
     assert gain == 1
 
 
-def test_dominance_witness_replays_to_the_same_gap():
+def test_dominance_witness_replays_to_the_same_gap(ablate_premium):
     s = fixture("example2")
-    ablated = dataclasses.replace(s.scheme, ablate_premium=True)
-    witness = verify.check_conditional_dominance(s, ablated).witnesses[0].replay
-    mech = Mechanism(s, ablated)
+    ablate_premium()
+    witness = verify.check_conditional_dominance(s, s.scheme).witnesses[0].replay
+    mech = Mechanism(s, s.scheme)
     level = witness["level"]
     state = engine.initial_state(s, level, tuple(witness["profile"]),
                                  tuple(witness["awareness"]))
@@ -181,13 +181,13 @@ def _direct_plan_space_dominance_oracle(scenario, scheme):
     return violations
 
 
-def test_dominance_checker_agrees_with_direct_plan_space_oracle():
+def test_dominance_checker_agrees_with_direct_plan_space_oracle(ablate_premium):
     s = fixture("example2")
     assert not _direct_plan_space_dominance_oracle(s, s.scheme)
     assert verify.check_conditional_dominance(s, s.scheme).holds
-    ablated = dataclasses.replace(s.scheme, ablate_premium=True)
-    assert _direct_plan_space_dominance_oracle(s, ablated)
-    assert not verify.check_conditional_dominance(s, ablated).holds
+    ablate_premium()
+    assert _direct_plan_space_dominance_oracle(s, s.scheme)
+    assert not verify.check_conditional_dominance(s, s.scheme).holds
 
 
 def test_dominance_vacuous_for_single_agent_single_outcome():
@@ -516,26 +516,21 @@ ABLATED_EXAMPLE2_WITNESS = {
 }
 
 
-def _dominance_case(name):
+@pytest.mark.parametrize("name", sorted(PINNED_DOMINANCE))
+def test_dominance_keeps_its_counts_and_play_budget(name, ablate_premium):
     if name.startswith("gen301-"):
         s = generate_scenario(301, int(name.split("-")[1]))
-        return s, s.scheme
-    s = fixture("example2")
+    else:
+        s = fixture("example2")
     if name.endswith("-ablated"):
-        return s, dataclasses.replace(s.scheme, ablate_premium=True)
-    return s, s.scheme
-
-
-@pytest.mark.parametrize("name", sorted(PINNED_DOMINANCE))
-def test_dominance_keeps_its_counts_and_play_budget(name):
-    s, scheme = _dominance_case(name)
+        ablate_premium()
     holds, checked, plays = PINNED_DOMINANCE[name]
-    result = verify.check_conditional_dominance(s, scheme, bound=plays)
+    result = verify.check_conditional_dominance(s, s.scheme, bound=plays)
     assert (result.holds, result.checked) == (holds, checked)
     if not holds:
         assert result.witnesses[0].replay == ABLATED_EXAMPLE2_WITNESS
     with pytest.raises(engine.StrategySpaceTooLarge):
-        verify.check_conditional_dominance(s, scheme, bound=plays - 1)
+        verify.check_conditional_dominance(s, s.scheme, bound=plays - 1)
 
 
 def _reference_dominance(scenario, scheme, bound=10 ** 6):
@@ -602,7 +597,7 @@ def _differential_scenario(name):
 
 @pytest.mark.parametrize("ablate", [False, True], ids=["plain", "ablated"])
 @pytest.mark.parametrize("name", DIFFERENTIAL_CASES)
-def test_memoized_dominance_matches_the_plain_walk(name, ablate, monkeypatch):
+def test_memoized_dominance_matches_the_plain_walk(name, ablate, monkeypatch, ablate_premium):
     budgets = []
 
     class RecordedBudget(engine.PlayBudget):
@@ -612,10 +607,11 @@ def test_memoized_dominance_matches_the_plain_walk(name, ablate, monkeypatch):
 
     monkeypatch.setattr(verify, "PlayBudget", RecordedBudget)
     s = _differential_scenario(name)
-    scheme = dataclasses.replace(s.scheme, ablate_premium=ablate)
-    holds, checked, replay = _reference_dominance(s, scheme)
+    if ablate:
+        ablate_premium()
+    holds, checked, replay = _reference_dominance(s, s.scheme)
     reference_used = budgets[-1].used
-    result = verify.check_conditional_dominance(s, scheme)
+    result = verify.check_conditional_dominance(s, s.scheme)
     assert (result.holds, result.checked, budgets[-1].used) == (holds, checked, reference_used)
     assert (result.witnesses[0].replay if result.witnesses else None) == replay
 
@@ -663,10 +659,9 @@ def test_operator_funded_premium_keeps_its_planted_breach(monkeypatch):
     # the recipient keeps the premium and nobody funds a share.
     plain = transfers.awareness_adjustments
 
-    def operator_funded(scenario, scheme, transcript, premiums=None):
-        adjustments, recipient = plain(scenario, scheme, transcript, premiums)
-        return ({a: v if a == recipient else Fraction(0) for a, v in adjustments.items()},
-                recipient)
+    def operator_funded(premiums, level, recipient):
+        adjustments = plain(premiums, level, recipient)
+        return {a: v if a == recipient else Fraction(0) for a, v in adjustments.items()}
 
     monkeypatch.setattr(transfers, "awareness_adjustments", operator_funded)
     s = fixture("example1")
