@@ -184,6 +184,10 @@ def cmd_verify(args) -> int:
     if args.generated is None and args.scenario is None:
         print("verify needs a scenario or --generated N", file=sys.stderr)
         return 2
+    for flag, count in (("--generated", args.generated), ("--bound", args.bound)):
+        if count is not None and count < 1:
+            print(f"error: {flag} must be at least 1, got {count}", file=sys.stderr)
+            return 2
     if args.generated is not None:
         scenarios = [_apply_scheme(generate_scenario(args.seed, k,
                                                      procurement=args.procurement),

@@ -66,6 +66,16 @@ class Transcript:
 
 @dataclass(frozen=True)
 class PlayState:
+    """One running or stopped play.
+
+    Every state that :func:`initial_state` or :func:`advance` builds keeps
+    two invariants, which let :func:`advance` skip work that cannot change:
+
+    (I1) ``perceived[i]`` is ``project(agent_i, true_profile[i], awareness[i])``;
+    (I2) after any stage, ``awareness[i]`` lies weakly above ``pooled[-1]``,
+         because it was just joined with it.
+    """
+
     true_profile: tuple[str, ...]
     awareness: tuple[str, ...]
     perceived: tuple[str, ...]
@@ -149,6 +159,13 @@ def truth_report(state: PlayState, agent: str, agents: tuple[str, ...]) -> str:
 
 
 def advance(scenario: Scenario, state: PlayState, reports: tuple[str, ...]) -> PlayState:
+    """The state after one stage of ``reports``, every report checked
+    against its menu.
+
+    By (I2) a pooled level equal to the last one raises nobody's awareness,
+    so awareness and perceived types carry over; by (I1) a new pooled level
+    re-projects the true types only when it raised some awareness.
+    """
     if state.stopped:
         raise InfeasibleReport("play already stopped")
     structure = scenario.structure
@@ -160,9 +177,12 @@ def advance(scenario: Scenario, state: PlayState, reports: tuple[str, ...]) -> P
             raise InfeasibleReport(f"{agent}: {report}")
     pooled = lattice.join_all(structure.level_of(agent, r)
                               for agent, r in zip(structure.agents, reports))
-    awareness = tuple(lattice.join(a, pooled) for a in state.awareness)
-    perceived = tuple(structure.project(agent, t, a)
-                      for agent, t, a in zip(structure.agents, state.true_profile, awareness))
+    awareness, perceived = state.awareness, state.perceived
+    if not state.history or pooled != state.pooled[-1]:
+        awareness = tuple(lattice.join(a, pooled) for a in awareness)
+        if awareness != state.awareness:
+            perceived = tuple(structure.project(agent, t, a) for agent, t, a
+                              in zip(structure.agents, state.true_profile, awareness))
     stopped = bool(state.history) and reports == state.history[-1]
     return PlayState(state.true_profile, awareness, perceived, state.history + (reports,),
                      state.pooled + (pooled,), stopped)

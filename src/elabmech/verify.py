@@ -347,11 +347,15 @@ def check_conditional_dominance(scenario: Scenario, scheme: SchemeConfig,
                 a: engine.plan_policy(a, plan, scenario)
                 for (_, a), plan in zip(rivals, plans)}
             policies[agent] = FREE
+            # Awareness only rises along a play, so a perceived type never
+            # recurs once it changes: value the truthful play once per type.
+            valued = None
             for h_state in path[:-1]:
                 if structure.level_of(agent, h_state.perceived[i]) != level:
                     continue
                 eval_type = h_state.perceived[i]
-                u_truth = mech.utility(truth_transcript, agent, eval_type)
+                if eval_type != valued:
+                    valued, u_truth = eval_type, mech.utility(truth_transcript, agent, eval_type)
                 checked += 1
                 best, plays = _best_deviation(scenario, mech, agent, policies, memo,
                                               (plans, eval_type), h_state)

@@ -126,6 +126,24 @@ def test_verify_without_target_exits_two(capsys):
     assert main(["verify"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--generated", "0"], ["--generated", "-3"],
+    ["example2", "--bound", "0"], ["example2", "--bound", "-5"],
+    ["--generated", "2", "--bound", "-5"]])
+def test_verify_rejects_non_positive_counts(capsys, argv):
+    assert main(["verify", *argv, "--property", "stage-bound"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "must be at least 1" in captured.err
+
+
+def test_verify_accepts_counts_of_one(capsys):
+    assert main(["verify", "--generated", "1", "--bound", "1",
+                 "--property", "stage-bound"]) == 0
+    assert "stage-bound: holds" in capsys.readouterr().out
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["run", "/no/such/file.scenario"]) == 2
 

@@ -155,27 +155,92 @@ MENU_CORPUS = ([(2026, k, False) for k in (1, 2, 5, 6, 7, 9, 17, 24, 30, 38)]
                + [(2026, k, True) for k in (5, 8, 10, 13, 15, 17, 20, 25, 37, 38)])
 
 
+def walk_corpus():
+    """The fixtures and generated scenarios whose free play trees are walked
+    in full: ``example2``, ``example4r`` and ``MENU_CORPUS``."""
+    return ([fixture("example2"), fixture("example4r")]
+            + [generate_scenario(*args) for args in MENU_CORPUS])
+
+
+def reached_states(s):
+    """Every distinct state the all-FREE walk reaches from every partial draw
+    at every level, each once."""
+    free = {agent: engine.FREE for agent in s.agents}
+    seen = set()
+    for level in s.lattice.elements:
+        for profile, awareness in verify._partial_draws(s, level):
+            todo = [engine.initial_state(s, level, profile, awareness)]
+            while todo:
+                state = todo.pop()
+                if state in seen:
+                    continue
+                seen.add(state)
+                yield state
+                if not state.stopped:
+                    todo.extend(engine.advance(s, state, reports)
+                                for reports in engine.report_profiles(s, state, free))
+
+
 def test_menu_table_matches_the_per_call_rule_on_every_reached_state():
-    scenarios = [fixture("example2"), fixture("example4r")]
-    scenarios += [generate_scenario(*args) for args in MENU_CORPUS]
+    scenarios = walk_corpus()
     shapes = {(s.scheme.kind, len(s.lattice.elements)) for s in scenarios[2:]}
     assert shapes == {(kind, n) for kind in ("clarke", "rspa") for n in (2, 3, 4)}
     for s in scenarios:
+        reached = 0
+        for state in reached_states(s):
+            reached += 1
+            for agent in s.agents:
+                assert (engine.feasible_reports(s, state, agent)
+                        == reference_feasible_reports(s, state, agent)), (s.name, state, agent)
+        assert reached
+
+
+def reference_advance(scenario, state, reports):
+    """The stage rule before the carry-over shortcut, kept as the oracle:
+    every stage joins every awareness with the pooled level and re-projects
+    every true type."""
+    if state.stopped:
+        raise engine.InfeasibleReport("play already stopped")
+    structure = scenario.structure
+    lattice = structure.lattice
+    if len(reports) != len(structure.agents):
+        raise engine.InfeasibleReport(f"{len(reports)} reports for {len(structure.agents)} agents")
+    for agent, report in zip(structure.agents, reports):
+        if report not in engine.feasible_reports(scenario, state, agent):
+            raise engine.InfeasibleReport(f"{agent}: {report}")
+    pooled = lattice.join_all(structure.level_of(agent, r)
+                              for agent, r in zip(structure.agents, reports))
+    awareness = tuple(lattice.join(a, pooled) for a in state.awareness)
+    perceived = tuple(structure.project(agent, t, a)
+                      for agent, t, a in zip(structure.agents, state.true_profile, awareness))
+    stopped = bool(state.history) and reports == state.history[-1]
+    return engine.PlayState(state.true_profile, awareness, perceived,
+                            state.history + (reports,), state.pooled + (pooled,), stopped)
+
+
+def test_advance_matches_the_always_recomputing_rule_on_every_reached_state():
+    carried = raised = 0
+    for s in walk_corpus():
+        structure = s.structure
         free = {agent: engine.FREE for agent in s.agents}
-        seen = set()
-        for level in s.lattice.elements:
-            for profile, awareness in verify._partial_draws(s, level):
-                start = engine.initial_state(s, level, profile, awareness)
-                for path in engine.iter_paths(s, start, free):
-                    for state in path:
-                        if state in seen:
-                            continue
-                        seen.add(state)
-                        for agent in s.agents:
-                            assert (engine.feasible_reports(s, state, agent)
-                                    == reference_feasible_reports(s, state, agent)), (
-                                s.name, state, agent)
-        assert seen
+        for state in reached_states(s):
+            for agent, t, aware, seen_type in zip(s.agents, state.true_profile,
+                                                  state.awareness, state.perceived):
+                assert seen_type == structure.project(agent, t, aware), (s.name, state)  # I1
+                if state.history:
+                    assert s.lattice.leq(state.pooled[-1], aware), (s.name, state)  # I2
+            if state.stopped:
+                continue
+            for reports in engine.report_profiles(s, state, free):
+                after = engine.advance(s, state, reports)
+                assert after == reference_advance(s, state, reports), (s.name, state, reports)
+                if state.history and after.pooled[-1] == state.pooled[-1]:
+                    carried += 1
+                elif after.awareness != state.awareness:
+                    raised += 1
+    # Both branches of the shortcut ran: a carried-over stage and a
+    # recomputation that raised some awareness.
+    assert carried and raised
 
 
 def test_run_example1_transcript():
