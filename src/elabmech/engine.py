@@ -14,11 +14,11 @@ tabulates every such menu once per scenario.
 
 :func:`report_profiles` is the one place that expands a running state: it
 dispatches the per-agent policies and enforces the stage cap.
-:func:`iter_paths` is the one enumerator of the play tree built on it: it
-walks every play and charges the play budget.  :func:`iter_completions`
-(terminal states), :func:`truthful_path` (the single play when no agent is
-FREE), :func:`run` and :func:`enumerate_deviation_plays` are views of it;
-the dominance check's memoized deviation recursion expands states through
+:func:`iter_paths` is the one enumerator of the play tree built on it, a
+depth-first recursion that walks every play and charges the play budget.
+:func:`iter_completions` (terminal states), :func:`truthful_path` (the
+single play when no agent is FREE) and :func:`run` are views of it; the
+dominance check's memoized deviation recursion expands states through
 :func:`report_profiles` as well.
 
 All state is immutable; distinct plays may be explored concurrently.
@@ -257,26 +257,24 @@ def iter_paths(scenario: Scenario, state: PlayState,
     path is realized by some strategy profile and vice versa, so enumerating
     paths is outcome-equivalent to enumerating strategies.
     """
-    path = [state]
-    untried = []  # report profiles still to play at each running state of ``path``
-    while True:
-        if state.stopped:
-            if budget is not None:
-                budget.charge()
-            yield tuple(path)
-            path.pop()
-        else:
-            untried.append(report_profiles(scenario, state, policies))
-        while untried:
-            reports = next(untried[-1], None)
-            if reports is not None:
-                state = advance(scenario, path[-1], reports)
-                path.append(state)
-                break
-            untried.pop()
-            path.pop()
-        else:
-            return
+    return _paths(scenario, (), state, policies, budget)
+
+
+def _paths(scenario: Scenario, prefix: tuple[PlayState, ...], state: PlayState,
+           policies: Mapping[str, object],
+           budget: PlayBudget | None) -> Iterator[tuple[PlayState, ...]]:
+    """The plays of :func:`iter_paths` from ``state``, each after ``prefix``.
+    Module level, not a nested closure: a self-recursive closure is a
+    reference cycle that keeps what it captured alive until the cyclic
+    collector runs."""
+    path = prefix + (state,)
+    if state.stopped:
+        if budget is not None:
+            budget.charge()
+        yield path
+        return
+    for reports in report_profiles(scenario, state, policies):
+        yield from _paths(scenario, path, advance(scenario, state, reports), policies, budget)
 
 
 def iter_completions(scenario: Scenario, state: PlayState,
@@ -320,17 +318,3 @@ def plan_policy(agent: str, reports_by_stage: tuple[str, ...], scenario: Scenari
 
     return policy
 
-
-def enumerate_deviation_plays(scenario: Scenario, state: PlayState, agent: str,
-                              opponents: Mapping[str, object] | None = None,
-                              bound: int = 10 ** 6) -> Iterator[Transcript]:
-    """Plays obtainable by any strategy of ``agent`` from ``state`` onward.
-
-    Opponents default to truth-telling; pass policies (plans, callables, or
-    FREE) to range over their behavior as well.
-    """
-    policies = dict(opponents or {})
-    policies[agent] = FREE
-    budget = PlayBudget(bound)
-    for terminal in iter_completions(scenario, state, policies, budget):
-        yield transcript(terminal)

@@ -53,6 +53,8 @@ class OutcomeModel:
         if self.tie_break and sorted(self.tie_break) != sorted(self.outcomes):
             out.append("tie_break is not a total order over the declared outcomes")
         lattice = self.structure.lattice
+        out.extend(f"available({level}) names an undeclared level"
+                   for level in self.available if level not in lattice)
         for level in lattice.elements:
             xs = self.available.get(level, ())
             if not xs:

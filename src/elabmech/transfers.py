@@ -22,10 +22,10 @@ nothing.
 
 A settlement therefore reads only its payoff summary: the final profile,
 the final pooled level and the premium recipient.  :func:`transfer_report`
-finds that summary once per transcript, and :class:`PremiumTable` is the one
-memo, of premia and of settlements keyed on the summary, so the many
-transcripts that share a summary are settled once; the reports it hands out
-are shared and read-only.  :class:`Mechanism` keeps no cache of its own.
+finds that summary once per transcript, and :class:`Mechanism` is the one
+settlement object: it holds the memo of premia and of settlements keyed on
+the summary, so the many transcripts that share a summary are settled once;
+the reports it hands out are shared and read-only.
 """
 from __future__ import annotations
 
@@ -99,38 +99,22 @@ def sellers(scenario: Scenario, scheme: SchemeConfig) -> tuple[str, ...]:
     return tuple(a for a in scenario.structure.agents if a != scheme.buyer)
 
 
-def seller_cost(scenario: Scenario, scheme: SchemeConfig, agent: str, t: str) -> Fraction:
-    return -scenario.outcomes.value(agent, t, scheme.supplies[agent])
-
-
-def seller_costs(scenario: Scenario, scheme: SchemeConfig,
-                 profile: tuple[str, ...]) -> dict[str, Fraction]:
-    agents = scenario.structure.agents
-    return {a: seller_cost(scenario, scheme, a, t)
-            for a, t in zip(agents, profile) if a != scheme.buyer}
-
-
-def second_lowest_cost(scenario: Scenario, scheme: SchemeConfig,
-                       profile: tuple[str, ...]) -> Fraction:
-    costs = sorted(seller_costs(scenario, scheme, profile).values())
-    if len(costs) < 2:
-        raise FewerThanTwoSellers(f"{len(costs)} sellers")
-    return costs[1]
-
-
-def rspa_outcome(scenario: Scenario, scheme: SchemeConfig, profile: tuple[str, ...]) -> str:
-    """Lowest-cost seller supplies; cost ties resolved by the outcome tie-break order."""
-    costs = seller_costs(scenario, scheme, profile)
-    if len(costs) < 2:
-        raise FewerThanTwoSellers(f"{len(costs)} sellers")
-    rank = scenario.outcomes._rank
-    best = min(costs, key=lambda a: (costs[a], rank[scheme.supplies[a]]))
-    return scheme.supplies[best]
+def rspa_auction(scenario: Scenario, scheme: SchemeConfig,
+                 profile: tuple[str, ...]) -> tuple[str, Fraction]:
+    """(supply outcome, price) of the reverse second price auction: the
+    lowest-cost seller supplies, cost ties resolved by the outcome tie-break
+    order, and is paid the second-lowest cost."""
+    value, rank, supplies = scenario.outcomes.value, scenario.outcomes._rank, scheme.supplies
+    bids = sorted((-value(a, t, supplies[a]), rank[supplies[a]], supplies[a])
+                  for a, t in zip(scenario.structure.agents, profile) if a != scheme.buyer)
+    if len(bids) < 2:
+        raise FewerThanTwoSellers(f"{len(bids)} sellers")
+    return bids[0][2], bids[1][0]
 
 
 def scheme_outcome(scenario: Scenario, scheme: SchemeConfig, profile: tuple[str, ...]) -> str:
     if scheme.kind == RSPA:
-        return rspa_outcome(scenario, scheme, profile)
+        return rspa_auction(scenario, scheme, profile)[0]
     return scenario.outcomes.efficient_outcome(profile)
 
 
@@ -178,28 +162,37 @@ def first_pooled_reporter(scenario: Scenario, transcript: Transcript) -> str | N
     return recipient
 
 
-class PremiumTable:
-    """The one memo of a (scenario, scheme) pair: its premia and settlements.
+class Mechanism:
+    """A scheme bound to a scenario, and the mutable memo of that pair: its
+    premia and its settlements.
 
-    ``premium`` fills m_i(level) per (agent, level) asked; ``transfer_report``
-    fills one settlement per payoff summary (final profile, final pooled
-    level, premium recipient), which is everything a settlement reads.
-    Entries are exact and never change once written, and the reports handed
-    out are shared between transcripts, so callers must treat them as
-    read-only.
+    ``premium`` fills m_i(level) per (agent, level) asked;
+    :func:`transfer_report`, and so ``report`` and ``utility``, fills one
+    settlement per payoff summary (final profile, final pooled level,
+    premium recipient), which is everything a settlement reads.  Entries are
+    exact and never change once written, and the reports handed out are
+    shared between transcripts, so callers must treat them as read-only.
     """
 
     def __init__(self, scenario: Scenario, scheme: SchemeConfig):
         self.scenario = scenario
         self.scheme = scheme
-        self._memo: dict[tuple[str, str], Fraction] = {}
+        self._premia: dict[tuple[str, str], Fraction] = {}
         self._settlements: dict[tuple, TransferReport] = {}
 
     def premium(self, agent: str, level: str) -> Fraction:
         key = (agent, level)
-        if key not in self._memo:
-            self._memo[key] = self._compute(agent, level)
-        return self._memo[key]
+        if key not in self._premia:
+            self._premia[key] = self._compute(agent, level)
+        return self._premia[key]
+
+    def report(self, transcript: Transcript) -> TransferReport:
+        return transfer_report(self, transcript)
+
+    def utility(self, transcript: Transcript, agent: str, eval_type: str) -> Fraction:
+        """Quasilinear payoff of the play, valued at ``eval_type``."""
+        rep = self.report(transcript)
+        return self.scenario.outcomes.value(agent, eval_type, rep.outcome) + rep.transfers[agent]
 
     def _compute(self, agent: str, level: str) -> Fraction:
         lattice = self.scenario.lattice
@@ -240,12 +233,13 @@ class PremiumTable:
         return best
 
     def _win_margin(self, agent: str, profile: tuple[str, ...]) -> Fraction:
-        scenario, scheme = self.scenario, self.scheme
-        if rspa_outcome(scenario, scheme, profile) != scheme.supplies[agent]:
+        """Price less cost when ``agent`` wins the auction at ``profile``, else 0."""
+        scenario, supply = self.scenario, self.scheme.supplies[agent]
+        outcome, price = rspa_auction(scenario, self.scheme, profile)
+        if outcome != supply:
             return Fraction(0)
-        i = scenario.structure.agent_index(agent)
-        return (second_lowest_cost(scenario, scheme, profile)
-                - seller_cost(scenario, scheme, agent, profile[i]))
+        own = profile[scenario.structure.agent_index(agent)]
+        return price + scenario.outcomes.value(agent, own, supply)
 
     def _rspa_premium(self, agent: str, level: str) -> Fraction:
         scenario = self.scenario
@@ -270,17 +264,17 @@ class PremiumTable:
         return best
 
 
-def awareness_adjustments(premiums: PremiumTable, level: str,
+def awareness_adjustments(mechanism: Mechanism, level: str,
                           recipient: str | None) -> dict[str, Fraction]:
     """Per-agent adjustment terms when ``recipient`` first reported the
     final pooled ``level``."""
-    scheme = premiums.scheme
-    agents = premiums.scenario.structure.agents
+    scheme = mechanism.scheme
+    agents = mechanism.scenario.structure.agents
     out = {a: Fraction(0) for a in agents}
     if (scheme.kind == STATIC_VICKREY or recipient is None or len(agents) == 1
             or (scheme.kind == RSPA and recipient == scheme.buyer)):
         return out
-    m = out[recipient] = premiums.premium(recipient, level)
+    m = out[recipient] = mechanism.premium(recipient, level)
     if scheme.kind in (GROVES, CLARKE):
         share = -m / (len(agents) - 1)
         for a in agents:
@@ -289,36 +283,30 @@ def awareness_adjustments(premiums: PremiumTable, level: str,
     return out
 
 
-def transfer_report(premiums: PremiumTable, transcript: Transcript) -> TransferReport:
-    """The settlement of a stopped transcript under the scenario and scheme of
-    ``premiums``, memoized there on its payoff summary (final profile, final
-    pooled level, premium recipient; the recipient is None under
-    ``static_vickrey``)."""
+def transfer_report(mechanism: Mechanism, transcript: Transcript) -> TransferReport:
+    """The settlement of a stopped transcript under ``mechanism``, memoized
+    there on its payoff summary (final profile, final pooled level, premium
+    recipient; the recipient is None under ``static_vickrey``)."""
     if not transcript.stopped:
         raise TranscriptNotStopped()
-    recipient = (None if premiums.scheme.kind == STATIC_VICKREY
-                 else first_pooled_reporter(premiums.scenario, transcript))
+    recipient = (None if mechanism.scheme.kind == STATIC_VICKREY
+                 else first_pooled_reporter(mechanism.scenario, transcript))
     key = (transcript.final, transcript.final_pooled, recipient)
-    report = premiums._settlements.get(key)
+    report = mechanism._settlements.get(key)
     if report is None:
-        report = premiums._settlements[key] = _settle(premiums, *key)
+        report = mechanism._settlements[key] = _settle(mechanism, *key)
     return report
 
 
-def _settle(premiums: PremiumTable, final: tuple[str, ...], level: str,
+def _settle(mechanism: Mechanism, final: tuple[str, ...], level: str,
             recipient: str | None) -> TransferReport:
-    scenario, scheme = premiums.scenario, premiums.scheme
+    scenario, scheme = mechanism.scenario, mechanism.scheme
     agents = scenario.structure.agents
-    adjustments = awareness_adjustments(premiums, level, recipient)
+    adjustments = awareness_adjustments(mechanism, level, recipient)
     if scheme.kind == RSPA:
-        outcome = rspa_outcome(scenario, scheme, final)
-        price = second_lowest_cost(scenario, scheme, final)
-        transfers = {}
-        for a in agents:
-            if a == scheme.buyer:
-                continue
-            won = scheme.supplies[a] == outcome
-            transfers[a] = (price if won else Fraction(0)) + adjustments[a]
+        outcome, price = rspa_auction(scenario, scheme, final)
+        transfers = {a: (price if scheme.supplies[a] == outcome else Fraction(0)) + adjustments[a]
+                     for a in agents if a != scheme.buyer}
         transfers[scheme.buyer] = -price - sum(adjustments.values())
     else:
         outcome = scenario.outcomes.efficient_outcome(final)
@@ -331,21 +319,5 @@ def _settle(premiums: PremiumTable, final: tuple[str, ...], level: str,
     return TransferReport(outcome, transfers, adjustments, recipient, balance)
 
 
-class Mechanism:
-    """A scheme bound to a scenario and its :class:`PremiumTable`, the one
-    memo every report goes through.  Reports are shared, so callers must
-    treat them as read-only.
-    """
-
-    def __init__(self, scenario: Scenario, scheme: SchemeConfig):
-        self.scenario = scenario
-        self.scheme = scheme
-        self.premiums = PremiumTable(scenario, scheme)
-
-    def report(self, transcript: Transcript) -> TransferReport:
-        return transfer_report(self.premiums, transcript)
-
-    def utility(self, transcript: Transcript, agent: str, eval_type: str) -> Fraction:
-        """Quasilinear payoff of the play, valued at ``eval_type``."""
-        rep = self.report(transcript)
-        return self.scenario.outcomes.value(agent, eval_type, rep.outcome) + rep.transfers[agent]
+# The name bench/tracer.py resolves to reach ``Mechanism.premium``.
+PremiumTable = Mechanism

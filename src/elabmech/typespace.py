@@ -3,8 +3,8 @@
 A type lives at exactly one awareness level of its agent.  Projections
 strip a type down to any weakly lower level; they are supplied along
 covering edges of the lattice and composed into the full table, with
-every alternative composition path cross-checked.  Up-sets collect all
-elaborations of a type at weakly higher levels.
+every alternative composition path cross-checked.  Preimages collect the
+elaborations of a type at one weakly higher level.
 """
 from __future__ import annotations
 
@@ -84,15 +84,6 @@ class TypeStructure:
             raise LevelNotBelow(f"{level} is not above {own}")
         return self._preimage[(agent, t, level)]
 
-    def upset(self, agent: str, t: str) -> frozenset[str]:
-        """All elaborations of ``t`` at weakly higher levels, including ``t``."""
-        own = self.level_of(agent, t)
-        out = set()
-        for hi in self.lattice.elements:
-            if self.lattice.leq(own, hi):
-                out.update(self._preimage[(agent, t, hi)])
-        return frozenset(out)
-
     def pooled_level(self, profile: tuple[str, ...]) -> str:
         """Join of the per-agent levels of a full type profile."""
         return self.lattice.join_all(
@@ -105,12 +96,6 @@ class TypeStructure:
     def opponent_profiles(self, agent: str, level: str) -> Iterator[tuple[str, ...]]:
         """All type profiles of ``agent``'s opponents at ``level``, in agent order."""
         return product(*(self.spaces[(a, level)] for a in self.agents if a != agent))
-
-    def perceived_type(self, agent: str, draw: NatureDraw, level: str) -> tuple[str, str]:
-        """Type and effective awareness of ``agent`` within the ``level``-partial game."""
-        i = self.agents.index(agent)
-        effective = self.lattice.meet(draw.awareness[i], level)
-        return self.project(agent, draw.true_types[i], effective), effective
 
     def agent_index(self, agent: str) -> int:
         return self.agents.index(agent)
@@ -142,6 +127,9 @@ def build_structure(lattice: Lattice, agents: Iterable[str],
     violations: list[str] = []
     if not agents:
         violations.append("no agents declared")
+    for agent, level in spaces:
+        if agent not in agents or level not in lattice:
+            violations.append(f"space ({agent}, {level}) references undeclared names")
     norm: dict[tuple[str, str], tuple[str, ...]] = {}
     seen: dict[str, str] = {}
     for agent in agents:

@@ -38,8 +38,8 @@ from typing import Iterator
 from . import engine
 from .engine import FREE, PlayBudget
 from .scenario import Scenario
-from .transfers import (RSPA, STATIC_VICKREY, Mechanism, PremiumTable, SchemeConfig,
-                        opponent_profile, scheme_outcome, sellers, transfer_report)
+from .transfers import (RSPA, STATIC_VICKREY, Mechanism, SchemeConfig, opponent_profile,
+                        scheme_outcome, sellers, transfer_report)
 from .typespace import NatureDraw
 
 
@@ -169,7 +169,7 @@ def check_budget(scenario: Scenario, scheme: SchemeConfig, mode: str = "balance"
     """
     if mode not in ("balance", "no_deficit"):
         raise ValueError(mode)
-    premiums = PremiumTable(scenario, scheme)
+    mech = Mechanism(scenario, scheme)
     structure = scenario.structure
     top = scenario.lattice.top
     true_profile = next(structure.profiles(top))
@@ -182,7 +182,7 @@ def check_budget(scenario: Scenario, scheme: SchemeConfig, mode: str = "balance"
     for terminal in engine.iter_completions(scenario, state, policies, budget):
         checked += 1
         transcript = engine.transcript(terminal)
-        report = transfer_report(premiums, transcript)
+        report = transfer_report(mech, transcript)
         total = -report.operator_balance
         bad = total != 0 if mode == "balance" else total > 0
         if bad:

@@ -10,8 +10,8 @@ import pytest
 from elabmech import transfers
 
 
-def _no_adjustments(premiums, level, recipient):
-    return {a: Fraction(0) for a in premiums.scenario.structure.agents}
+def _no_adjustments(mechanism, level, recipient):
+    return {a: Fraction(0) for a in mechanism.scenario.structure.agents}
 
 
 @pytest.fixture

@@ -85,7 +85,7 @@ def test_criterion_02a_example2_reproduction():
         ("static mode fails pooled implementation", not static_pooled.holds),
         ("dynamic pivot scheme allocates to bidder 2", r_dyn.outcome == "win2"),
         ("premium of the first discloser is exactly 1",
-         mech.premiums.premium("a1", "hi") == 1),
+         mech.premium("a1", "hi") == 1),
         ("bidder 1 nets exactly +1", r_dyn.transfers["a1"] == 1),
         ("runtime < 1 s", elapsed < 1.0),
     ])

@@ -155,11 +155,17 @@ MENU_CORPUS = ([(2026, k, False) for k in (1, 2, 5, 6, 7, 9, 17, 24, 30, 38)]
                + [(2026, k, True) for k in (5, 8, 10, 13, 15, 17, 20, 25, 37, 38)])
 
 
+WALK_CASES = ["example2", "example4r"] + MENU_CORPUS
+
+
+def walk_scenario(case):
+    return fixture(case) if isinstance(case, str) else generate_scenario(*case)
+
+
 def walk_corpus():
     """The fixtures and generated scenarios whose free play trees are walked
     in full: ``example2``, ``example4r`` and ``MENU_CORPUS``."""
-    return ([fixture("example2"), fixture("example4r")]
-            + [generate_scenario(*args) for args in MENU_CORPUS])
+    return [walk_scenario(case) for case in WALK_CASES]
 
 
 def reached_states(s):
@@ -293,10 +299,21 @@ def test_scripted_strategy_via_run():
     assert t.stages == (("a1lo2", "a2lo"), ("a1lo2", "a2lo"))
 
 
+def enumerate_deviation_plays(scenario, state, agent, opponents=None, bound=10 ** 6):
+    """Transcripts of the plays obtainable by any strategy of ``agent`` from
+    ``state`` onward.  Opponents default to truth-telling; pass policies
+    (plans, callables, or FREE) to range over their behavior as well."""
+    policies = dict(opponents or {})
+    policies[agent] = engine.FREE
+    budget = engine.PlayBudget(bound)
+    for terminal in engine.iter_completions(scenario, state, policies, budget):
+        yield engine.transcript(terminal)
+
+
 def test_enumerate_deviation_plays_includes_concealment():
     s = fixture("example2")
     state = stage1(s)
-    plays = list(engine.enumerate_deviation_plays(s, state, "a1"))
+    plays = list(enumerate_deviation_plays(s, state, "a1"))
     finals = {t.stages[0][0] for t in plays}
     assert {"a1hi2", "a1lo2", "a1lo1", "a1hi1"} <= finals
     assert len(plays) >= 2
@@ -306,7 +323,7 @@ def test_enumerate_deviation_plays_single_continuation_when_spaces_are_singleton
     one = parse_scenario(ONE_LEVEL.replace("space: a1 l0 p q", "space: a1 l0 p")
                          .replace("value: a1 q x 2\n", ""))
     state = stage1(one)
-    plays = list(engine.enumerate_deviation_plays(one, state, "a1"))
+    plays = list(enumerate_deviation_plays(one, state, "a1"))
     assert len(plays) == 1
 
 
@@ -325,7 +342,7 @@ def test_deviation_play_count_matches_recursive_oracle():
             total += count(engine.advance(s, state, (report,) + others))
         return total
 
-    plays = list(engine.enumerate_deviation_plays(s, state, "a1"))
+    plays = list(enumerate_deviation_plays(s, state, "a1"))
     assert len(plays) == count(state)
 
 
@@ -333,7 +350,7 @@ def test_strategy_space_bound_trips():
     s = fixture("example1")
     state = stage1(s)
     with pytest.raises(engine.StrategySpaceTooLarge):
-        list(engine.enumerate_deviation_plays(
+        list(enumerate_deviation_plays(
             s, state, "s1", {a: engine.FREE for a in s.agents if a != "s1"}, bound=3))
 
 
@@ -356,3 +373,115 @@ def test_plan_policy_caps_to_awareness_when_the_pool_stays_low():
     state = engine.advance(s, state, ("a1lo2", "a2lo"))  # a1 conceals
     # with nothing pooled beyond lo, the plan says only its lo projection
     assert plan(s, state, "a2") == "a2lo"
+
+
+def reference_iter_paths(scenario, state, policies, budget=None):
+    """The explicit-stack walk that the recursion replaced, kept as the
+    oracle: depth first, report profiles in ``product`` order, each terminal
+    charged before its play is yielded."""
+    path = [state]
+    untried = []  # report profiles still to play at each running state of ``path``
+    while True:
+        if state.stopped:
+            if budget is not None:
+                budget.charge()
+            yield tuple(path)
+            path.pop()
+        else:
+            untried.append(engine.report_profiles(scenario, state, policies))
+        while untried:
+            reports = next(untried[-1], None)
+            if reports is not None:
+                state = engine.advance(scenario, path[-1], reports)
+                path.append(state)
+                break
+            untried.pop()
+            path.pop()
+        else:
+            return
+
+
+def walk_until_raise(walk, scenario, state, policies, bound=10 ** 6):
+    """(plays yielded, plays charged, exception type or None) of one walk."""
+    budget = engine.PlayBudget(bound)
+    plays = []
+    try:
+        plays.extend(walk(scenario, state, policies, budget))
+    except (engine.StrategySpaceTooLarge, AssertionError) as err:
+        return plays, budget.used, type(err)
+    return plays, budget.used, None
+
+
+def walk_cases(s):
+    """(start state, policies) pairs from every partial draw at every level:
+    every agent FREE, every agent truthful, and the first agent FREE against
+    the others' plans read off the truthful play."""
+    free = {a: engine.FREE for a in s.agents}
+    for level in s.lattice.elements:
+        for profile, awareness in verify._partial_draws(s, level):
+            start = engine.initial_state(s, level, profile, awareness)
+            truth = engine.truthful_path(s, start)[-1].history
+            plans = {a: engine.plan_policy(a, tuple(stage[k] for stage in truth), s)
+                     for k, a in enumerate(s.agents) if k}
+            for policies in (free, {}, {**plans, s.agents[0]: engine.FREE}):
+                yield start, policies
+
+
+@pytest.mark.parametrize("case", WALK_CASES, ids=str)
+def test_recursive_walk_matches_the_explicit_stack_walk(case, monkeypatch):
+    s = walk_scenario(case)
+    cases = list(walk_cases(s))
+    for start, policies in cases:
+        plays, used, raised = walk_until_raise(engine.iter_paths, s, start, policies)
+        assert raised is None and used == len(plays)
+        assert (plays, used, raised) == walk_until_raise(reference_iter_paths, s, start,
+                                                         policies), (s.name, start)
+        if len(plays) > 1:
+            short = walk_until_raise(engine.iter_paths, s, start, policies, len(plays) - 1)
+            assert short == (plays[:-1], len(plays), engine.StrategySpaceTooLarge)
+            assert short == walk_until_raise(reference_iter_paths, s, start, policies,
+                                             len(plays) - 1)
+    full_cap = engine.max_stages
+    monkeypatch.setattr(engine, "max_stages", lambda scenario: full_cap(scenario) - 1)
+    capped = 0
+    for start, policies in cases:
+        walked = walk_until_raise(engine.iter_paths, s, start, policies)
+        assert walked == walk_until_raise(reference_iter_paths, s, start, policies)
+        capped += walked[2] is AssertionError
+    if s.name == "example2":
+        assert capped
+
+
+def uncapped_plan_policy(agent, reports_by_stage, scenario):
+    """``engine.plan_policy`` with the awareness cap dropped: the replay
+    says as much of its final report as its schedule asks, aware or not."""
+    structure, lattice = scenario.structure, scenario.lattice
+    idx = structure.agent_index(agent)
+    schedule = tuple(structure.level_of(agent, r) for r in reports_by_stage)
+
+    def policy(scenario_, state, owner):
+        level = schedule[min(state.stage, len(schedule)) - 1]
+        if state.history:
+            level = lattice.join(level, lattice.join(
+                structure.level_of(agent, state.history[-1][idx]), state.pooled[-1]))
+        return structure.project(agent, reports_by_stage[-1], level)
+
+    return policy
+
+
+def test_mutant_plan_replay_without_awareness_cap_is_killed_by_an_infeasible_report(
+        monkeypatch):
+    s = generate_scenario(901, 0)
+    assert verify.check_conditional_dominance(s, s.scheme).holds
+    monkeypatch.setattr(engine, "plan_policy", uncapped_plan_policy)
+    with pytest.raises(engine.InfeasibleReport):
+        verify.check_conditional_dominance(s, s.scheme)
+
+
+def test_mutant_stage_cap_one_short_is_killed_by_the_cap_assertion(monkeypatch):
+    s = fixture("example2")
+    assert verify.check_conditional_dominance(s, s.scheme).holds
+    full_cap = engine.max_stages
+    monkeypatch.setattr(engine, "max_stages", lambda scenario: full_cap(scenario) - 1)
+    with pytest.raises(AssertionError, match="stage cap"):
+        verify.check_conditional_dominance(s, s.scheme)

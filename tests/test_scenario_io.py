@@ -209,6 +209,20 @@ def test_draw_naming_an_undeclared_agent_is_a_violation():
     assert err.value.violations == ["draw main: undeclared agent a9"]
 
 
+@pytest.mark.parametrize("section, line, violation", [
+    ("types", "space: a2 mid a2m", "types: space (a2, mid) references undeclared names"),
+    ("types", "space: a3 hi zz", "types: space (a3, hi) references undeclared names"),
+    ("outcomes", "available: mid win1", "outcomes: available(mid) names an undeclared level"),
+    ("projections", "map: a3 hi lo zz1 zz0",
+     "types: projection (a3, hi -> lo) references undeclared names"),
+])
+def test_record_naming_an_undeclared_agent_or_level_is_a_violation(section, line, violation):
+    text = FIXTURES["example2"] + f"\n[{section}]\n{line}\n"
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(text)
+    assert err.value.violations == [violation]
+
+
 @pytest.mark.parametrize("old, new", [("types a1=a1hi2", "types a1=a1hi2 a1=a1lo2"),
                                       ("levels a1=hi", "levels a1=hi a1=lo")])
 def test_draw_naming_an_agent_twice_is_a_parse_error(old, new):

@@ -14,10 +14,9 @@ from elabmech import engine, transfers, verify
 from elabmech.fixtures import fixture
 from elabmech.generate import CHAIN2, CHAIN3, DIAMOND, generate_scenario
 from elabmech.scenario import parse_scenario
-from elabmech.transfers import (FewerThanTwoSellers, Mechanism, MissingYEntry,
-                                PremiumTable, SchemeConfig, TranscriptNotStopped,
-                                awareness_adjustments, clarke_y, first_pooled_reporter,
-                                rspa_outcome, second_lowest_cost, transfer_report)
+from elabmech.transfers import (FewerThanTwoSellers, Mechanism, MissingYEntry, SchemeConfig,
+                                TranscriptNotStopped, awareness_adjustments, clarke_y,
+                                first_pooled_reporter, rspa_auction, transfer_report)
 
 PROCUREMENT = """
 [lattice]
@@ -128,17 +127,17 @@ def test_first_pooled_reporter_ties_and_misses():
 
 def test_premium_example2_value():
     s = fixture("example2")
-    premiums = PremiumTable(s, s.scheme)
-    assert premiums.premium("a1", "hi") == 1
-    assert premiums.premium("a2", "hi") == 0
+    mech = Mechanism(s, s.scheme)
+    assert mech.premium("a1", "hi") == 1
+    assert mech.premium("a2", "hi") == 0
 
 
 def test_premium_zero_at_bottom_for_every_agent_and_scheme():
     for name in ("example1", "example2", "example4r"):
         s = fixture(name)
-        premiums = PremiumTable(s, s.scheme)
+        mech = Mechanism(s, s.scheme)
         for agent in s.agents:
-            assert premiums.premium(agent, s.lattice.bottom) == 0
+            assert mech.premium(agent, s.lattice.bottom) == 0
 
 
 def brute_force_premium(scenario, scheme, agent, level):
@@ -167,10 +166,10 @@ def brute_force_premium(scenario, scheme, agent, level):
 def test_premium_matches_unmemoized_brute_force_on_generated_scenarios():
     for k in range(6):
         s = generate_scenario(31, k)
-        premiums = PremiumTable(s, s.scheme)
+        mech = Mechanism(s, s.scheme)
         for agent in s.agents:
             for level in s.lattice.elements:
-                assert premiums.premium(agent, level) == \
+                assert mech.premium(agent, level) == \
                     brute_force_premium(s, s.scheme, agent, level)
 
 
@@ -178,7 +177,7 @@ def test_adjustments_example2():
     s, t = run_fixture("example2")
     recipient = first_pooled_reporter(s, t)
     assert recipient == "a1"
-    adjustments = awareness_adjustments(PremiumTable(s, s.scheme), t.final_pooled, recipient)
+    adjustments = awareness_adjustments(Mechanism(s, s.scheme), t.final_pooled, recipient)
     assert adjustments == {"a1": Fraction(1), "a2": Fraction(-1)}
 
 
@@ -186,17 +185,17 @@ def test_adjustments_zero_when_nobody_is_first():
     s, t = run_fixture("example1")
     recipient = first_pooled_reporter(s, t)
     assert recipient is None
-    adjustments = awareness_adjustments(PremiumTable(s, s.scheme), t.final_pooled, recipient)
+    adjustments = awareness_adjustments(Mechanism(s, s.scheme), t.final_pooled, recipient)
     assert all(v == 0 for v in adjustments.values())
 
 
 def test_adjustments_sum_to_zero_on_every_feasible_transcript():
     for name in ("example2", "example4r"):
         s = fixture(name)
-        premiums = PremiumTable(s, s.scheme)
+        mech = Mechanism(s, s.scheme)
         transcripts = _stopped_transcripts(s, 3000)
         for t in transcripts:
-            adjustments = awareness_adjustments(premiums, t.final_pooled,
+            adjustments = awareness_adjustments(mech, t.final_pooled,
                                                 first_pooled_reporter(s, t))
             assert sum(adjustments.values()) == 0
         assert transcripts
@@ -204,7 +203,7 @@ def test_adjustments_sum_to_zero_on_every_feasible_transcript():
 
 def test_clarke_transfers_example1():
     s, t = run_fixture("example1")
-    report = transfer_report(PremiumTable(s, s.scheme), t)
+    report = transfer_report(Mechanism(s, s.scheme), t)
     assert report.outcome == "produce1"
     assert report.transfers == {"s1": Fraction(0), "s2": Fraction(0),
                                 "buyer": Fraction(-80)}
@@ -216,7 +215,7 @@ def test_clarke_transfers_example2():
     # discloser's reward: pivot parts are (0, -2), the premium is +1 to a1 and
     # -1 to a2
     s, t = run_fixture("example2")
-    report = transfer_report(PremiumTable(s, s.scheme), t)
+    report = transfer_report(Mechanism(s, s.scheme), t)
     assert report.outcome == "win2"
     assert report.transfers == {"a1": Fraction(1), "a2": Fraction(-3)}
     assert report.adjustments == {"a1": Fraction(1), "a2": Fraction(-1)}
@@ -227,13 +226,13 @@ def test_operator_funded_premium_gives_published_pair_and_a_deficit(monkeypatch)
     # Plant the rejected reading: the operator pays the premium and nobody
     # funds a share.  It yields the published (-2, 1) on example2 but makes
     # the example1 pivot scheme run a deficit.
-    def operator_funded(premiums, level, recipient):
-        adjustments = awareness_adjustments(premiums, level, recipient)
+    def operator_funded(mechanism, level, recipient):
+        adjustments = awareness_adjustments(mechanism, level, recipient)
         return {a: v if a == recipient else Fraction(0) for a, v in adjustments.items()}
 
     monkeypatch.setattr(transfers, "awareness_adjustments", operator_funded)
     s, t = run_fixture("example2")
-    report = transfer_report(PremiumTable(s, s.scheme), t)
+    report = transfer_report(Mechanism(s, s.scheme), t)
     assert report.outcome == "win2"
     assert report.transfers == {"a1": Fraction(1), "a2": Fraction(-2)}
     assert report.operator_balance == 1
@@ -262,7 +261,7 @@ kind: groves
 y: only l0 0
 """)
     t = engine.Transcript(stages=(("t",), ("t",)), pooled=("l0", "l0"), stopped=True)
-    report = transfer_report(PremiumTable(solo, solo.scheme), t)
+    report = transfer_report(Mechanism(solo, solo.scheme), t)
     assert report.transfers == {"only": Fraction(0)}
     assert report.outcome == "x"
 
@@ -295,10 +294,10 @@ kind: clarke
 [nature]
 draw: main types only=f levels only=hi
 """)
-    premiums = PremiumTable(solo, solo.scheme)
-    assert premiums.premium("only", "hi") == 4
+    mech = Mechanism(solo, solo.scheme)
+    assert mech.premium("only", "hi") == 4
     t = engine.run(solo, solo.draw(), "hi")
-    report = transfer_report(PremiumTable(solo, solo.scheme), t)
+    report = transfer_report(Mechanism(solo, solo.scheme), t)
     assert report.premium_recipient == "only"
     assert report.adjustments == {"only": Fraction(0)}
     assert report.transfers == {"only": Fraction(0)}
@@ -327,7 +326,7 @@ def test_static_vickrey_example2():
     s = fixture("example2")
     static = dataclasses.replace(s.scheme, kind="static_vickrey")
     t = engine.run_single_stage(s, s.draw(), "hi")
-    report = transfer_report(PremiumTable(s, static), t)
+    report = transfer_report(Mechanism(s, static), t)
     assert report.outcome == "win1"
     assert report.transfers == {"a1": Fraction(-1), "a2": Fraction(0)}
     assert report.premium_recipient is None
@@ -337,14 +336,13 @@ def test_missing_y_entry():
     s, t = run_fixture("example2")
     groves = SchemeConfig(kind="groves", y_tables={})
     with pytest.raises(MissingYEntry):
-        transfer_report(PremiumTable(s, groves), t)
+        transfer_report(Mechanism(s, groves), t)
 
 
 def test_rspa_second_lowest_cost_and_winner():
     s = parse_scenario(PROCUREMENT)
     final = ("s1hi", "s2hi", "bhi")
-    assert second_lowest_cost(s, s.scheme, final) == 86
-    assert rspa_outcome(s, s.scheme, final) == "supply_s1"
+    assert rspa_auction(s, s.scheme, final) == ("supply_s1", 86)
 
 
 def test_rspa_transfers_pay_second_price_with_premium_funded_by_buyer():
@@ -352,7 +350,7 @@ def test_rspa_transfers_pay_second_price_with_premium_funded_by_buyer():
     t = engine.run(s, s.draw(), "hi")
     # seller 2 alone was aware of hi, so she reveals it first and collects
     # the premium even though seller 1 wins the project
-    report = transfer_report(PremiumTable(s, s.scheme), t)
+    report = transfer_report(Mechanism(s, s.scheme), t)
     assert report.outcome == "supply_s1"
     assert report.premium_recipient == "s2"
     assert report.transfers["s1"] == 86
@@ -367,8 +365,7 @@ def test_rspa_cost_tie_resolved_by_tie_break():
                                "value: s2 s2hi supply_s2 -80")
     s = parse_scenario(text)
     final = ("s1hi", "s2hi", "bhi")
-    assert rspa_outcome(s, s.scheme, final) == "supply_s1"
-    assert second_lowest_cost(s, s.scheme, final) == 80
+    assert rspa_auction(s, s.scheme, final) == ("supply_s1", 80)
 
 
 def test_rspa_budget_balances_on_every_feasible_transcript():
@@ -388,7 +385,7 @@ def test_rspa_budget_balances_on_every_feasible_transcript():
 def test_rspa_needs_two_sellers():
     s = parse_scenario(PROCUREMENT)
     with pytest.raises(FewerThanTwoSellers):
-        second_lowest_cost(s, s.scheme, ("s1hi",))
+        rspa_auction(s, s.scheme, ("s1hi",))
 
 
 COMPETITIVE = """
@@ -444,11 +441,11 @@ def test_rspa_premium_simplified_cross_check_accepts_competitive_costs():
     import dataclasses
     s = parse_scenario(COMPETITIVE)
     flagged = dataclasses.replace(s.scheme, simplified_premium_ok=True)
-    premiums = PremiumTable(s, flagged)
+    mech = Mechanism(s, flagged)
     for seller in ("s1", "s2"):
-        assert premiums.premium(seller, "hi") == \
-            PremiumTable(s, s.scheme).premium(seller, "hi")
-    assert premiums.premium("s1", "hi") == 10
+        assert mech.premium(seller, "hi") == \
+            Mechanism(s, s.scheme).premium(seller, "hi")
+    assert mech.premium("s1", "hi") == 10
 
 
 def test_rspa_premium_simplified_cross_check_rejects_when_assumption_fails():
@@ -460,21 +457,21 @@ def test_rspa_premium_simplified_cross_check_rejects_when_assumption_fails():
                                "value: s1 s1hi supply_s1 -1")
     s = parse_scenario(text)
     flagged = dataclasses.replace(s.scheme, simplified_premium_ok=True)
-    premiums = PremiumTable(s, flagged)
+    mech = Mechanism(s, flagged)
     with pytest.raises(ValueError):
-        premiums.premium("s1", "hi")
+        mech.premium("s1", "hi")
 
 
 def test_transcript_not_stopped_rejected():
     s = fixture("example2")
     t = engine.Transcript((("a1hi2", "a2lo"),), ("hi",), False)
     with pytest.raises(TranscriptNotStopped):
-        transfer_report(PremiumTable(s, s.scheme), t)
+        transfer_report(Mechanism(s, s.scheme), t)
 
 
 def test_report_jsonable_renders_exact_and_decimal():
     s, t = run_fixture("example1")
-    payload = transfer_report(PremiumTable(s, s.scheme), t).jsonable()
+    payload = transfer_report(Mechanism(s, s.scheme), t).jsonable()
     assert payload["transfers"]["buyer"] == {"exact": "-80", "decimal": -80.0}
     assert payload["operator_balance"]["exact"] == "80"
 
@@ -500,11 +497,11 @@ def test_memoized_settlement_matches_a_fresh_report(name, variant, ablate_premiu
     scheme = SchemeConfig(kind="static_vickrey") if variant == "static" else s.scheme
     if variant == "ablated":
         ablate_premium()
-    shared = PremiumTable(s, scheme)
+    shared = Mechanism(s, scheme)
     transcripts = _stopped_transcripts(s)
     for transcript in transcripts:
         assert (transfer_report(shared, transcript)
-                == transfer_report(PremiumTable(s, scheme), transcript)), (name, transcript)
+                == transfer_report(Mechanism(s, scheme), transcript)), (name, transcript)
     assert len(transcripts) > len(shared._settlements) > 0
 
 

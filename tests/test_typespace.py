@@ -93,12 +93,28 @@ def test_duplicate_type_across_levels_rejected():
     assert any("declared at both" in v for v in err.value.violations)
 
 
+def upset(structure, agent, t):
+    """All elaborations of ``t`` at weakly higher levels, including ``t``:
+    the union of its preimages at every level above its own."""
+    lattice = structure.lattice
+    own = structure.level_of(agent, t)
+    return frozenset(e for hi in lattice.elements if lattice.leq(own, hi)
+                     for e in structure.preimage(agent, t, hi))
+
+
+def perceived_type(structure, agent, draw, level):
+    """Type and effective awareness of ``agent`` within the ``level``-partial game."""
+    i = structure.agent_index(agent)
+    effective = structure.lattice.meet(draw.awareness[i], level)
+    return structure.project(agent, draw.true_types[i], effective), effective
+
+
 def test_upset_contains_all_elaborations():
     s = fixture("example1")
-    up = s.structure.upset("s1", "s1ab")
+    up = upset(s.structure, "s1", "s1ab")
     assert {"s1ab", "s1t80", "s1t79"} <= up
     # a top-level type only elaborates to itself
-    assert s.structure.upset("s1", "s1t80") == frozenset({"s1t80"})
+    assert upset(s.structure, "s1", "s1t80") == frozenset({"s1t80"})
 
 
 def test_upset_size_matches_preimage_counts():
@@ -113,7 +129,7 @@ def test_upset_size_matches_preimage_counts():
                     if s.lattice.lt(level, hi):
                         expected += sum(1 for cand in st.space(agent, hi)
                                         if st.project(agent, cand, level) == t)
-                assert len(st.upset(agent, t)) == expected
+                assert len(upset(st, agent, t)) == expected
 
 
 def test_level_of():
@@ -164,10 +180,10 @@ def test_pooled_level_on_diamond_with_incomparable_levels():
 def test_perceived_type_in_partial_games():
     s = fixture("example2")
     draw = s.draw("main")  # true (a1hi2, a2hi3), awareness (hi, lo)
-    assert s.structure.perceived_type("a2", draw, "hi") == ("a2lo", "lo")
-    assert s.structure.perceived_type("a1", draw, "hi") == ("a1hi2", "hi")
+    assert perceived_type(s.structure, "a2", draw, "hi") == ("a2lo", "lo")
+    assert perceived_type(s.structure, "a1", draw, "hi") == ("a1hi2", "hi")
     # within the lo-partial game agent 1 perceives only the projection
-    assert s.structure.perceived_type("a1", draw, "lo") == ("a1lo2", "lo")
+    assert perceived_type(s.structure, "a1", draw, "lo") == ("a1lo2", "lo")
 
 
 def test_perceived_type_consistent_across_partial_games():
@@ -176,9 +192,9 @@ def test_perceived_type_consistent_across_partial_games():
     for name, draw in s.draws.items():
         for agent in s.agents:
             for game in s.lattice.elements:
-                t_game, lvl_game = st.perceived_type(agent, draw, game)
+                t_game, lvl_game = perceived_type(st, agent, draw, game)
                 for lower in s.lattice.down_set(game):
-                    t_low, lvl_low = st.perceived_type(agent, draw, lower)
+                    t_low, lvl_low = perceived_type(st, agent, draw, lower)
                     meet = s.lattice.meet(lvl_game, lvl_low)
                     assert st.project(agent, t_game, meet) == st.project(agent, t_low, meet)
 
@@ -190,7 +206,7 @@ def test_type_is_in_upset_of_its_projection():
         for level in s.lattice.elements:
             for t in st.space(agent, level):
                 for lower in s.lattice.down_set(level):
-                    assert t in st.upset(agent, st.project(agent, t, lower))
+                    assert t in upset(st, agent, st.project(agent, t, lower))
 
 
 def test_projection_surjective_by_image_enumeration():

@@ -659,8 +659,8 @@ def test_operator_funded_premium_keeps_its_planted_breach(monkeypatch):
     # the recipient keeps the premium and nobody funds a share.
     plain = transfers.awareness_adjustments
 
-    def operator_funded(premiums, level, recipient):
-        adjustments = plain(premiums, level, recipient)
+    def operator_funded(mechanism, level, recipient):
+        adjustments = plain(mechanism, level, recipient)
         return {a: v if a == recipient else Fraction(0) for a, v in adjustments.items()}
 
     monkeypatch.setattr(transfers, "awareness_adjustments", operator_funded)
