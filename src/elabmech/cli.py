@@ -16,14 +16,13 @@ import json
 import sys
 
 from . import engine, verify
-from .engine import InfeasibleReport, StrategySpaceTooLarge
+from .engine import StrategySpaceTooLarge
 from .fixtures import FIXTURES, fixture
 from .generate import generate_scenario
 from .lattice import UnknownLevel
 from .scenario import (ParseError, Scenario, UnknownDraw, ValidationError, load_scenario,
                        scheme_violations)
-from .transfers import (CLARKE, GROVES, KINDS, RSPA, STATIC_VICKREY, Mechanism,
-                        PremiumAssumptionFails)
+from .transfers import CLARKE, GROVES, KINDS, RSPA, Mechanism, PremiumAssumptionFails
 from .verify import InapplicableProperty
 
 VCG = (GROVES, CLARKE)
@@ -63,6 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--strategy", default="truth",
                      help="'truth' or a script file of lines: agent stage report")
     run.add_argument("--report", default=None, help="also write a JSON report to this path")
+    run.set_defaults(handler=cmd_run)
 
     ver = sub.add_parser("verify", help="run property checks")
     ver.add_argument("scenario", nargs="?", default=None,
@@ -82,13 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--bound", type=int, default=10 ** 6,
                      help="enumeration bound per exhaustive query")
     ver.add_argument("--report", default=None, help="write a JSON report to this path")
+    ver.set_defaults(handler=cmd_verify)
 
     rep = sub.add_parser("report", help="validate a scenario and print its summary")
     rep.add_argument("scenario", help="scenario file path or fixture name")
     rep.add_argument("--out", default=None, help="write the JSON summary to this path")
+    rep.set_defaults(handler=cmd_report)
 
     fix = sub.add_parser("fixtures", help="list built-in fixtures or print one")
     fix.add_argument("name", nargs="?", default=None)
+    fix.set_defaults(handler=cmd_fixtures)
     return parser
 
 
@@ -110,9 +113,9 @@ def _apply_scheme(scenario: Scenario, kind: str | None) -> Scenario:
 
 def _script_strategies(path: str, scenario: Scenario):
     """Policies playing a script of ``agent stage report`` lines, and the line
-    number of every scripted (agent, stage) the play has not consulted yet."""
-    script: dict[tuple[str, int], str] = {}
-    unused: dict[tuple[str, int], int] = {}
+    number of every scripted (agent, stage) the play has not consulted yet.
+    An infeasible scripted report is a ParseError naming its line."""
+    script: dict[tuple[str, int], tuple[str, int]] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -128,14 +131,20 @@ def _script_strategies(path: str, scenario: Scenario):
                 raise ParseError(f"{path}: line {lineno}: undeclared agent {agent!r}")
             if key in script:
                 raise ParseError(f"{path}: line {lineno}: {agent} stage {stage} is already "
-                                 f"scripted on line {unused[key]}")
-            script[key] = report
-            unused[key] = lineno
+                                 f"scripted on line {script[key][1]}")
+            script[key] = (report, lineno)
+    unused = {key: lineno for key, (_, lineno) in script.items()}
 
     def policy(scenario: Scenario, state: engine.PlayState, agent: str) -> str:
         key = (agent, state.stage)
         unused.pop(key, None)
-        return script.get(key) or engine.truth_report(state, agent, scenario.agents)
+        if key not in script:
+            return state.perceived[scenario.structure.agent_index(agent)]
+        report, lineno = script[key]
+        if report not in engine.feasible_reports(scenario, state, agent):
+            raise ParseError(f"{path}: line {lineno}: {agent} cannot report {report} "
+                             f"at stage {state.stage}")
+        return report
 
     return dict.fromkeys(scenario.agents, policy), unused
 
@@ -147,15 +156,12 @@ def cmd_run(args) -> int:
     strategies, unused = None, {}
     if args.strategy != "truth":
         strategies, unused = _script_strategies(args.strategy, scenario)
-    if scenario.scheme.kind == STATIC_VICKREY:
-        transcript = engine.run_single_stage(scenario, draw, partial)
-    else:
-        transcript = engine.run(scenario, draw, partial, strategies)
+    mech = Mechanism(scenario, scenario.scheme)
+    transcript = mech.run(draw, partial, strategies)
     if unused:
         (agent, stage), lineno = next(iter(unused.items()))
         raise ParseError(f"{args.strategy}: line {lineno}: {agent} stage {stage} was never "
                          f"consulted (the play ended after stage {transcript.n_stages})")
-    mech = Mechanism(scenario, scenario.scheme)
     report = mech.report(transcript)
     print(f"scenario: {scenario.name}   scheme: {scenario.scheme.kind}   "
           f"partial game: {partial}")
@@ -274,28 +280,16 @@ def cmd_fixtures(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "report":
-            return cmd_report(args)
-        if args.command == "fixtures":
-            return cmd_fixtures(args)
-    except StrategySpaceTooLarge as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except (ParseError, ValidationError, InfeasibleReport, UnknownDraw, UnknownLevel,
+        return args.handler(args)
+    except (ParseError, ValidationError, UnknownDraw, UnknownLevel,
             InapplicableProperty, PremiumAssumptionFails, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 4
-    parser.error(f"unknown command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -154,10 +154,6 @@ def feasible_reports(scenario: Scenario, state: PlayState, agent: str) -> tuple[
     return scenario.menus[(agent, state.awareness[i], last, pooled)]
 
 
-def truth_report(state: PlayState, agent: str, agents: tuple[str, ...]) -> str:
-    return state.perceived[agents.index(agent)]
-
-
 def advance(scenario: Scenario, state: PlayState, reports: tuple[str, ...]) -> PlayState:
     """The state after one stage of ``reports``, every report checked
     against its menu.

@@ -25,7 +25,8 @@ the final pooled level and the premium recipient.  :func:`transfer_report`
 finds that summary once per transcript, and :class:`Mechanism` is the one
 settlement object: it holds the memo of premia and of settlements keyed on
 the summary, so the many transcripts that share a summary are settled once;
-the reports it hands out are shared and read-only.
+the reports it hands out are shared and read-only.  :meth:`Mechanism.run`
+picks the protocol a scheme plays, and :func:`bidders` whose incentives count.
 """
 from __future__ import annotations
 
@@ -33,10 +34,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
+from . import engine
 from .engine import Transcript
 
 if TYPE_CHECKING:
     from .scenario import Scenario
+    from .typespace import NatureDraw
 
 
 class TranscriptNotStopped(Exception):
@@ -95,8 +98,12 @@ def opponent_profile(agents: tuple[str, ...], agent: str, profile: tuple[str, ..
     return tuple(t for a, t in zip(agents, profile) if a != agent)
 
 
-def sellers(scenario: Scenario, scheme: SchemeConfig) -> tuple[str, ...]:
-    return tuple(a for a in scenario.structure.agents if a != scheme.buyer)
+def bidders(scenario: Scenario, scheme: SchemeConfig) -> tuple[str, ...]:
+    """The agents whose incentives the scheme answers for: all but the rspa
+    buyer, the sink agent commissioning the mechanism.  Concealing awareness
+    always weakly lowers the second price she pays, so buyer-side dominance
+    is unattainable by construction."""
+    return tuple(a for a in scenario.structure.agents if scheme.kind != RSPA or a != scheme.buyer)
 
 
 def rspa_auction(scenario: Scenario, scheme: SchemeConfig,
@@ -104,7 +111,7 @@ def rspa_auction(scenario: Scenario, scheme: SchemeConfig,
     """(supply outcome, price) of the reverse second price auction: the
     lowest-cost seller supplies, cost ties resolved by the outcome tie-break
     order, and is paid the second-lowest cost."""
-    value, rank, supplies = scenario.outcomes.value, scenario.outcomes._rank, scheme.supplies
+    value, rank, supplies = scenario.outcomes.value, scenario.outcomes.rank, scheme.supplies
     bids = sorted((-value(a, t, supplies[a]), rank[supplies[a]], supplies[a])
                   for a, t in zip(scenario.structure.agents, profile) if a != scheme.buyer)
     if len(bids) < 2:
@@ -185,6 +192,14 @@ class Mechanism:
         if key not in self._premia:
             self._premia[key] = self._compute(agent, level)
         return self._premia[key]
+
+    def run(self, draw: NatureDraw, partial: str,
+            strategies: Mapping[str, object] | None = None) -> Transcript:
+        """The transcript of ``draw`` in the ``partial`` game: one truthful round,
+        ignoring ``strategies``, under ``static_vickrey``; else :func:`engine.run`."""
+        if self.scheme.kind == STATIC_VICKREY:
+            return engine.run_single_stage(self.scenario, draw, partial)
+        return engine.run(self.scenario, draw, partial, strategies)
 
     def report(self, transcript: Transcript) -> TransferReport:
         return transfer_report(self, transcript)
@@ -267,11 +282,11 @@ class Mechanism:
 def awareness_adjustments(mechanism: Mechanism, level: str,
                           recipient: str | None) -> dict[str, Fraction]:
     """Per-agent adjustment terms when ``recipient`` first reported the
-    final pooled ``level``."""
+    final pooled ``level`` (None under ``static_vickrey``)."""
     scheme = mechanism.scheme
     agents = mechanism.scenario.structure.agents
     out = {a: Fraction(0) for a in agents}
-    if (scheme.kind == STATIC_VICKREY or recipient is None or len(agents) == 1
+    if (recipient is None or len(agents) == 1
             or (scheme.kind == RSPA and recipient == scheme.buyer)):
         return out
     m = out[recipient] = mechanism.premium(recipient, level)

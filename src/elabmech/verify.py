@@ -2,10 +2,12 @@
 
 Every check quantifies exhaustively over its finite domain and returns a
 :class:`VerificationResult` whose witnesses carry enough data to replay the
-exact utility or welfare gap.  No numerical tolerance appears anywhere; all
-comparisons are exact over rationals.  Checks are pure functions of their
-scenario: distinct (property, draw, level) cells may be fanned out to
-parallel workers and their results merged in any order.
+exact utility or welfare gap; a result holds exactly when it has no
+witness.  No numerical tolerance appears anywhere; all comparisons are exact
+over rationals.  Participation and dominance are checked for the agents of
+:func:`transfers.bidders`.  Checks are pure functions of their scenario:
+distinct (property, draw, level) cells may be fanned out to parallel
+workers and their results merged in any order.
 
 Conditional dominance is the expensive check.  Opponents' strategies are
 enumerated as realized-report plans per nature draw: the report sequences
@@ -38,8 +40,8 @@ from typing import Iterator
 from . import engine
 from .engine import FREE, PlayBudget
 from .scenario import Scenario
-from .transfers import (RSPA, STATIC_VICKREY, Mechanism, SchemeConfig, opponent_profile,
-                        scheme_outcome, sellers, transfer_report)
+from .transfers import (STATIC_VICKREY, Mechanism, SchemeConfig, bidders, opponent_profile,
+                        scheme_outcome, transfer_report)
 from .typespace import NatureDraw
 
 
@@ -60,9 +62,12 @@ class Witness:
 @dataclass
 class VerificationResult:
     prop: str
-    holds: bool
     witnesses: list[Witness]
     checked: int
+
+    @property
+    def holds(self) -> bool:
+        return not self.witnesses
 
     def jsonable(self) -> dict:
         return {
@@ -109,12 +114,13 @@ def check_efficiency(scenario: Scenario) -> VerificationResult:
                         f"by {alt - base} on profile {profile}",
                         {"level": level, "profile": list(profile), "outcome": x0,
                          "welfare": str(alt), "chosen": chosen, "chosen_welfare": str(base)}))
-    return VerificationResult("efficiency", not witnesses, witnesses, checked)
+    return VerificationResult("efficiency", witnesses, checked)
 
 
 def check_pooled_implementation(scenario: Scenario, scheme: SchemeConfig) -> VerificationResult:
     """Truthful play implements the outcome of the true profile projected to
     the agents' pooled awareness, for every nature draw."""
+    mech = Mechanism(scenario, scheme)
     witnesses = []
     checked = 0
     structure = scenario.structure
@@ -123,10 +129,7 @@ def check_pooled_implementation(scenario: Scenario, scheme: SchemeConfig) -> Ver
         for awareness in product(scenario.lattice.elements, repeat=len(scenario.agents)):
             checked += 1
             draw = NatureDraw(true_profile, awareness)
-            if scheme.kind == STATIC_VICKREY:
-                transcript = engine.run_single_stage(scenario, draw, top)
-            else:
-                transcript = engine.run(scenario, draw, top)
+            transcript = mech.run(draw, top)
             implemented = scheme_outcome(scenario, scheme, transcript.final)
             pooled = scenario.lattice.join_all(awareness)
             target_profile = tuple(structure.project(agent, t, pooled)
@@ -139,7 +142,7 @@ def check_pooled_implementation(scenario: Scenario, scheme: SchemeConfig) -> Ver
                     {"true_types": list(true_profile), "awareness": list(awareness),
                      "stages": [list(s) for s in transcript.stages],
                      "implemented": implemented, "target": target}))
-    return VerificationResult("pooled-implementation", not witnesses, witnesses, checked)
+    return VerificationResult("pooled-implementation", witnesses, checked)
 
 
 def check_stage_bound(scenario: Scenario) -> VerificationResult:
@@ -156,7 +159,7 @@ def check_stage_bound(scenario: Scenario) -> VerificationResult:
                     f"truthful run took {len(state.history)} stages at level {level}",
                     {"level": level, "profile": list(profile), "awareness": list(awareness),
                      "stages": [list(s) for s in state.history]}))
-    return VerificationResult("stage-bound", not witnesses, witnesses, checked)
+    return VerificationResult("stage-bound", witnesses, checked)
 
 
 def check_budget(scenario: Scenario, scheme: SchemeConfig, mode: str = "balance",
@@ -192,7 +195,7 @@ def check_budget(scenario: Scenario, scheme: SchemeConfig, mode: str = "balance"
                  "transfers": {a: str(v) for a, v in report.transfers.items()}}))
             break
     prop = "budget-balance" if mode == "balance" else "no-deficit"
-    return VerificationResult(prop, not witnesses, witnesses, checked)
+    return VerificationResult(prop, witnesses, checked)
 
 
 def check_nonnegative_valuations(scenario: Scenario) -> VerificationResult:
@@ -209,7 +212,7 @@ def check_nonnegative_valuations(scenario: Scenario) -> VerificationResult:
                         witnesses.append(Witness(
                             f"negative valuation {v} for ({agent}, {t}, {x0})",
                             {"agent": agent, "type": t, "outcome": x0, "value": str(v)}))
-    return VerificationResult("nonnegative-valuations", not witnesses, witnesses, checked)
+    return VerificationResult("nonnegative-valuations", witnesses, checked)
 
 
 def check_participation(scenario: Scenario, scheme: SchemeConfig,
@@ -223,7 +226,6 @@ def check_participation(scenario: Scenario, scheme: SchemeConfig,
     """
     if mode not in ("ex_post", "ex_ante_anticipated"):
         raise ValueError(mode)
-    checked_agents = sellers(scenario, scheme) if scheme.kind == RSPA else scenario.agents
     mech = Mechanism(scenario, scheme)
     structure = scenario.structure
     witnesses = []
@@ -234,7 +236,7 @@ def check_participation(scenario: Scenario, scheme: SchemeConfig,
                 scenario, engine.initial_state(scenario, level, profile, awareness))
             transcript = engine.transcript(path[-1])
             reached = path[:-1] if mode == "ex_post" else path[:1]
-            for agent in checked_agents:
+            for agent in bidders(scenario, scheme):
                 i = structure.agent_index(agent)
                 for node in reached:
                     if structure.level_of(agent, node.perceived[i]) != level:
@@ -250,7 +252,7 @@ def check_participation(scenario: Scenario, scheme: SchemeConfig,
                              "perceived": node.perceived[i], "utility": str(u),
                              "stages": [list(s) for s in transcript.stages]}))
     prop = "participation-ex-post" if mode == "ex_post" else "participation-ex-ante"
-    return VerificationResult(prop, not witnesses, witnesses, checked)
+    return VerificationResult(prop, witnesses, checked)
 
 
 def _dominance_instances(scenario: Scenario, checked_agents: tuple[str, ...]
@@ -318,18 +320,14 @@ def check_conditional_dominance(scenario: Scenario, scheme: SchemeConfig,
     mech = Mechanism(scenario, scheme)
     structure = scenario.structure
     agents = structure.agents
-    # The reverse-auction buyer is the sink agent commissioning the
-    # mechanism, not an incentive-constrained bidder: concealing awareness
-    # always weakly lowers the second price she pays, so buyer-side
-    # dominance is unattainable by construction.  Check the sellers.
-    checked_agents = sellers(scenario, scheme) if scheme.kind == RSPA else agents
     budget = PlayBudget(bound)
     checked = 0
     # One table per (agent, level): every key carries both, so dropping the
     # table when either changes loses no hit.
     memo: dict[tuple, tuple[Fraction, int]] = {}
     table_for = None
-    for agent, level, profile, awareness in _dominance_instances(scenario, checked_agents):
+    instances = _dominance_instances(scenario, bidders(scenario, scheme))
+    for agent, level, profile, awareness in instances:
         if table_for != (agent, level):
             memo = {}
             table_for = (agent, level)
@@ -370,7 +368,7 @@ def check_conditional_dominance(scenario: Scenario, scheme: SchemeConfig,
                     dev_transcript = engine.transcript(dev_terminal)
                     u_dev = mech.utility(dev_transcript, agent, eval_type)
                     if u_dev > u_truth:
-                        return VerificationResult("dominance", False, [Witness(
+                        return VerificationResult("dominance", [Witness(
                             f"{agent} gains {u_dev - u_truth} by deviating at stage "
                             f"{h_state.stage} (draw {profile} / {awareness} in the "
                             f"{level}-partial game)",
@@ -382,16 +380,13 @@ def check_conditional_dominance(scenario: Scenario, scheme: SchemeConfig,
                              "deviation_stages": [list(s) for s in dev_transcript.stages],
                              "truth_utility": str(u_truth),
                              "deviation_utility": str(u_dev)})], checked)
-    return VerificationResult("dominance", True, [], checked)
-
-
-def holmstrom_welfare(scenario: Scenario, profile: tuple[str, ...]) -> Fraction:
-    return scenario.outcomes.welfare(scenario.outcomes.efficient_outcome(profile), profile)
+    return VerificationResult("dominance", [], checked)
 
 
 def check_holmstrom(scenario: Scenario,
                     g: dict[tuple[str, str, tuple[str, ...]], Fraction]) -> VerificationResult:
     """The welfare decomposition holds at every level and profile for ``g``."""
+    model = scenario.outcomes
     witnesses = []
     checked = 0
     for level in scenario.lattice.elements:
@@ -399,13 +394,13 @@ def check_holmstrom(scenario: Scenario,
             checked += 1
             total = sum((g[(agent, level, opponent_profile(scenario.agents, agent, profile))]
                          for agent in scenario.agents), Fraction(0))
-            welfare = holmstrom_welfare(scenario, profile)
+            welfare = model.welfare(model.efficient_outcome(profile), profile)
             if total != welfare:
                 witnesses.append(Witness(
                     f"decomposition misses welfare by {welfare - total} at {level} {profile}",
                     {"level": level, "profile": list(profile),
                      "welfare": str(welfare), "decomposed": str(total)}))
-    return VerificationResult("holmstrom", not witnesses, witnesses, checked)
+    return VerificationResult("holmstrom", witnesses, checked)
 
 
 def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -449,7 +444,7 @@ def _decompose(scenario: Scenario
     Returns ``(g, None)``, or ``(None, reason)`` naming the first level whose
     system is inconsistent.
     """
-    structure = scenario.structure
+    structure, model = scenario.structure, scenario.outcomes
     out: dict[tuple[str, str, tuple[str, ...]], Fraction] = {}
     for level in scenario.lattice.elements:
         index: dict[tuple[str, tuple[str, ...]], int] = {}
@@ -462,7 +457,7 @@ def _decompose(scenario: Scenario
             for agent in scenario.agents:
                 row[index[(agent, opponent_profile(scenario.agents, agent, profile))]] += 1
             rows.append(row)
-            rhs.append(holmstrom_welfare(scenario, profile))
+            rhs.append(model.welfare(model.efficient_outcome(profile), profile))
         solution = _solve_exact(rows, rhs)
         if solution is None:
             return None, (f"no additive decomposition of welfare exists at level {level}: "
@@ -478,17 +473,12 @@ def find_g(scenario: Scenario) -> dict[tuple[str, str, tuple[str, ...]], Fractio
     return _decompose(scenario)[0]
 
 
-def holmstrom_certificate(scenario: Scenario) -> str | None:
-    """A human-readable reason the decomposition is infeasible, if it is."""
-    return _decompose(scenario)[1]
-
-
 def check_decomposition(scenario: Scenario) -> VerificationResult:
     """A welfare decomposition exists and holds at every level and profile,
     from one solve per level."""
     g, certificate = _decompose(scenario)
     if g is None:
-        return VerificationResult("holmstrom", False, [Witness(certificate)], 1)
+        return VerificationResult("holmstrom", [Witness(certificate)], 1)
     return check_holmstrom(scenario, g)
 
 

@@ -85,7 +85,22 @@ def test_run_with_infeasible_script_exits_two(tmp_path, capsys):
     script = tmp_path / "bad.txt"
     script.write_text("a2 1 a2hi3\n")  # beyond a2's awareness at stage 1
     assert main(["run", "example2", "--strategy", str(script)]) == 2
-    assert "a2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "a2" in err
+    assert "line 1" in err
+
+
+def test_infeasible_report_from_a_verifier_defect_exits_four(tmp_path, capsys, monkeypatch):
+    from test_engine import uncapped_plan_policy
+
+    from elabmech import engine
+    from elabmech.generate import generate_scenario
+    from elabmech.scenario import serialize_scenario
+    path = tmp_path / "g901.scenario"
+    path.write_text(serialize_scenario(generate_scenario(901, 0)))
+    monkeypatch.setattr(engine, "plan_policy", uncapped_plan_policy)
+    assert main(["verify", str(path), "--property", "dominance"]) == 4
+    assert capsys.readouterr().err == "internal error: InfeasibleReport: a2: a2_west_0\n"
 
 
 def test_verify_fixture_all_properties(capsys):

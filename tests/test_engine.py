@@ -73,7 +73,7 @@ def test_truth_report_is_always_feasible_under_truthful_play():
                     while not state.stopped:
                         reports = []
                         for agent in s.agents:
-                            truth = engine.truth_report(state, agent, s.agents)
+                            truth = state.perceived[s.agents.index(agent)]
                             assert truth in engine.feasible_reports(s, state, agent)
                             reports.append(truth)
                         state = engine.advance(s, state, tuple(reports))
@@ -338,7 +338,7 @@ def test_deviation_play_count_matches_recursive_oracle():
             return 1
         total = 0
         for report in engine.feasible_reports(s, state, "a1"):
-            others = tuple(engine.truth_report(state, a, s.agents) for a in s.agents[1:])
+            others = state.perceived[1:]
             total += count(engine.advance(s, state, (report,) + others))
         return total
 
@@ -360,7 +360,7 @@ def test_plan_policy_replays_verbatim_on_its_own_branch():
     plan = engine.plan_policy("a2", tuple(stage[1] for stage in t.stages), s)
     state = stage1(s)
     while not state.stopped:
-        reports = (engine.truth_report(state, "a1", s.agents), plan(s, state, "a2"))
+        reports = (state.perceived[0], plan(s, state, "a2"))
         state = engine.advance(s, state, reports)
     assert engine.transcript(state).stages == t.stages
 

@@ -5,8 +5,30 @@ import pytest
 from elabmech.fixtures import fixture
 from elabmech.generate import generate_scenario
 from elabmech.outcomes import MissingValuation
+from elabmech.scenario import parse_scenario
 
 FINAL1 = ("s1t80", "s2t86", "buabc")
+
+# A lone agent has no opponents, so every outcome scores zero for the
+# restricted argmax; the tie-break order is the reverse of availability order.
+TIE = """
+[lattice]
+elements: l0
+[agents]
+agents: solo
+[types]
+space: solo l0 t
+[projections]
+[outcomes]
+outcomes: y x
+available: l0 y x
+tie_break: x y
+[valuations]
+value: solo t x 4
+value: solo t y 9
+[scheme]
+kind: clarke
+"""
 
 
 def test_welfare_of_final_elaborated_profile():
@@ -59,26 +81,7 @@ def test_restricted_outcomes_example1():
 
 
 def test_restricted_outcome_constant_objective_falls_to_tie_break():
-    # a lone agent has no opponents; every outcome scores zero
-    from elabmech.scenario import parse_scenario
-    s = parse_scenario("""
-[lattice]
-elements: l0
-[agents]
-agents: solo
-[types]
-space: solo l0 t
-[projections]
-[outcomes]
-outcomes: y x
-available: l0 y x
-tie_break: x y
-[valuations]
-value: solo t x 4
-value: solo t y 9
-[scheme]
-kind: clarke
-""")
+    s = parse_scenario(TIE)
     assert s.outcomes.restricted_efficient_outcome("solo", ("t",)) == "x"
     assert s.outcomes.efficient_outcome(("t",)) == "y"
 
@@ -110,3 +113,72 @@ def test_missing_valuation_raises():
 def test_valuations_are_exact_fractions():
     s = fixture("example1")
     assert all(isinstance(v, Fraction) for v in s.outcomes.valuations.values())
+
+
+class ReferenceArgmax:
+    """The earlier ``OutcomeModel`` argmaxes: two caches around a tie-break
+    loop, with welfare summed from the valuation table."""
+
+    def __init__(self, model):
+        self.model = model
+        self._eff_cache = {}
+        self._restricted_cache = {}
+
+    def _welfare(self, outcome, profile, left_out=None):
+        return sum((self.model.value(a, t, outcome)
+                    for a, t in zip(self.model.structure.agents, profile) if a != left_out),
+                   Fraction(0))
+
+    def _argmax(self, candidates, score):
+        rank = {x: k for k, x in enumerate(self.model.tie_break)}
+        best = None
+        best_score = None
+        for x in candidates:
+            s = score(x)
+            if best is None or s > best_score or (s == best_score and rank[x] < rank[best]):
+                best, best_score = x, s
+        return best
+
+    def efficient_outcome(self, profile):
+        if profile not in self._eff_cache:
+            level = self.model.structure.pooled_level(profile)
+            self._eff_cache[profile] = self._argmax(
+                self.model.available[level], lambda x: self._welfare(x, profile))
+        return self._eff_cache[profile]
+
+    def restricted_efficient_outcome(self, agent, profile):
+        key = (agent, profile)
+        if key not in self._restricted_cache:
+            level = self.model.structure.pooled_level(profile)
+            self._restricted_cache[key] = self._argmax(
+                self.model.available[level], lambda x: self._welfare(x, profile, agent))
+        return self._restricted_cache[key]
+
+
+def _argmax_corpus():
+    for name in ("example1", "example2", "example4r"):
+        yield fixture(name)
+    for procurement in (False, True):
+        for k in range(20):
+            yield generate_scenario(2026, k, procurement=procurement)
+    yield parse_scenario(TIE, name="tie")
+
+
+def test_one_memoized_argmax_matches_the_two_cached_loops():
+    ties = 0
+    for s in _argmax_corpus():
+        model, reference = s.outcomes, ReferenceArgmax(s.outcomes)
+        for _ in range(2):  # filling the memo, then reading it
+            for level in s.lattice.elements:
+                for profile in s.structure.profiles(level):
+                    eff = reference.efficient_outcome(profile)
+                    assert model.efficient_outcome(profile) == eff, (s.name, profile)
+                    assert model.restricted_efficient_outcome(None, profile) == eff
+                    for agent in s.agents:
+                        want = reference.restricted_efficient_outcome(agent, profile)
+                        assert model.restricted_efficient_outcome(agent, profile) == want, \
+                            (s.name, agent, profile)
+                        scores = [reference._welfare(x, profile, agent)
+                                  for x in model.available[level]]
+                        ties += scores.count(max(scores)) > 1
+    assert ties  # the corpus exercises the tie-break order

@@ -5,8 +5,9 @@ bids are 2 and 3, so the pivot payment is 2; the premium for the bidder who
 first announced the pooled level is exactly the margin she could have kept
 by concealing (winning at 2 against 1 instead of losing), which is 1.
 """
+import dataclasses
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -17,6 +18,7 @@ from elabmech.scenario import parse_scenario
 from elabmech.transfers import (FewerThanTwoSellers, Mechanism, MissingYEntry, SchemeConfig,
                                 TranscriptNotStopped, awareness_adjustments, clarke_y,
                                 first_pooled_reporter, rspa_auction, transfer_report)
+from elabmech.typespace import NatureDraw
 
 PROCUREMENT = """
 [lattice]
@@ -586,3 +588,19 @@ def test_mutant_premium_to_last_reporter_is_killed_by_dominance(monkeypatch):
     assert verify.check_conditional_dominance(s, s.scheme).holds
     monkeypatch.setattr(transfers, "first_pooled_reporter", _premium_to_last_reporter)
     assert not verify.check_conditional_dominance(s, s.scheme).holds
+
+
+def test_mechanism_run_plays_the_protocol_of_its_scheme():
+    for name in ("example2", "example4r"):
+        s = fixture(name)
+        top = s.lattice.top
+        dynamic = Mechanism(s, dataclasses.replace(s.scheme, kind=transfers.CLARKE))
+        static = Mechanism(s, dataclasses.replace(s.scheme, kind=transfers.STATIC_VICKREY))
+        draws = 0
+        for true_profile in s.structure.profiles(top):
+            for awareness in product(s.lattice.elements, repeat=len(s.agents)):
+                draw = NatureDraw(true_profile, awareness)
+                assert dynamic.run(draw, top) == engine.run(s, draw, top)
+                assert static.run(draw, top) == engine.run_single_stage(s, draw, top)
+                draws += 1
+        assert draws > 1

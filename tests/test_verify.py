@@ -8,7 +8,7 @@ from elabmech import engine, transfers, verify
 from elabmech.fixtures import fixture
 from elabmech.generate import generate_scenario
 from elabmech.scenario import parse_scenario
-from elabmech.transfers import RSPA, Mechanism, SchemeConfig, sellers
+from elabmech.transfers import Mechanism, SchemeConfig, bidders
 
 
 def test_efficiency_holds_on_fixtures():
@@ -161,7 +161,7 @@ def _direct_plan_space_dominance_oracle(scenario, scheme):
                                 while not state.stopped:
                                     path.append(state)
                                     reports = [None, None]
-                                    reports[i] = engine.truth_report(state, agent, agents)
+                                    reports[i] = state.perceived[i]
                                     reports[j] = policy(scenario, state, other)
                                     state = engine.advance(scenario, state, tuple(reports))
                                 truth = engine.transcript(state)
@@ -302,7 +302,7 @@ kind: clarke
     y = verify.derive_y_from_g(sep, g)
     groves = SchemeConfig(kind="groves", y_tables=y)
     assert verify.check_budget(sep, groves, "balance").holds
-    assert verify.holmstrom_certificate(sep) is None
+    assert verify.check_decomposition(sep).holds
 
 
 def test_holmstrom_single_agent_degenerate_decomposition():
@@ -371,8 +371,8 @@ value: a2 s w1 0
 kind: clarke
 """, name="generic")
     assert verify.find_g(generic) is None
-    certificate = verify.holmstrom_certificate(generic)
-    assert certificate is not None and "inconsistent" in certificate
+    certificate = verify.check_decomposition(generic).witnesses[0].description
+    assert "inconsistent" in certificate
 
 
 def test_participation_ex_post_fails_on_example1_for_the_winning_seller():
@@ -407,7 +407,7 @@ def test_participation_witness_replays_to_the_same_utility():
                                  tuple(witness["awareness"]))
     nodes = [state]
     while not state.stopped:
-        reports = tuple(engine.truth_report(state, a, s.agents) for a in s.agents)
+        reports = state.perceived
         state = engine.advance(s, state, reports)
         if not state.stopped:
             nodes.append(state)
@@ -540,11 +540,10 @@ def _reference_dominance(scenario, scheme, bound=10 ** 6):
     mech = Mechanism(scenario, scheme)
     structure = scenario.structure
     agents = structure.agents
-    checked_agents = sellers(scenario, scheme) if scheme.kind == RSPA else agents
     budget = verify.PlayBudget(bound)
     checked = 0
     for agent, level, profile, awareness in verify._dominance_instances(scenario,
-                                                                        checked_agents):
+                                                                        bidders(scenario, scheme)):
         i = structure.agent_index(agent)
         start = engine.initial_state(scenario, level, profile, awareness)
         opponents = {a: engine.FREE for a in agents if a != agent}
