@@ -55,7 +55,7 @@ from fractions import Fraction
 from math import inf
 
 from .engine import report_menus
-from .lattice import Lattice, NotALattice, build_lattice
+from .lattice import Lattice, LatticeError, NotALattice, build_lattice
 from .outcomes import OutcomeModel
 from .transfers import KINDS, RSPA, GROVES, SchemeConfig
 from .typespace import NatureDraw, TypeStructure, TypeStructureError, build_structure, validate_draw
@@ -254,7 +254,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         lattice = build_lattice(elements, edges)
     except NotALattice as err:
         raise ValidationError([f"lattice: {v}" for v in err.violations]) from None
-    except Exception as err:
+    except LatticeError as err:
         raise ValidationError([f"lattice: {err}"]) from None
     violations = []
     if declared_top is not None and declared_top != lattice.top:

@@ -2,9 +2,9 @@
 
 A type lives at exactly one awareness level of its agent.  Projections
 strip a type down to any weakly lower level; they are supplied along
-covering edges of the lattice and composed into the full table, with
-every alternative composition path cross-checked.  Preimages collect the
-elaborations of a type at one weakly higher level.
+covering edges of the lattice and composed into the full table along one
+path, and every supplied table is then checked to commute with it.
+Preimages collect the elaborations of a type at one weakly higher level.
 """
 from __future__ import annotations
 
@@ -119,9 +119,12 @@ def build_structure(lattice: Lattice, agents: Iterable[str],
     """Validate spaces and covering-edge projections; compose the full table.
 
     ``edge_maps`` maps (agent, higher level, lower level) to a dict sending
-    each type of the higher space to one of the lower space.  Pairs beyond
-    the covering relation may be supplied; they are cross-checked against
-    the composed closure.
+    each type of the higher space to one of the lower space; pairs beyond
+    the covering relation may be supplied.  A type projects to each lower
+    level through the first cover (in ``lattice.covers()`` order) below its
+    own level that lies above the target.  Every supplied table must then
+    commute with that composite at every level below its target.
+    Diagnostics come in declaration order, whatever the hash seed.
     """
     agents = tuple(dict.fromkeys(agents))
     violations: list[str] = []
@@ -131,22 +134,22 @@ def build_structure(lattice: Lattice, agents: Iterable[str],
         if agent not in agents or level not in lattice:
             violations.append(f"space ({agent}, {level}) references undeclared names")
     norm: dict[tuple[str, str], tuple[str, ...]] = {}
-    seen: dict[str, str] = {}
+    seen: dict[tuple[str, str], str] = {}
     for agent in agents:
         for level in lattice.elements:
             types = tuple(dict.fromkeys(spaces.get((agent, level), ())))
             if not types:
                 violations.append(f"empty type space for ({agent}, {level})")
             for t in types:
-                prior = seen.get(agent + "\x00" + t)
+                prior = seen.get((agent, t))
                 if prior is not None:
                     violations.append(f"type {t} of {agent} declared at both {prior} and {level}")
-                seen[agent + "\x00" + t] = level
+                seen[(agent, t)] = level
             norm[(agent, level)] = types
     if violations:
         raise TypeStructureError(violations)
 
-    covers = set(lattice.covers())
+    covers = lattice.covers()
     for (agent, hi, lo), table in edge_maps.items():
         if agent not in agents or hi not in lattice or lo not in lattice:
             violations.append(f"projection ({agent}, {hi} -> {lo}) references undeclared names")
@@ -175,54 +178,38 @@ def build_structure(lattice: Lattice, agents: Iterable[str],
     if violations:
         raise TypeStructureError(violations)
 
-    # Compose the closure level pair by level pair, in increasing distance,
-    # checking that all covering paths agree.
-    full: dict[tuple[str, str, str], str] = {}
-    for agent in agents:
-        for level in lattice.elements:
-            for t in norm[(agent, level)]:
-                full[(agent, t, level)] = t
-    ordered = sorted(lattice.elements, key=lambda x: len(lattice.down_set(x)))
-    for agent in agents:
-        for hi in ordered:
-            for lo in lattice.strictly_below(hi):
-                candidates: dict[str, dict[str, str]] = {}
-                for (a, b) in covers:
-                    if b != hi or not lattice.leq(lo, a):
-                        continue
-                    step = edge_maps[(agent, hi, a)]
-                    candidates[a] = {t: full[(agent, step[t], lo)] for t in norm[(agent, hi)]}
-                if not candidates:
-                    continue  # unreachable in a lattice: some cover always lies above lo
-                rep_key = next(iter(candidates))
-                rep = candidates[rep_key]
-                for via, table in candidates.items():
-                    for t in norm[(agent, hi)]:
-                        if table[t] != rep[t]:
-                            violations.append(
-                                f"composition failure for {agent}: {hi} -> {lo} via {via} sends "
-                                f"{t} to {table[t]} but via {rep_key} to {rep[t]}")
-                direct = edge_maps.get((agent, hi, lo))
-                if direct is not None and (lo, hi) not in covers:
-                    for t in norm[(agent, hi)]:
-                        if direct.get(t) != rep[t]:
-                            violations.append(
-                                f"supplied long projection ({agent}, {hi} -> {lo}) disagrees with "
-                                f"composition on {t}")
+    # Compose up the levels, each from the ones already filled below it.
+    below = {hi: [lo for lo in lattice.elements if lattice.lt(lo, hi)] for hi in lattice.elements}
+    full = {(agent, t, level): t for (agent, level), types in norm.items() for t in types}
+    for hi in sorted(lattice.elements, key=lambda x: len(below[x])):
+        for lo in below[hi]:
+            via = next(a for a, b in covers if b == hi and lattice.leq(lo, a))
+            for agent in agents:
+                step = edge_maps[(agent, hi, via)]
                 for t in norm[(agent, hi)]:
-                    full[(agent, t, lo)] = rep[t]
+                    full[(agent, t, lo)] = full[(agent, step[t], lo)]
+
+    # Every supplied table, cover or longer, must commute with the composite.
+    for (agent, hi, lo), table in edge_maps.items():
+        for t in norm[(agent, hi)]:
+            dst = table.get(t)
+            low = next((low for low in (lo, *below[lo])
+                        if dst is None or full[(agent, dst, low)] != full[(agent, t, low)]), None)
+            if low is not None:
+                violations.append(f"projection ({agent}, {hi} -> {lo}) disagrees with "
+                                  f"composition on {t} at {low}")
     if violations:
         raise TypeStructureError(violations)
 
     for agent in agents:
         for hi in lattice.elements:
-            for lo in lattice.strictly_below(hi):
+            for lo in below[hi]:
                 image = {full[(agent, t, lo)] for t in norm[(agent, hi)]}
-                if image != set(norm[(agent, lo)]):
-                    missing = set(norm[(agent, lo)]) - image
+                unreached = set(norm[(agent, lo)]) - image
+                if unreached:
                     violations.append(
                         f"projection ({agent}, {hi} -> {lo}) is not surjective; "
-                        f"unreached: {', '.join(sorted(missing))}")
+                        f"unreached: {', '.join(sorted(unreached))}")
     if violations:
         raise TypeStructureError(violations)
 

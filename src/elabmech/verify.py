@@ -5,9 +5,10 @@ Every check quantifies exhaustively over its finite domain and returns a
 exact utility or welfare gap; a result holds exactly when it has no
 witness.  No numerical tolerance appears anywhere; all comparisons are exact
 over rationals.  Participation and dominance are checked for the agents of
-:func:`transfers.bidders`.  Checks are pure functions of their scenario:
-distinct (property, draw, level) cells may be fanned out to parallel
-workers and their results merged in any order.
+:func:`transfers.bidders`.  Checks are pure functions of their scenario,
+which they write only by filling its argmax memo: distinct (property, draw,
+level) cells may be fanned out to parallel workers and their results merged
+in any order.
 
 Conditional dominance is the expensive check.  Opponents' strategies are
 enumerated as realized-report plans per nature draw: the report sequences
@@ -403,83 +404,60 @@ def check_holmstrom(scenario: Scenario,
     return VerificationResult("holmstrom", witnesses, checked)
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """One solution of A x = b over the rationals, or None when inconsistent.
+def _decompose(scenario: Scenario) -> dict[tuple[str, str, tuple[str, ...]], Fraction]:
+    """The candidate welfare decomposition, in closed form, level by level.
 
-    Plain Gaussian elimination; free variables are set to zero.
+    With ``b`` a level's first profile and ``W_S`` the welfare at the profile
+    taking the given types on the agent set ``S`` and ``b`` elsewhere, agent
+    k's term is the sum over subsets U of the agents before k of
+    (-1)^(k - |U|) W_(U + agents after k); agent k stays at ``b``.  By Möbius
+    inversion over agent subsets the terms sum to welfare minus its top-order
+    finite difference over all agents, which vanishes everywhere exactly when
+    some decomposition exists.  So the candidate decomposes welfare whenever
+    any decomposition does.
     """
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    a = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        pivot = next((k for k in range(r, m) if a[k][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        scale = a[r][c]
-        a[r] = [x / scale for x in a[r]]
-        for k in range(m):
-            if k != r and a[k][c] != 0:
-                factor = a[k][c]
-                a[k] = [x - factor * y for x, y in zip(a[k], a[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    for k in range(r, m):
-        if a[k][n] != 0:
-            return None
-    solution = [Fraction(0)] * n
-    for row, col in pivots:
-        solution[col] = a[row][n]
-    return solution
-
-
-def _decompose(scenario: Scenario
-               ) -> tuple[dict[tuple[str, str, tuple[str, ...]], Fraction] | None, str | None]:
-    """Solve the welfare decomposition exactly, level by level.
-
-    Returns ``(g, None)``, or ``(None, reason)`` naming the first level whose
-    system is inconsistent.
-    """
-    structure, model = scenario.structure, scenario.outcomes
-    out: dict[tuple[str, str, tuple[str, ...]], Fraction] = {}
+    structure, model, agents = scenario.structure, scenario.outcomes, scenario.agents
+    g: dict[tuple[str, str, tuple[str, ...]], Fraction] = {}
     for level in scenario.lattice.elements:
-        index: dict[tuple[str, tuple[str, ...]], int] = {}
-        for agent in scenario.agents:
+        welfare = {profile: model.welfare(model.efficient_outcome(profile), profile)
+                   for profile in structure.profiles(level)}
+        base = next(iter(welfare))
+        for k, agent in enumerate(agents):
             for opp in structure.opponent_profiles(agent, level):
-                index[(agent, opp)] = len(index)
-        rows, rhs = [], []
-        for profile in structure.profiles(level):
-            row = [Fraction(0)] * len(index)
-            for agent in scenario.agents:
-                row[index[(agent, opponent_profile(scenario.agents, agent, profile))]] += 1
-            rows.append(row)
-            rhs.append(model.welfare(model.efficient_outcome(profile), profile))
-        solution = _solve_exact(rows, rhs)
-        if solution is None:
-            return None, (f"no additive decomposition of welfare exists at level {level}: "
-                          f"the {len(rows)}-equation system over {len(index)} unknowns "
-                          f"is inconsistent")
-        for (agent, opp), k in index.items():
-            out[(agent, level, opp)] = solution[k]
-    return out, None
+                term = Fraction(0)
+                for keep in product((False, True), repeat=k):
+                    profile = (*(t if kept else b for t, b, kept in zip(opp, base, keep)),
+                               base[k], *opp[k:])
+                    term += -welfare[profile] if (k - sum(keep)) % 2 else welfare[profile]
+                g[(agent, level, opp)] = term
+    return g
 
 
 def find_g(scenario: Scenario) -> dict[tuple[str, str, tuple[str, ...]], Fraction] | None:
-    """Solve the welfare decomposition exactly, level by level."""
-    return _decompose(scenario)[0]
+    """A welfare decomposition, or None when none exists."""
+    g = _decompose(scenario)
+    return g if check_holmstrom(scenario, g).holds else None
 
 
 def check_decomposition(scenario: Scenario) -> VerificationResult:
-    """A welfare decomposition exists and holds at every level and profile,
-    from one solve per level."""
-    g, certificate = _decompose(scenario)
-    if g is None:
-        return VerificationResult("holmstrom", [Witness(certificate)], 1)
-    return check_holmstrom(scenario, g)
+    """A welfare decomposition exists and holds at every level and profile.
+
+    On failure the one witness names the first level with no decomposition;
+    its replay is the first profile where welfare and the closed-form
+    candidate differ, by the top-order finite difference there.
+    """
+    result = check_holmstrom(scenario, _decompose(scenario))
+    if result.holds:
+        return result
+    replay = result.witnesses[0].replay
+    level = replay["level"]
+    structure = scenario.structure
+    equations = sum(1 for _ in structure.profiles(level))
+    unknowns = sum(1 for agent in scenario.agents
+                   for _ in structure.opponent_profiles(agent, level))
+    return VerificationResult("holmstrom", [Witness(
+        f"no additive decomposition of welfare exists at level {level}: the "
+        f"{equations}-equation system over {unknowns} unknowns is inconsistent", replay)], 1)
 
 
 def derive_y_from_g(scenario: Scenario,

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -231,14 +234,14 @@ def test_verify_holmstrom_solves_each_level_once(tmp_path, capsys, monkeypatch):
     path = tmp_path / "generic.scenario"
     path.write_text(GENERIC)
     calls = []
-    solve = verify._solve_exact
-    monkeypatch.setattr(verify, "_solve_exact",
-                        lambda rows, rhs: calls.append(1) or solve(rows, rhs))
+    decompose = verify._decompose
+    monkeypatch.setattr(verify, "_decompose",
+                        lambda scenario: calls.append(1) or decompose(scenario))
     assert main(["verify", str(path), "--property", "holmstrom"]) == 1
     witnesses = [line for line in capsys.readouterr().out.splitlines() if "witness" in line]
     assert witnesses == ["  witness: no additive decomposition of welfare exists at level l0: "
                          "the 4-equation system over 4 unknowns is inconsistent"]
-    assert len(calls) <= 1  # one lattice level
+    assert len(calls) == 1  # one closed-form decomposition per check
 
 
 def _run_script(tmp_path, text, *extra):
@@ -323,6 +326,41 @@ def test_verify_failed_premium_assumption_exits_two(tmp_path, capsys):
     assert len(err) == 1
     assert err[0].startswith("error: simplified premium ")
     assert err[0].endswith("the opt-out assumption does not hold here")
+
+
+def test_lattice_fault_exits_four_but_an_empty_lattice_exits_two(tmp_path, capsys, monkeypatch):
+    from elabmech import lattice
+
+    def planted(elements, pairs):
+        raise KeyError("planted")
+
+    monkeypatch.setattr(lattice, "_closure", planted)
+    assert main(["report", "example2"]) == 4
+    assert capsys.readouterr().err == "internal error: KeyError: 'planted'\n"
+    monkeypatch.undo()
+    path = tmp_path / "empty.scenario"
+    path.write_text("[lattice]\n[agents]\nagents: a\n")
+    assert main(["report", str(path)]) == 2
+    assert capsys.readouterr().err == "error: lattice: no elements\n"
+
+
+@pytest.mark.parametrize("probe", ["non-commuting", "missing-covers"])
+def test_projection_diagnostics_do_not_depend_on_the_hash_seed(tmp_path, probe):
+    from test_scenario_io import DIAMOND_PROBES
+
+    import elabmech
+    path = tmp_path / "diamond.scenario"
+    path.write_text(DIAMOND_PROBES[probe])
+    src = os.path.dirname(os.path.dirname(elabmech.__file__))
+    outputs = set()
+    for seed in range(4):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", "elabmech.cli", "report", str(path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        outputs.add(done.stderr)
+    assert len(outputs) == 1
+    assert outputs.pop().count("types: ") == 2
 
 
 def test_internal_error_exits_four_with_one_line(capsys, monkeypatch):

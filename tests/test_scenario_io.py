@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from elabmech.fixtures import FIXTURES, fixture
 from elabmech.generate import generate_scenario
-from elabmech.scenario import (ParseError, ValidationError, parse_scenario,
+from elabmech.scenario import (ParseError, UnknownDraw, ValidationError, parse_scenario,
                                serialize_scenario)
 
 MINIMAL = """
@@ -24,6 +24,56 @@ value: solo t x 1
 [scheme]
 kind: clarke
 """
+
+# One agent on the four-level diamond; both paths from top to bot agree.
+DIAMOND = """
+[lattice]
+elements: bot west east top
+edge: bot west
+edge: bot east
+edge: west top
+edge: east top
+[agents]
+agents: a
+[types]
+space: a bot b0 b1
+space: a west w0 w1
+space: a east e0 e1
+space: a top t0 t1
+[projections]
+map: a top west t0 w0
+map: a top west t1 w1
+map: a top east t0 e0
+map: a top east t1 e1
+map: a west bot w0 b0
+map: a west bot w1 b1
+map: a east bot e0 b0
+map: a east bot e1 b1
+[outcomes]
+outcomes: x
+available: bot x
+available: west x
+available: east x
+available: top x
+[valuations]
+value: a b0 x 0
+value: a b1 x 0
+value: a w0 x 0
+value: a w1 x 0
+value: a e0 x 0
+value: a e1 x 0
+value: a t0 x 0
+value: a t1 x 0
+"""
+
+# Two broken diamonds whose diagnostics once varied with the hash seed: the
+# paths through east and west disagree, or both top covers are missing.
+DIAMOND_PROBES = {
+    "non-commuting": DIAMOND.replace("map: a east bot e0 b0\nmap: a east bot e1 b1",
+                                     "map: a east bot e0 b1\nmap: a east bot e1 b0"),
+    "missing-covers": "".join(line for line in DIAMOND.splitlines(keepends=True)
+                              if not line.startswith("map: a top ")),
+}
 
 
 def test_fixtures_load_with_expected_shape():
@@ -300,3 +350,51 @@ def test_keyed_records_with_distinct_keys_load():
     tables = parse_scenario(text).scheme.y_tables
     assert sorted(tables) == [("a1", "hi", ("a2hi2",)), ("a1", "hi", ("a2hi3",)),
                               ("a1", "lo", ("a2lo",))]
+
+
+def test_diamond_loads():
+    assert parse_scenario(DIAMOND).structure.project("a", "t1", "bot") == "b1"
+
+
+@pytest.mark.parametrize("text, old, new, error, message", [
+    ("example2", "draw: main types a1=a1hi2 a2=a2hi3 levels a1=hi a2=lo\n", "",
+     UnknownDraw, "declares no nature draws"),
+    ("example2", "a2=a2hi3 levels", "a2 levels", ParseError, "expected name=value, got 'a2'"),
+    ("example2", "draw: main types", "draw: main kinds", ParseError,
+     "draw wants name types a=t... levels a=l..."),
+    ("example2", " levels a1=hi a2=lo", "", ParseError, "draw is missing the levels part"),
+    ("example2", "bottom: lo", "bottom: hi", ValidationError,
+     "declared bottom hi differs from computed lo"),
+    ("example2", "types a1=a1hi2", "types a1=a1lo2", ValidationError,
+     "draw main: true type a1lo2 of a1 is not in the top-level space"),
+    ("example2", "levels a1=hi", "levels a1=mid", ValidationError,
+     "draw main: awareness level mid of a1 is undeclared"),
+    ("example2", "kind: clarke", "kind: foo", ValidationError, "unknown scheme kind 'foo'"),
+    ("procurement", "supply: s2 supply_s2\n", "", ValidationError,
+     "no supply outcome declared for seller s2"),
+    ("procurement", "supply: s2 supply_s2", "supply: s2 supply_s9", ValidationError,
+     "supply outcome supply_s9 of s2 is undeclared"),
+    ("procurement", "supply: s2 supply_s2", "supply: s2 supply_s2\nsupply: b idle",
+     ValidationError, "the buyer cannot be a supplier"),
+    ("example2", "tie_break: win1 win2", "tie_break: win1", ValidationError,
+     "tie_break is not a total order over the declared outcomes"),
+    ("example2", "available: lo win1 win2", "available: lo win1 win2 win9", ValidationError,
+     "available(lo) lists undeclared outcome win9"),
+    ("example2", "agents: a1 a2\n", "", ValidationError, "no agents declared"),
+    ("example2", "map: a1 hi lo a1hi1 a1lo1", "map: a1 lo hi a1lo1 a1hi1", ValidationError,
+     "projection (a1, lo -> hi) is not downward"),
+    ("example2", "map: a1 hi lo a1hi1 a1lo1", "map: a1 hi lo a1hi9 a1lo1", ValidationError,
+     "projection (a1, hi -> lo) maps undeclared type a1hi9"),
+    ("diamond", "map: a east bot e0 b0", "map: a east bot e0 b1", ValidationError,
+     "projection (a, top -> east) disagrees with composition on t0 at bot"),
+], ids=["no-draw", "draw-token", "draw-types", "draw-levels", "bottom", "draw-type",
+        "draw-level", "kind", "no-supply", "undeclared-supply", "buyer-supplies", "tie-break",
+        "available", "no-agents", "upward-map", "map-type", "diamond"])
+def test_one_record_edit_raises_its_diagnostic(text, old, new, error, message):
+    from test_transfers import PROCUREMENT
+    base = {"example2": FIXTURES["example2"], "procurement": PROCUREMENT,
+            "diamond": DIAMOND}[text]
+    assert old in base
+    with pytest.raises(error) as err:
+        parse_scenario(base.replace(old, new, 1)).draw()
+    assert message in str(err.value)

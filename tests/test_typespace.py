@@ -225,3 +225,52 @@ def test_validate_draw_catches_bad_entries():
     assert validate_draw(s.structure, bad)
     ok = NatureDraw(("a1hi1", "a2hi2"), ("lo", "hi"))
     assert not validate_draw(s.structure, ok)
+
+
+def _projection_inputs():
+    """(lattice, agents, spaces, tables) of the fixtures and 20 generated
+    scenarios, with a table for every pair of levels, cover or longer."""
+    from elabmech.generate import generate_scenario
+    scenarios = [fixture(name) for name in ("example1", "example2", "example4r")]
+    scenarios += [generate_scenario(2026, k) for k in range(20)]
+    for s in scenarios:
+        st, lat = s.structure, s.lattice
+        tables = {(agent, hi, lo): {t: st.project(agent, t, lo) for t in st.space(agent, hi)}
+                  for agent in s.agents for hi in lat.elements for lo in lat.elements
+                  if lat.lt(lo, hi)}
+        yield lat, s.agents, st.spaces, tables
+
+
+def _single_entry_mutations(spaces, tables):
+    """Each table set with one entry retargeted to another type, or dropped."""
+    for key, table in tables.items():
+        agent, _, lo = key
+        for t, dst in table.items():
+            for other in (*(u for u in spaces[(agent, lo)] if u != dst), None):
+                mutated = {k: dict(v) for k, v in tables.items()}
+                if other is None:
+                    del mutated[key][t]
+                else:
+                    mutated[key][t] = other
+                yield mutated
+
+
+def _full_or_none(lattice, agents, spaces, tables):
+    try:
+        return build_structure(lattice, agents, spaces, tables)._proj
+    except TypeStructureError:
+        return None
+
+
+def test_composite_matches_the_all_paths_reference_on_single_entry_mutations():
+    # oracle: today's composition comparing every covering path
+    import reference
+    verdicts = set()
+    for lattice, agents, spaces, tables in _projection_inputs():
+        covers = {(agent, hi, lo) for agent in agents for lo, hi in lattice.covers()}
+        for supplied in (tables, {k: v for k, v in tables.items() if k in covers}):
+            for mutated in (supplied, *_single_entry_mutations(spaces, supplied)):
+                want = reference.compose_projections(lattice, agents, spaces, mutated)
+                assert _full_or_none(lattice, agents, spaces, mutated) == want
+                verdicts.add(want is None)
+    assert verdicts == {True, False}

@@ -10,6 +10,8 @@ from elabmech.generate import generate_scenario
 from elabmech.scenario import parse_scenario
 from elabmech.transfers import Mechanism, SchemeConfig, bidders
 
+import reference
+
 
 def test_efficiency_holds_on_fixtures():
     for name in ("example1", "example2", "example4r"):
@@ -50,6 +52,14 @@ def test_pooled_implementation_static_fails_on_example2():
     witness = result.witnesses[0]
     assert witness.replay["implemented"] == "win1"
     assert witness.replay["target"] == "win2"
+
+
+@pytest.mark.parametrize("k, checked", enumerate([162, 256, 1728, 162, 108, 32]))
+def test_pooled_implementation_holds_under_rspa_with_its_counts(k, checked):
+    s = generate_scenario(2026, k, procurement=True)
+    assert s.scheme.kind == "rspa"
+    result = verify.check_pooled_implementation(s, s.scheme)
+    assert result.holds and result.checked == checked
 
 
 def test_pooled_implementation_with_common_full_awareness_reduces_to_efficiency():
@@ -457,11 +467,60 @@ kind: clarke
 
 def test_exact_solver_on_small_systems():
     one = Fraction(1)
-    solution = verify._solve_exact([[one, one], [one, -one]], [Fraction(3), Fraction(1)])
+    solution = reference.solve_exact([[one, one], [one, -one]], [Fraction(3), Fraction(1)])
     assert solution == [Fraction(2), Fraction(1)]
-    assert verify._solve_exact([[one], [one]], [Fraction(1), Fraction(2)]) is None
-    underdetermined = verify._solve_exact([[one, one]], [Fraction(5)])
+    assert reference.solve_exact([[one], [one]], [Fraction(1), Fraction(2)]) is None
+    underdetermined = reference.solve_exact([[one, one]], [Fraction(5)])
     assert underdetermined is not None and sum(underdetermined) == 5
+
+
+def _decomposition_corpus():
+    from test_acceptance import GENERIC, SEPARABLE
+    from test_transfers import PROCUREMENT
+    yield from (fixture(name) for name in ("example1", "example2", "example4r"))
+    yield from (parse_scenario(text) for text in (GENERIC, SEPARABLE, PROCUREMENT))
+    for seed in (2026, 777, 501):
+        for k in range(30):
+            for procurement in (False, True):
+                yield generate_scenario(seed, k, procurement)
+
+
+def test_closed_form_decomposition_matches_the_linear_solve():
+    # oracle: Gaussian elimination over the rationals, level by level
+    verdicts = []
+    for s in _decomposition_corpus():
+        solved, certificate = reference.decompose(s)
+        result = verify.check_decomposition(s)
+        g = verify.find_g(s)
+        assert result.holds == (solved is not None) == (g is not None), s.name
+        if g is None:
+            assert result.checked == 1
+            assert [w.description for w in result.witnesses] == [certificate]
+            assert f"at level {result.witnesses[0].replay['level']}:" in certificate
+        else:
+            assert verify.check_holmstrom(s, g).holds
+            assert result.checked == sum(1 for level in s.lattice.elements
+                                         for _ in s.structure.profiles(level))
+        verdicts.append(result.holds)
+    assert True in verdicts and False in verdicts
+
+
+def test_holmstrom_failure_replays_the_top_order_difference():
+    s = generate_scenario(2026, 11)
+    [witness] = verify.check_decomposition(s).witnesses
+    replay = witness.replay
+    assert (replay["welfare"], replay["decomposed"]) == ("15", "13")
+    model, structure = s.outcomes, s.structure
+    profile = tuple(replay["profile"])
+    base = next(structure.profiles(replay["level"]))
+    # The alternating sum of welfare over every mix of the profile with the
+    # level's first profile: zero wherever welfare decomposes.
+    difference = Fraction(0)
+    for keep in product((False, True), repeat=len(profile)):
+        mixed = tuple(t if kept else b for t, b, kept in zip(profile, base, keep))
+        sign = (-1) ** (len(profile) - sum(keep))
+        difference += sign * model.welfare(model.efficient_outcome(mixed), mixed)
+    assert difference == Fraction(replay["welfare"]) - Fraction(replay["decomposed"]) != 0
 
 
 # Counts measured before the truthful-run loops were merged into
