@@ -19,7 +19,6 @@ from . import engine, verify
 from .engine import StrategySpaceTooLarge
 from .fixtures import FIXTURES, fixture
 from .generate import generate_scenario
-from .lattice import UnknownLevel
 from .scenario import (ParseError, Scenario, UnknownDraw, ValidationError, load_scenario,
                        scheme_violations)
 from .transfers import CLARKE, GROVES, KINDS, RSPA, Mechanism, PremiumAssumptionFails
@@ -153,6 +152,8 @@ def cmd_run(args) -> int:
     scenario = _apply_scheme(_load(args.scenario), args.scheme)
     draw = scenario.draw(args.draw)
     partial = args.partial or scenario.lattice.top
+    if partial not in scenario.lattice.elements:
+        raise ValidationError([f"undeclared level {partial!r}"])
     strategies, unused = None, {}
     if args.strategy != "truth":
         strategies, unused = _script_strategies(args.strategy, scenario)
@@ -283,8 +284,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, ValidationError, UnknownDraw, UnknownLevel,
-            InapplicableProperty, PremiumAssumptionFails, OSError) as err:
+    except (ParseError, ValidationError, UnknownDraw, InapplicableProperty,
+            PremiumAssumptionFails, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:

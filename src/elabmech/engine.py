@@ -18,8 +18,8 @@ dispatches the per-agent policies and enforces the stage cap.
 depth-first recursion that walks every play and charges the play budget.
 :func:`iter_completions` (terminal states), :func:`truthful_path` (the
 single play when no agent is FREE) and :func:`run` are views of it; the
-dominance check's memoized deviation recursion expands states through
-:func:`report_profiles` as well.
+dominance check's dynamic program expands states through
+:func:`report_profiles` as well, and keys them on :func:`state_key`.
 
 All state is immutable; distinct plays may be explored concurrently.
 """
@@ -74,6 +74,15 @@ class PlayState:
     (I1) ``perceived[i]`` is ``project(agent_i, true_profile[i], awareness[i])``;
     (I2) after any stage, ``awareness[i]`` lies weakly above ``pooled[-1]``,
          because it was just joined with it.
+
+    For a fixed true profile, :func:`state_key` fixes the whole subtree
+    below a state, payoffs included.  Menus, :func:`advance`, the stop rule,
+    the stage cap and :func:`plan_policy` read only the stage, the last
+    report profile, the last pooled level and awareness, and by (I1)
+    perceived types follow from awareness.  A settlement reads the final
+    profile, the final pooled level and the premium recipient; the
+    recipient of a later pooled level is fixed by the stage that reaches it,
+    and while the level stays it is the current one's, which the key holds.
     """
 
     true_profile: tuple[str, ...]
@@ -103,6 +112,30 @@ class PlayBudget:
         self.used += amount
         if self.used > self.bound:
             raise StrategySpaceTooLarge(self.bound)
+
+
+def pooled_recipient(structure: TypeStructure, stages: tuple[tuple[str, ...], ...],
+                     pooled: tuple[str, ...]) -> str | None:
+    """The one agent reporting at the last pooled level at the first stage
+    that reached it, or None when no agent or several do."""
+    target = pooled[-1]
+    recipient = None
+    for agent, report in zip(structure.agents, stages[pooled.index(target)]):
+        if structure.level_of(agent, report) == target:
+            if recipient is not None:
+                return None
+            recipient = agent
+    return recipient
+
+
+def state_key(scenario: Scenario, state: PlayState) -> tuple:
+    """The payoff-sufficient key of ``state`` (see :class:`PlayState`): its
+    awareness at the first stage; later (stage, last report profile, last
+    pooled level, awareness, recipient of the last pooled level, stopped)."""
+    if not state.history:
+        return state.awareness
+    return (state.stage, state.history[-1], state.pooled[-1], state.awareness,
+            pooled_recipient(scenario.structure, state.history, state.pooled), state.stopped)
 
 
 def initial_state(scenario: Scenario, game_level: str, true_profile: tuple[str, ...],

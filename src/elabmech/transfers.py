@@ -157,16 +157,7 @@ def first_pooled_reporter(scenario: Scenario, transcript: Transcript) -> str | N
     """
     if not transcript.stopped:
         raise TranscriptNotStopped()
-    structure = scenario.structure
-    target = transcript.final_pooled
-    stage = transcript.stages[transcript.pooled.index(target)]
-    recipient = None
-    for agent, report in zip(structure.agents, stage):
-        if structure.level_of(agent, report) == target:
-            if recipient is not None:
-                return None
-            recipient = agent
-    return recipient
+    return engine.pooled_recipient(scenario.structure, transcript.stages, transcript.pooled)
 
 
 class Mechanism:

@@ -13,23 +13,30 @@ in any order.
 Conditional dominance is the expensive check.  Opponents' strategies are
 enumerated as realized-report plans per nature draw: the report sequences
 they produce on the truthful play, replayed positionally (with an awareness
-cap) when the checked agent deviates.  The opponents' free reports against
-the truthful agent are plays of :func:`engine.iter_paths`.  The agent's
-deviations against the plans are a memoized recursion over
-:func:`engine.report_profiles`: each running node of the deviation tree
-maps (state, plans, evaluation type) to its best deviation utility and its
-play count, in one exact table per (agent, level).  An information set
-without a profitable deviation is charged its play count at once; one with
-a profitable deviation is walked again with :func:`engine.iter_paths`.  So
-the witness, the ``checked`` count and the information set where the play
-budget trips are those of walking every deviation play.  Payoffs depend
-only on the realized transcript, so this enumeration covers every opponent
-strategy that does not condition on the checked agent's report content
-beyond what the pooled-level broadcasts force; fully report-reactive
-opponents could transfer utility across branches, which no transfer scheme
-can price.  Games whose initial awareness vector cannot reach the
-conditioning level are skipped: projecting such a draw downward reproduces
-an instance already enumerated at the lower level.
+cap) when the checked agent deviates.  Payoffs depend only on the realized
+transcript, so this enumeration covers every opponent strategy that does
+not condition on the checked agent's report content beyond what the
+pooled-level broadcasts force; fully report-reactive opponents could
+transfer utility across branches, which no transfer scheme can price.
+Games whose initial awareness vector cannot reach the conditioning level
+are skipped: projecting such a draw downward reproduces an instance already
+enumerated at the lower level.
+
+The check is a dynamic program over :func:`engine.state_key`, which fixes
+the subtree below a state for a fixed true profile, with two exact tables
+per (agent, level).  The deviation table maps (state key, opponents' plan
+suffixes from the state's stage, evaluation type) to the best deviation
+utility and its play count: a plan replays only its suffix from the
+current stage on.  The truth table maps (state key, the agent's own true
+type) to the opponents' free subtree under the truthful agent: its plays,
+its checks, the plays they charge, and each play as (plan suffixes,
+representative terminal), from which an ancestor runs its own checks; the
+terminal's payoff summary is the real one's.  Each instance is solved with
+the cap (bound - plays used) and charged at once.  If the charge passes the
+cap or a check fails, the instance is walked instead, play by play with
+:func:`engine.iter_paths` through the same tables, so the witness, the
+``checked`` count and the point where the play budget trips are those of
+walking every play.
 """
 from __future__ import annotations
 
@@ -273,34 +280,186 @@ def _dominance_instances(scenario: Scenario, checked_agents: tuple[str, ...]
                                               for a in structure.agents), awareness
 
 
-def _best_deviation(scenario: Scenario, mech: Mechanism, agent: str,
-                    policies: dict[str, object], memo: dict,
-                    tail: tuple[tuple[tuple[str, ...], ...], str],
-                    state: engine.PlayState) -> tuple[Fraction, int]:
-    """(best utility, play count) over the plays of ``engine.iter_paths``
-    from ``state`` under ``policies``, the agent's utility valued at the
-    type ``eval_type``, where ``tail`` is (opponents' plans, ``eval_type``).
+class _Fallback(Exception):
+    """The dynamic program gives an instance up: its charge passed the cap,
+    or a check failed."""
 
-    The plans fix the opponents' policies, so ``(state, tail)`` fixes the
-    subtree and its payoffs; ``memo`` maps it to the result at every running
-    state.  Terminals are valued, not stored: a terminal is reached again
-    almost only through a parent the memo already answers.  Every running
-    state has a feasible report, so there is at least one play.
+
+class _Tables:
+    """The dominance check's two exact tables for one (agent, level), and
+    the cap and running charge of the instance being solved."""
+
+    def __init__(self, scenario: Scenario, agent: str, level: str):
+        agents = scenario.structure.agents
+        self.agent, self.level = agent, level
+        self.index = scenario.structure.agent_index(agent)
+        self.rivals = tuple(k for k, a in enumerate(agents) if a != agent)
+        self.opponents = {a: FREE for a in agents if a != agent}
+        # (state key, plan suffixes, eval type) -> (best utility, plays)
+        self.deviations: dict[tuple, tuple[Fraction, int]] = {}
+        # (state key, own true type) -> (plays, checked, charge, lines)
+        self.truth: dict[tuple, tuple] = {}
+        self.cap = self.spent = 0
+
+    def spend(self, plays: int) -> None:
+        self.spent += plays
+        if self.spent > self.cap:
+            raise _Fallback
+
+
+def _replay_policies(scenario: Scenario, tables: _Tables, state: engine.PlayState,
+                     plans: tuple[tuple[str, ...], ...]) -> dict[str, object]:
+    """The agent FREE and each opponent replaying the plan whose suffix
+    from ``state``'s stage is in ``plans``: ``plan_policy`` reads a plan
+    only from the current stage on, so the history stands in for the rest."""
+    agents = scenario.structure.agents
+    policies: dict[str, object] = {
+        agents[k]: engine.plan_policy(agents[k], tuple(s[k] for s in state.history) + plan,
+                                      scenario)
+        for k, plan in zip(tables.rivals, plans)}
+    policies[tables.agent] = FREE
+    return policies
+
+
+def _best_deviation(scenario: Scenario, mech: Mechanism, tables: _Tables,
+                    state: engine.PlayState, plans: tuple[tuple[str, ...], ...],
+                    eval_type: str, policies: dict[str, object] | None = None
+                    ) -> tuple[Fraction, int]:
+    """(best utility, play count) over the plays of ``engine.iter_paths``
+    from ``state``, the agent FREE and each opponent replaying her plan,
+    the agent's utility valued at ``eval_type``.
+
+    ``plans`` holds each opponent's plan suffix from ``state``'s stage on,
+    and a child gets it less its first report (the final report stays).
+    With the state key that fixes the subtree and its payoffs, so the
+    deviation table maps (state key, plans, eval type) to the result at
+    every running state, and conditioning checks with the same key share
+    an entry.  ``policies`` are built from the plans on the first miss when
+    not given.  Terminals are valued, not stored: a terminal is reached
+    again almost only through a parent the table already answers.  Every
+    running state has a feasible report, so there is at least one play.
     """
     if state.stopped:
-        return mech.utility(engine.transcript(state), agent, tail[1]), 1
-    key = (state, tail)
-    found = memo.get(key)
+        return mech.utility(engine.transcript(state), tables.agent, eval_type), 1
+    key = (engine.state_key(scenario, state), plans, eval_type)
+    found = tables.deviations.get(key)
     if found is None:
+        if policies is None:
+            policies = _replay_policies(scenario, tables, state, plans)
+        below = tuple(p[1:] if len(p) > 1 else p for p in plans)
         best, plays = None, 0
         for reports in engine.report_profiles(scenario, state, policies):
-            u, n = _best_deviation(scenario, mech, agent, policies, memo, tail,
-                                   engine.advance(scenario, state, reports))
+            u, n = _best_deviation(scenario, mech, tables,
+                                   engine.advance(scenario, state, reports), below, eval_type,
+                                   policies)
             plays += n
             if best is None or u > best:
                 best = u
-        found = memo[key] = (best, plays)
+        found = tables.deviations[key] = (best, plays)
     return found
+
+
+def _truth_tree(scenario: Scenario, mech: Mechanism, tables: _Tables,
+                state: engine.PlayState) -> tuple:
+    """(plays, checked, charge, lines) of the plays of ``engine.iter_paths``
+    from ``state``, the agent truthful and her opponents FREE: the plays,
+    the conditioning checks at ``state`` and below with the plays they
+    charge, and each play as (opponents' plan suffixes from ``state``'s
+    stage, terminal transcript), in walk order, listed only at a
+    conditioning state.
+
+    The truth table maps (state key, own true type) to the result at every
+    running state; a hit may list the terminals of another state with the
+    same key, whose payoff summaries are the same.  Every play and check is
+    spent against the cap, and a failing check gives the instance up.
+    """
+    i = tables.index
+    if state.stopped:
+        tables.spend(1)
+        return 1, 0, 0, ((((),) * len(tables.rivals), engine.transcript(state)),)
+    key = (engine.state_key(scenario, state), state.true_profile[i])
+    found = tables.truth.get(key)
+    if found is not None:
+        tables.spend(found[0] + found[2])
+        return found
+    # Awareness only rises along a play, so only a conditioning state has
+    # a conditioning ancestor: only there are the plays listed.
+    eval_type = state.perceived[i]
+    conditioning = scenario.structure.level_of(tables.agent, eval_type) == tables.level
+    plays = checked = charge = 0
+    lines = []
+    for reports in engine.report_profiles(scenario, state, tables.opponents):
+        n, c, cost, below = _truth_tree(scenario, mech, tables,
+                                        engine.advance(scenario, state, reports))
+        plays, checked, charge = plays + n, checked + c, charge + cost
+        if conditioning:
+            lines.extend((tuple((reports[k],) + p for k, p in zip(tables.rivals, plans)),
+                          terminal) for plans, terminal in below)
+    if conditioning:
+        for plans, terminal in lines:
+            u_truth = mech.utility(terminal, tables.agent, eval_type)
+            best, n = _best_deviation(scenario, mech, tables, state, plans, eval_type)
+            if best > u_truth:
+                raise _Fallback
+            tables.spend(n)
+            checked, charge = checked + 1, charge + n
+    found = tables.truth[key] = (plays, checked, charge, tuple(lines))
+    return found
+
+
+def _walk(scenario: Scenario, mech: Mechanism, tables: _Tables, budget: PlayBudget,
+          profile: tuple[str, ...], awareness: tuple[str, ...],
+          start: engine.PlayState) -> tuple[Witness | None, int]:
+    """(first witness or None, checked) of walking one instance play by
+    play, each play charged as it is reached: the dominance check's
+    reference order, through the same deviation table."""
+    agent, level, i = tables.agent, tables.level, tables.index
+    structure = scenario.structure
+    checked = 0
+    # The agent tells the truth while opponents report freely; each play
+    # fixes one opponents' plan profile.
+    for path in engine.iter_paths(scenario, start, tables.opponents, budget):
+        truth_transcript = engine.transcript(path[-1])
+        plans = tuple(tuple(stage[k] for stage in truth_transcript.stages)
+                      for k in tables.rivals)
+        policies = _replay_policies(scenario, tables, start, plans)
+        # Awareness only rises along a play, so a perceived type never
+        # recurs once it changes: value the truthful play once per type.
+        valued = None
+        for h_state in path[:-1]:
+            if structure.level_of(agent, h_state.perceived[i]) != level:
+                continue
+            eval_type = h_state.perceived[i]
+            if eval_type != valued:
+                valued, u_truth = eval_type, mech.utility(truth_transcript, agent, eval_type)
+            checked += 1
+            best, plays = _best_deviation(scenario, mech, tables, h_state,
+                                          tuple(p[h_state.stage - 1:] for p in plans),
+                                          eval_type, policies)
+            if best <= u_truth:
+                # Walking these plays would charge each of them and find
+                # no witness.
+                budget.charge(plays)
+                continue
+            # Walk the plays in order, so that the witness and the point
+            # where the budget trips are those of the plain walk.
+            for dev_terminal in engine.iter_completions(scenario, h_state, policies, budget):
+                dev_transcript = engine.transcript(dev_terminal)
+                u_dev = mech.utility(dev_transcript, agent, eval_type)
+                if u_dev > u_truth:
+                    return Witness(
+                        f"{agent} gains {u_dev - u_truth} by deviating at stage "
+                        f"{h_state.stage} (draw {profile} / {awareness} in the "
+                        f"{level}-partial game)",
+                        {"agent": agent, "level": level, "profile": list(profile),
+                         "awareness": list(awareness),
+                         "conditioning_stage": h_state.stage,
+                         "perceived": eval_type,
+                         "truth_stages": [list(s) for s in truth_transcript.stages],
+                         "deviation_stages": [list(s) for s in dev_transcript.stages],
+                         "truth_utility": str(u_truth),
+                         "deviation_utility": str(u_dev)}), checked
+    return None, checked
 
 
 def check_conditional_dominance(scenario: Scenario, scheme: SchemeConfig,
@@ -319,68 +478,26 @@ def check_conditional_dominance(scenario: Scenario, scheme: SchemeConfig,
         raise InapplicableProperty(
             f"dominance applies to the dynamic protocol, not to {STATIC_VICKREY}")
     mech = Mechanism(scenario, scheme)
-    structure = scenario.structure
-    agents = structure.agents
     budget = PlayBudget(bound)
     checked = 0
-    # One table per (agent, level): every key carries both, so dropping the
-    # table when either changes loses no hit.
-    memo: dict[tuple, tuple[Fraction, int]] = {}
-    table_for = None
-    instances = _dominance_instances(scenario, bidders(scenario, scheme))
-    for agent, level, profile, awareness in instances:
-        if table_for != (agent, level):
-            memo = {}
-            table_for = (agent, level)
-        i = structure.agent_index(agent)
+    tables = None
+    for agent, level, profile, awareness in _dominance_instances(scenario,
+                                                                 bidders(scenario, scheme)):
+        # Table entries hold for one (agent, level), and instances come
+        # grouped by both, so a new pair starts new tables and loses no hit.
+        if tables is None or (tables.agent, tables.level) != (agent, level):
+            tables = _Tables(scenario, agent, level)
         start = engine.initial_state(scenario, level, profile, awareness)
-        rivals = [(k, a) for k, a in enumerate(agents) if a != agent]
-        opponents = {a: FREE for _, a in rivals}
-        # The agent tells the truth while opponents report freely; each play
-        # fixes one opponents' plan profile.
-        for path in engine.iter_paths(scenario, start, opponents, budget):
-            truth_transcript = engine.transcript(path[-1])
-            plans = tuple(tuple(stage[k] for stage in truth_transcript.stages)
-                          for k, _ in rivals)
-            policies: dict[str, object] = {
-                a: engine.plan_policy(a, plan, scenario)
-                for (_, a), plan in zip(rivals, plans)}
-            policies[agent] = FREE
-            # Awareness only rises along a play, so a perceived type never
-            # recurs once it changes: value the truthful play once per type.
-            valued = None
-            for h_state in path[:-1]:
-                if structure.level_of(agent, h_state.perceived[i]) != level:
-                    continue
-                eval_type = h_state.perceived[i]
-                if eval_type != valued:
-                    valued, u_truth = eval_type, mech.utility(truth_transcript, agent, eval_type)
-                checked += 1
-                best, plays = _best_deviation(scenario, mech, agent, policies, memo,
-                                              (plans, eval_type), h_state)
-                if best <= u_truth:
-                    # Walking these plays would charge each of them and find
-                    # no witness.
-                    budget.charge(plays)
-                    continue
-                # Walk the plays in order, so that the witness and the point
-                # where the budget trips are those of the plain walk.
-                for dev_terminal in engine.iter_completions(scenario, h_state, policies, budget):
-                    dev_transcript = engine.transcript(dev_terminal)
-                    u_dev = mech.utility(dev_transcript, agent, eval_type)
-                    if u_dev > u_truth:
-                        return VerificationResult("dominance", [Witness(
-                            f"{agent} gains {u_dev - u_truth} by deviating at stage "
-                            f"{h_state.stage} (draw {profile} / {awareness} in the "
-                            f"{level}-partial game)",
-                            {"agent": agent, "level": level, "profile": list(profile),
-                             "awareness": list(awareness),
-                             "conditioning_stage": h_state.stage,
-                             "perceived": eval_type,
-                             "truth_stages": [list(s) for s in truth_transcript.stages],
-                             "deviation_stages": [list(s) for s in dev_transcript.stages],
-                             "truth_utility": str(u_truth),
-                             "deviation_utility": str(u_dev)})], checked)
+        tables.cap, tables.spent = budget.bound - budget.used, 0
+        try:
+            plays, n_checked, charge, _ = _truth_tree(scenario, mech, tables, start)
+        except _Fallback:
+            witness, n_checked = _walk(scenario, mech, tables, budget, profile, awareness, start)
+            if witness is not None:
+                return VerificationResult("dominance", [witness], checked + n_checked)
+        else:
+            budget.charge(plays + charge)
+        checked += n_checked
     return VerificationResult("dominance", [], checked)
 
 

@@ -211,6 +211,18 @@ def test_run_unknown_partial_level_exits_two(capsys):
     assert "nosuch" in err and len(err.splitlines()) == 1
 
 
+def test_unknown_level_from_a_verifier_defect_exits_four(capsys, monkeypatch):
+    from elabmech.lattice import UnknownLevel
+    from elabmech.typespace import TypeStructure
+
+    def planted(self, profile):
+        raise UnknownLevel("undeclared level 'planted'")
+
+    monkeypatch.setattr(TypeStructure, "pooled_level", planted)
+    assert main(["verify", "example2", "--property", "efficiency"]) == 4
+    assert capsys.readouterr().err == "internal error: UnknownLevel: undeclared level 'planted'\n"
+
+
 def test_run_unknown_draw_exits_two_and_lists_the_declared_draws(capsys):
     assert main(["run", "example1", "--draw", "nosuch"]) == 2
     err = capsys.readouterr().err

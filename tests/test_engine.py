@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from elabmech import engine, verify
+from elabmech import engine, transfers, verify
 from elabmech.fixtures import fixture
 from elabmech.generate import generate_scenario
 from elabmech.scenario import parse_scenario
@@ -247,6 +249,64 @@ def test_advance_matches_the_always_recomputing_rule_on_every_reached_state():
     # Both branches of the shortcut ran: a carried-over stage and a
     # recomputation that raised some awareness.
     assert carried and raised
+
+
+def payoff_summary(scenario, terminal):
+    transcript = engine.transcript(terminal)
+    return (transcript.final, transcript.final_pooled,
+            transfers.first_pooled_reporter(scenario, transcript))
+
+
+def free_subtree(s, state, free, found):
+    """(plays, Counter of payoff summaries) of the all-FREE subtree below
+    ``state``, memoized on the whole state, which is exact."""
+    got = found.get(state)
+    if got is None:
+        if state.stopped:
+            got = (1, Counter([payoff_summary(s, state)]))
+        else:
+            plays, summaries = 0, Counter()
+            for reports in engine.report_profiles(s, state, free):
+                n, below = free_subtree(s, engine.advance(s, state, reports), free, found)
+                plays += n
+                summaries.update(below)
+            got = (plays, summaries)
+        found[state] = got
+    return got
+
+
+def free_key_groups(s):
+    """(merged, split) over every state the all-FREE walk reaches: states
+    whose key an earlier, different state has, and keys whose states have
+    different subtrees."""
+    free = {agent: engine.FREE for agent in s.agents}
+    found, by_key, merged = {}, {}, 0
+    for state in reached_states(s):
+        key = engine.state_key(s, state)
+        merged += key in by_key
+        by_key.setdefault(key, []).append(free_subtree(s, state, free, found))
+    return merged, sum(any(got != results[0] for got in results) for results in by_key.values())
+
+
+def test_state_key_fixes_the_free_subtree_on_every_reached_state():
+    merged = 0
+    for s in walk_corpus():
+        more, split = free_key_groups(s)
+        assert not split, s.name
+        merged += more
+    # The key does merge states whose histories differ.
+    assert merged
+
+
+def test_mutant_state_key_without_recipient_is_killed_by_key_sufficiency(monkeypatch):
+    state_key = engine.state_key
+
+    def without_recipient(scenario, state):
+        key = state_key(scenario, state)
+        return key[:4] + key[5:] if state.history else key
+
+    monkeypatch.setattr(engine, "state_key", without_recipient)
+    assert free_key_groups(fixture("example2"))[1] == 16
 
 
 def test_run_example1_transcript():

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +12,7 @@ from elabmech.scenario import parse_scenario
 from elabmech.transfers import Mechanism, SchemeConfig, bidders
 
 import reference
+from test_engine import payoff_summary
 
 
 def test_efficiency_holds_on_fixtures():
@@ -632,6 +634,49 @@ def _reference_dominance(scenario, scheme, bound=10 ** 6):
     return True, checked, None
 
 
+def replay_subtree_states(s):
+    """(agent, opponents' full plans, their replay policies, state) for
+    every state of every deviation subtree the plain dominance walk visits,
+    each once."""
+    seen = set()
+    for agent, level, profile, awareness in verify._dominance_instances(s, bidders(s, s.scheme)):
+        i = s.structure.agent_index(agent)
+        rivals = [(k, a) for k, a in enumerate(s.agents) if a != agent]
+        start = engine.initial_state(s, level, profile, awareness)
+        for path in engine.iter_paths(s, start, {a: engine.FREE for _, a in rivals}):
+            plans = tuple(tuple(stage[k] for stage in path[-1].history) for k, _ in rivals)
+            policies = {a: engine.plan_policy(a, plan, s) for (_, a), plan in zip(rivals, plans)}
+            policies[agent] = engine.FREE
+            todo = [h for h in path[:-1] if s.structure.level_of(agent, h.perceived[i]) == level]
+            while todo:
+                state = todo.pop()
+                if (agent, plans, state) in seen:
+                    continue
+                seen.add((agent, plans, state))
+                yield agent, plans, policies, state
+                if not state.stopped:
+                    todo.extend(engine.advance(s, state, reports)
+                                for reports in engine.report_profiles(s, state, policies))
+
+
+def test_state_key_fixes_every_deviation_subtree_under_plan_replay():
+    # Plan replay reads the stage, so states of one key but different
+    # stages would split here even where the all-FREE walk cannot tell.
+    merged = 0
+    for name in ("example2", "example4r", "gen301-3", "gen301-4"):
+        s = _differential_scenario(name)
+        by_key = {}
+        for agent, plans, policies, state in replay_subtree_states(s):
+            terminals = list(engine.iter_completions(s, state, policies))
+            got = (len(terminals), Counter(payoff_summary(s, t) for t in terminals))
+            key = (agent, plans, engine.state_key(s, state))
+            first = by_key.setdefault(key, (state, got))
+            assert got == first[1], (name, agent, plans, first[0], state)
+            merged += first[0] != state
+    # The key does merge states whose histories differ.
+    assert merged
+
+
 # The fixtures, and the generated scenarios of index below 10 that the plain
 # walk covers in well under a second, plus gen301-1 as one larger case.
 DIFFERENTIAL_CASES = (["example2", "example4r", "gen301-1"]
@@ -672,6 +717,62 @@ def test_memoized_dominance_matches_the_plain_walk(name, ablate, monkeypatch, ab
     result = verify.check_conditional_dominance(s, s.scheme)
     assert (result.holds, result.checked, budgets[-1].used) == (holds, checked, reference_used)
     assert (result.witnesses[0].replay if result.witnesses else None) == replay
+
+
+def _bounded(check, bound):
+    """(holds, checked, first witness replay) of ``check(bound)``, or
+    "trips" when the play bound trips."""
+    try:
+        return check(bound)
+    except engine.StrategySpaceTooLarge:
+        return "trips"
+
+
+def _dominance_outcome(s, bound):
+    result = verify.check_conditional_dominance(s, s.scheme, bound=bound)
+    return result.holds, result.checked, result.witnesses[0].replay if result.witnesses else None
+
+
+@pytest.mark.parametrize("name, ablate", [("example2", False), ("example2", True),
+                                          ("gen301-4", False)])
+def test_play_bound_trips_where_the_plain_walk_trips(name, ablate, monkeypatch, ablate_premium):
+    budgets, starts = [], []
+
+    class RecordedBudget(engine.PlayBudget):
+        def __init__(self, bound=10 ** 6):
+            super().__init__(bound)
+            budgets.append(self)
+
+    def recorded_start(*args):
+        starts.append(budgets[-1].used)
+        return initial_state(*args)
+
+    initial_state = engine.initial_state
+    monkeypatch.setattr(verify, "PlayBudget", RecordedBudget)
+    s = _differential_scenario(name)
+    if ablate:
+        ablate_premium()
+    monkeypatch.setattr(engine, "initial_state", recorded_start)
+    unbounded = _reference_dominance(s, s.scheme)
+    monkeypatch.setattr(engine, "initial_state", initial_state)
+    plays = budgets[-1].used
+    assert plays == PINNED_DOMINANCE[name + ("-ablated" if ablate else "")][2]
+    if name == "example2":
+        # Every bound, against the plain walk run under it.
+        for bound in range(1, plays + 2):
+            want = _bounded(lambda b: _reference_dominance(s, s.scheme, b), bound)
+            assert _bounded(lambda b: _dominance_outcome(s, b), bound) == want, bound
+        return
+    # The plain walk charges one play at a time and reads its budget nowhere
+    # else, so under a bound it trips exactly when its unbounded run charges
+    # more, and otherwise returns what that run returns.  The bounds taken
+    # are those at and around each instance's start, where the cap of the
+    # instance before equals its charge, and a stride through the rest.
+    bounds = sorted({b for used in starts + [plays] for b in (used - 1, used, used + 1) if b > 0}
+                    | set(range(1, plays, 31)))
+    for bound in bounds:
+        want = "trips" if bound < plays else unbounded
+        assert _bounded(lambda b: _dominance_outcome(s, b), bound) == want, bound
 
 
 # check_budget verdicts, checked counts and first witnesses, measured before
