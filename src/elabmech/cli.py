@@ -7,11 +7,16 @@ scenario summary with welfare tables), ``fixtures`` (built-in scenarios).
 Exit status: 0 success / all properties hold, 1 property violation,
 2 input error, 3 enumeration bound exceeded, 4 internal error (any other
 exception, reported as one ``internal error: <Type>: <message>`` line).
+
+The argument parser is built once per process, on the first :func:`main`
+call, and reused by every later call; so handlers treat ``args`` as
+read-only and no parse hands one call's state to the next.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -48,7 +53,10 @@ PROPERTIES = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call: callers parse
+    with it and never modify it."""
     parser = argparse.ArgumentParser(prog="elabmech",
                                      description="elaboration mechanisms and their verifier")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -74,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--scheme", default=None, choices=KINDS, help="override the scheme kind")
     ver.add_argument("--property", dest="properties", action="append", choices=PROPERTIES,
                      help="property to check (repeatable)")
-    ver.add_argument("--expect-fail", dest="expect_fail", action="append", default=[],
+    ver.add_argument("--expect-fail", dest="expect_fail", action="append",
                      choices=PROPERTIES, metavar="PROP",
                      help="property whose violation is the expected outcome")
     ver.add_argument("--all", action="store_true", help="run every applicable property")
@@ -202,6 +210,7 @@ def cmd_verify(args) -> int:
                      for k in range(args.generated)]
     else:
         scenarios = [_apply_scheme(_load(args.scenario), args.scheme)]
+    expect_fail = args.expect_fail or ()
     results = []
     worst = 0
     try:
@@ -219,7 +228,7 @@ def cmd_verify(args) -> int:
                     return 3
                 results.append((scenario.name, result))
                 verdict = "holds" if result.holds else "VIOLATED"
-                expected = prop in args.expect_fail
+                expected = prop in expect_fail
                 print(f"{scenario.name}: {result.prop}: {verdict} "
                       f"({result.checked} cases)"
                       + (" [expected violation]" if expected and not result.holds else ""))

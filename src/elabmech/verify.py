@@ -503,9 +503,14 @@ def check_conditional_dominance(scenario: Scenario, scheme: SchemeConfig,
 
 def check_holmstrom(scenario: Scenario,
                     g: dict[tuple[str, str, tuple[str, ...]], Fraction]) -> VerificationResult:
-    """The welfare decomposition holds at every level and profile for ``g``."""
+    """The welfare decomposition holds at every level and profile for ``g``.
+
+    Levels are checked in declaration order and profiles in
+    ``profiles(level)`` order; a failure stops at the first profile where the
+    terms of ``g`` do not sum to welfare, whose replay is the one witness,
+    and ``checked`` counts the profiles up to and including it.
+    """
     model = scenario.outcomes
-    witnesses = []
     checked = 0
     for level in scenario.lattice.elements:
         for profile in scenario.structure.profiles(level):
@@ -514,11 +519,11 @@ def check_holmstrom(scenario: Scenario,
                          for agent in scenario.agents), Fraction(0))
             welfare = model.welfare(model.efficient_outcome(profile), profile)
             if total != welfare:
-                witnesses.append(Witness(
+                return VerificationResult("holmstrom", [Witness(
                     f"decomposition misses welfare by {welfare - total} at {level} {profile}",
                     {"level": level, "profile": list(profile),
-                     "welfare": str(welfare), "decomposed": str(total)}))
-    return VerificationResult("holmstrom", witnesses, checked)
+                     "welfare": str(welfare), "decomposed": str(total)})], checked)
+    return VerificationResult("holmstrom", [], checked)
 
 
 def _decompose(scenario: Scenario) -> dict[tuple[str, str, tuple[str, ...]], Fraction]:

@@ -32,6 +32,43 @@ def test_parser_rejects_unknown_scheme():
         build_parser().parse_args(["run", "example1", "--scheme", "mystery"])
 
 
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+# Calls that differ only in flags a cached parser must reset between parses.
+REUSE_SEQUENCE = [
+    ["verify", "example2", "--property", "dominance", "--expect-fail", "dominance"],
+    ["verify", "example2", "--property", "dominance"],
+    ["run", "example2", "--scheme", "static_vickrey"],
+    ["run", "example2"],
+    ["verify", "example2", "--property", "nosuch"],
+    ["verify", "example2", "--property", "nosuch"],
+]
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exit_:
+        code = ("SystemExit", exit_.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_answers_each_call_as_a_fresh_parser_does(capsys, monkeypatch):
+    from elabmech import cli
+
+    reused = [_outcome(argv, capsys) for argv in REUSE_SEQUENCE]
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    fresh = [_outcome(argv, capsys) for argv in REUSE_SEQUENCE]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [1, 0, 0, 0, ("SystemExit", 2),
+                                               ("SystemExit", 2)]
+    assert "outcome: win1" in reused[2][1] and "outcome: win2" in reused[3][1]
+    assert "invalid choice: 'nosuch'" in reused[4][2]
+
+
 def test_fixtures_subcommand(capsys):
     assert main(["fixtures"]) == 0
     out = capsys.readouterr().out

@@ -525,6 +525,37 @@ def test_holmstrom_failure_replays_the_top_order_difference():
     assert difference == Fraction(replay["welfare"]) - Fraction(replay["decomposed"]) != 0
 
 
+def test_holmstrom_stops_at_the_first_profile_where_g_misses_welfare():
+    failing = several_failing = 0
+    for s in _decomposition_corpus():
+        g = verify._decompose(s)
+        model = s.outcomes
+        # Direct scan: every (checked index, level, profile, welfare, sum of g)
+        # that misses, in level then profile order.
+        misses = []
+        index = 0
+        for level in s.lattice.elements:
+            for profile in s.structure.profiles(level):
+                index += 1
+                total = sum(g[(agent, level, transfers.opponent_profile(s.agents, agent,
+                                                                        profile))]
+                            for agent in s.agents)
+                welfare = model.welfare(model.efficient_outcome(profile), profile)
+                if total != welfare:
+                    misses.append((index, level, list(profile), str(welfare), str(total)))
+        result = verify.check_holmstrom(s, g)
+        if not misses:
+            assert result.holds and result.checked == index, s.name
+            continue
+        failing += 1
+        several_failing += len(misses) > 1
+        [witness] = result.witnesses
+        replay = witness.replay
+        assert (result.checked, replay["level"], replay["profile"], replay["welfare"],
+                replay["decomposed"]) == misses[0], s.name
+    assert failing >= 10 and several_failing >= 1
+
+
 # Counts measured before the truthful-run loops were merged into
 # engine.truthful_path; the merge must not move them.
 PINNED_COUNTS = {
