@@ -199,6 +199,10 @@ def cmd_verify(args) -> int:
     if args.generated is None and args.scenario is None:
         print("verify needs a scenario or --generated N", file=sys.stderr)
         return 2
+    if args.generated is not None and args.scenario is not None:
+        print(f"error: verify takes a scenario or --generated N, not both "
+              f"(got {args.scenario!r})", file=sys.stderr)
+        return 2
     for flag, count in (("--generated", args.generated), ("--bound", args.bound)):
         if count is not None and count < 1:
             print(f"error: {flag} must be at least 1, got {count}", file=sys.stderr)

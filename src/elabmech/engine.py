@@ -21,13 +21,14 @@ single play when no agent is FREE) and :func:`run` are views of it; the
 dominance check's dynamic program expands states through
 :func:`report_profiles` as well, and keys them on :func:`state_key`.
 
-All state is immutable; distinct plays may be explored concurrently.
+All state is immutable: :class:`PlayState` and :class:`Transcript` are
+NamedTuples, equal and hashing alike exactly when their fields do, so
+distinct plays may be explored concurrently and states may key tables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
 from .typespace import NatureDraw, TypeStructure
 
@@ -45,8 +46,10 @@ class StrategySpaceTooLarge(Exception):
         self.bound = bound
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(NamedTuple):
+    """The record of a play: each stage's report profile, each stage's
+    pooled level, and whether the play stopped.  An immutable NamedTuple."""
+
     stages: tuple[tuple[str, ...], ...]
     pooled: tuple[str, ...]
     stopped: bool
@@ -64,9 +67,8 @@ class Transcript:
         return len(self.stages)
 
 
-@dataclass(frozen=True)
-class PlayState:
-    """One running or stopped play.
+class PlayState(NamedTuple):
+    """One running or stopped play, as an immutable NamedTuple.
 
     Every state that :func:`initial_state` or :func:`advance` builds keeps
     two invariants, which let :func:`advance` skip work that cannot change:
@@ -182,38 +184,46 @@ def report_menus(structure: TypeStructure) -> dict[tuple, tuple[str, ...]]:
 
 
 def feasible_reports(scenario: Scenario, state: PlayState, agent: str) -> tuple[str, ...]:
-    i = scenario.structure.agent_index(agent)
-    last, pooled = (state.history[-1][i], state.pooled[-1]) if state.history else (None, None)
-    return scenario.menus[(agent, state.awareness[i], last, pooled)]
+    i = scenario.structure.agents.index(agent)
+    if state.history:
+        return scenario.menus[(agent, state.awareness[i], state.history[-1][i], state.pooled[-1])]
+    return scenario.menus[(agent, state.awareness[i], None, None)]
 
 
 def advance(scenario: Scenario, state: PlayState, reports: tuple[str, ...]) -> PlayState:
     """The state after one stage of ``reports``, every report checked
     against its menu.
 
-    By (I2) a pooled level equal to the last one raises nobody's awareness,
-    so awareness and perceived types carry over; by (I1) a new pooled level
+    One pass over the agents checks each report and joins its level into
+    the pooled level; a report's level is read only once it is known to be
+    feasible, so an undeclared report is an :class:`InfeasibleReport`.  By
+    (I2) a pooled level equal to the last one raises nobody's awareness, so
+    awareness and perceived types carry over; by (I1) a new pooled level
     re-projects the true types only when it raised some awareness.
     """
     if state.stopped:
         raise InfeasibleReport("play already stopped")
     structure = scenario.structure
-    lattice = structure.lattice
-    if len(reports) != len(structure.agents):
-        raise InfeasibleReport(f"{len(reports)} reports for {len(structure.agents)} agents")
-    for agent, report in zip(structure.agents, reports):
+    agents = structure.agents
+    if len(reports) != len(agents):
+        raise InfeasibleReport(f"{len(reports)} reports for {len(agents)} agents")
+    join = structure.lattice.join
+    level_of = structure.level_of
+    pooled = None
+    for agent, report in zip(agents, reports):
         if report not in feasible_reports(scenario, state, agent):
             raise InfeasibleReport(f"{agent}: {report}")
-    pooled = lattice.join_all(structure.level_of(agent, r)
-                              for agent, r in zip(structure.agents, reports))
+        level = level_of(agent, report)
+        pooled = level if pooled is None else join(pooled, level)
+    history = state.history
     awareness, perceived = state.awareness, state.perceived
-    if not state.history or pooled != state.pooled[-1]:
-        awareness = tuple(lattice.join(a, pooled) for a in awareness)
+    if not history or pooled != state.pooled[-1]:
+        awareness = tuple(join(a, pooled) for a in awareness)
         if awareness != state.awareness:
             perceived = tuple(structure.project(agent, t, a) for agent, t, a
-                              in zip(structure.agents, state.true_profile, awareness))
-    stopped = bool(state.history) and reports == state.history[-1]
-    return PlayState(state.true_profile, awareness, perceived, state.history + (reports,),
+                              in zip(agents, state.true_profile, awareness))
+    stopped = bool(history) and reports == history[-1]
+    return PlayState(state.true_profile, awareness, perceived, history + (reports,),
                      state.pooled + (pooled,), stopped)
 
 

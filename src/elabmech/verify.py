@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import engine
 from .engine import FREE, PlayBudget
@@ -501,6 +501,15 @@ def check_conditional_dominance(scenario: Scenario, scheme: SchemeConfig,
     return VerificationResult("dominance", [], checked)
 
 
+def _welfare_tables(scenario: Scenario) -> Iterator[tuple[str, dict[tuple[str, ...], Fraction]]]:
+    """Each level in declaration order, with the welfare of the efficient
+    outcome at each of its profiles in ``profiles(level)`` order."""
+    model = scenario.outcomes
+    for level in scenario.lattice.elements:
+        yield level, {profile: model.welfare(model.efficient_outcome(profile), profile)
+                      for profile in scenario.structure.profiles(level)}
+
+
 def check_holmstrom(scenario: Scenario,
                     g: dict[tuple[str, str, tuple[str, ...]], Fraction]) -> VerificationResult:
     """The welfare decomposition holds at every level and profile for ``g``.
@@ -510,14 +519,20 @@ def check_holmstrom(scenario: Scenario,
     terms of ``g`` do not sum to welfare, whose replay is the one witness,
     and ``checked`` counts the profiles up to and including it.
     """
-    model = scenario.outcomes
+    return _check_terms(scenario, g, _welfare_tables(scenario))
+
+
+def _check_terms(scenario: Scenario, g: dict[tuple[str, str, tuple[str, ...]], Fraction],
+                 tables: Iterable[tuple[str, dict[tuple[str, ...], Fraction]]]
+                 ) -> VerificationResult:
+    """:func:`check_holmstrom` against the (level, welfare table) pairs of
+    :func:`_welfare_tables`."""
     checked = 0
-    for level in scenario.lattice.elements:
-        for profile in scenario.structure.profiles(level):
+    for level, table in tables:
+        for profile, welfare in table.items():
             checked += 1
             total = sum((g[(agent, level, opponent_profile(scenario.agents, agent, profile))]
                          for agent in scenario.agents), Fraction(0))
-            welfare = model.welfare(model.efficient_outcome(profile), profile)
             if total != welfare:
                 return VerificationResult("holmstrom", [Witness(
                     f"decomposition misses welfare by {welfare - total} at {level} {profile}",
@@ -526,8 +541,10 @@ def check_holmstrom(scenario: Scenario,
     return VerificationResult("holmstrom", [], checked)
 
 
-def _decompose(scenario: Scenario) -> dict[tuple[str, str, tuple[str, ...]], Fraction]:
-    """The candidate welfare decomposition, in closed form, level by level.
+def _decompose(scenario: Scenario, tables: dict[str, dict[tuple[str, ...], Fraction]]
+               ) -> dict[tuple[str, str, tuple[str, ...]], Fraction]:
+    """The candidate welfare decomposition, in closed form, level by level,
+    from the welfare ``tables`` of :func:`_welfare_tables`.
 
     With ``b`` a level's first profile and ``W_S`` the welfare at the profile
     taking the given types on the agent set ``S`` and ``b`` elsewhere, agent
@@ -538,11 +555,9 @@ def _decompose(scenario: Scenario) -> dict[tuple[str, str, tuple[str, ...]], Fra
     some decomposition exists.  So the candidate decomposes welfare whenever
     any decomposition does.
     """
-    structure, model, agents = scenario.structure, scenario.outcomes, scenario.agents
+    structure, agents = scenario.structure, scenario.agents
     g: dict[tuple[str, str, tuple[str, ...]], Fraction] = {}
-    for level in scenario.lattice.elements:
-        welfare = {profile: model.welfare(model.efficient_outcome(profile), profile)
-                   for profile in structure.profiles(level)}
+    for level, welfare in tables.items():
         base = next(iter(welfare))
         for k, agent in enumerate(agents):
             for opp in structure.opponent_profiles(agent, level):
@@ -555,10 +570,18 @@ def _decompose(scenario: Scenario) -> dict[tuple[str, str, tuple[str, ...]], Fra
     return g
 
 
+def _decomposition(scenario: Scenario
+                   ) -> tuple[dict[tuple[str, str, tuple[str, ...]], Fraction], VerificationResult]:
+    """The closed-form candidate and its check, from one welfare table per level."""
+    tables = dict(_welfare_tables(scenario))
+    g = _decompose(scenario, tables)
+    return g, _check_terms(scenario, g, tables.items())
+
+
 def find_g(scenario: Scenario) -> dict[tuple[str, str, tuple[str, ...]], Fraction] | None:
     """A welfare decomposition, or None when none exists."""
-    g = _decompose(scenario)
-    return g if check_holmstrom(scenario, g).holds else None
+    g, result = _decomposition(scenario)
+    return g if result.holds else None
 
 
 def check_decomposition(scenario: Scenario) -> VerificationResult:
@@ -568,7 +591,7 @@ def check_decomposition(scenario: Scenario) -> VerificationResult:
     its replay is the first profile where welfare and the closed-form
     candidate differ, by the top-order finite difference there.
     """
-    result = check_holmstrom(scenario, _decompose(scenario))
+    result = _decomposition(scenario)[1]
     if result.holds:
         return result
     replay = result.witnesses[0].replay

@@ -181,6 +181,15 @@ def test_verify_without_target_exits_two(capsys):
     assert main(["verify"]) == 2
 
 
+def test_verify_rejects_a_scenario_given_with_generated(capsys):
+    # Without the check the scenario was dropped and only the batch verified.
+    assert main(["verify", "example2", "--generated", "2", "--property", "stage-bound"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: verify takes a scenario or --generated N, not both (got 'example2')"]
+
+
 @pytest.mark.parametrize("argv", [
     ["--generated", "0"], ["--generated", "-3"],
     ["example2", "--bound", "0"], ["example2", "--bound", "-5"],
@@ -285,7 +294,7 @@ def test_verify_holmstrom_solves_each_level_once(tmp_path, capsys, monkeypatch):
     calls = []
     decompose = verify._decompose
     monkeypatch.setattr(verify, "_decompose",
-                        lambda scenario: calls.append(1) or decompose(scenario))
+                        lambda scenario, tables: calls.append(1) or decompose(scenario, tables))
     assert main(["verify", str(path), "--property", "holmstrom"]) == 1
     witnesses = [line for line in capsys.readouterr().out.splitlines() if "witness" in line]
     assert witnesses == ["  witness: no additive decomposition of welfare exists at level l0: "

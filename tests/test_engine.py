@@ -251,6 +251,92 @@ def test_advance_matches_the_always_recomputing_rule_on_every_reached_state():
     assert carried and raised
 
 
+def test_advance_checks_each_agent_once_on_every_reached_state(monkeypatch):
+    free_reports = engine.feasible_reports
+    calls = []
+
+    def counted(scenario, state, agent):
+        calls.append(agent)
+        return free_reports(scenario, state, agent)
+
+    monkeypatch.setattr(engine, "feasible_reports", counted)
+    steps = 0
+    for s in walk_corpus():
+        free = {agent: engine.FREE for agent in s.agents}
+        for state in reached_states(s):
+            if state.stopped:
+                continue
+            for reports in list(engine.report_profiles(s, state, free)):
+                calls.clear()
+                engine.advance(s, state, reports)
+                # One menu lookup per agent, in agent order.
+                assert calls == list(s.agents), (s.name, state, reports)
+                steps += 1
+    assert steps
+
+
+def test_a_bad_report_at_any_position_names_its_agent():
+    s = fixture("example2")
+    agents = s.agents
+    types = {agent: [t for level in s.lattice.elements for t in s.structure.space(agent, level)]
+             for agent in agents}
+    # A later-stage state at which every agent has a declared type outside
+    # its menu, and the first state of a play.
+    later = next(state for state in reached_states(s) if state.history and not state.stopped
+                 and all(set(types[a]) - set(engine.feasible_reports(s, state, a))
+                         for a in agents))
+    for state in (stage1(s), later):
+        feasible = tuple(engine.feasible_reports(s, state, agent)[0] for agent in agents)
+        for i, agent in enumerate(agents):
+            menu = engine.feasible_reports(s, state, agent)
+            declared = [t for t in types[agent] if t not in menu]
+            for bad in ["zz"] + declared[:1]:
+                # Every later position is undeclared too: the first bad
+                # report is the one named.
+                reports = feasible[:i] + (bad,) + ("zz",) * (len(agents) - i - 1)
+                with pytest.raises(engine.InfeasibleReport) as raised:
+                    engine.advance(s, state, reports)
+                assert str(raised.value) == f"{agent}: {bad}"
+
+
+def test_play_records_are_immutable_values():
+    s = fixture("example2")
+    state = stage1(s)
+    state = engine.advance(s, state, state.perceived)
+    record = engine.transcript(state)
+    assert record == engine.Transcript(state.history, state.pooled, state.stopped)
+    for obj, field in ((state, "history"), (state, "stopped"), (record, "pooled"),
+                       (record, "stopped")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+    assert engine.PlayState(true_profile=state.true_profile, awareness=state.awareness,
+                            perceived=state.perceived, history=state.history,
+                            pooled=state.pooled, stopped=state.stopped) == state
+    assert engine.Transcript(stages=record.stages, pooled=record.pooled,
+                             stopped=record.stopped) == record
+
+
+def test_states_built_apart_with_equal_fields_are_equal_and_hash_alike():
+    # The depth-first walk of iter_paths and the stack walk of
+    # reached_states visit the play tree in different orders and build
+    # every state separately; each state must find its twin.
+    s = fixture("example2")
+    free = {agent: engine.FREE for agent in s.agents}
+    by_value = {}
+    for level in s.lattice.elements:
+        for profile, awareness in verify._partial_draws(s, level):
+            start = engine.initial_state(s, level, profile, awareness)
+            for path in engine.iter_paths(s, start, free):
+                for state in path:
+                    by_value.setdefault(state, state)
+    twins = 0
+    for state in reached_states(s):
+        twin = by_value[state]
+        assert twin == state and hash(twin) == hash(state)
+        twins += twin is not state
+    assert len(by_value) == sum(1 for _ in reached_states(s)) and twins
+
+
 def payoff_summary(scenario, terminal):
     transcript = engine.transcript(terminal)
     return (transcript.final, transcript.final_pooled,

@@ -528,7 +528,7 @@ def test_holmstrom_failure_replays_the_top_order_difference():
 def test_holmstrom_stops_at_the_first_profile_where_g_misses_welfare():
     failing = several_failing = 0
     for s in _decomposition_corpus():
-        g = verify._decompose(s)
+        g = verify._decompose(s, dict(verify._welfare_tables(s)))
         model = s.outcomes
         # Direct scan: every (checked index, level, profile, welfare, sum of g)
         # that misses, in level then profile order.
