@@ -197,7 +197,7 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.generated is None and args.scenario is None:
-        print("verify needs a scenario or --generated N", file=sys.stderr)
+        print("error: verify needs a scenario or --generated N", file=sys.stderr)
         return 2
     if args.generated is not None and args.scenario is not None:
         print(f"error: verify takes a scenario or --generated N, not both "

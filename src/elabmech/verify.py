@@ -22,16 +22,21 @@ Games whose initial awareness vector cannot reach the conditioning level
 are skipped: projecting such a draw downward reproduces an instance already
 enumerated at the lower level.
 
-The check is a dynamic program over :func:`engine.state_key`, which fixes
-the subtree below a state for a fixed true profile, with two exact tables
-per (agent, level).  The deviation table maps (state key, opponents' plan
-suffixes from the state's stage, evaluation type) to the best deviation
-utility and its play count: a plan replays only its suffix from the
-current stage on.  The truth table maps (state key, the agent's own true
-type) to the opponents' free subtree under the truthful agent: its plays,
-its checks, the plays they charge, and each play as (plan suffixes,
-representative terminal), from which an ancestor runs its own checks; the
-terminal's payoff summary is the real one's.  Each instance is solved with
+The check is a dynamic program with two exact tables per (agent, level),
+keyed on what a subtree reads: :func:`engine.state_key` less the stage,
+since plans replay relative to the current stage and below a state only
+the stage cap reads it.  The deviation table maps (key, opponents' plan
+suffixes from the state's stage, less trailing repeats) to a payoff
+summary (each outcome mapped to the agent's largest transfer over the
+subtree's plays), which gives the best deviation utility at every
+evaluation type, and the play count.  The truth table maps (key, the
+agent's own true type) to the opponents' free subtree under the truthful
+agent: its plays, its checks, the plays they charge, and each play as
+(plan suffixes, representative terminal), from which an ancestor runs its
+own checks.  Each entry records ``deep``, the stages down to its deepest
+running state, and answers a state at stage ``s`` only if ``s + deep``
+is within the stage cap; otherwise the state is expanded again, so the
+cap trips where walking every play trips.  Each instance is solved with
 the cap (bound - plays used) and charged at once.  If the charge passes the
 cap or a check fails, the instance is walked instead, play by play with
 :func:`engine.iter_paths` through the same tables, so the witness, the
@@ -286,8 +291,8 @@ class _Fallback(Exception):
 
 
 class _Tables:
-    """The dominance check's two exact tables for one (agent, level), and
-    the cap and running charge of the instance being solved."""
+    """The dominance check's two exact tables for one (agent, level), the
+    stage cap, and the cap and running charge of the instance being solved."""
 
     def __init__(self, scenario: Scenario, agent: str, level: str):
         agents = scenario.structure.agents
@@ -295,9 +300,10 @@ class _Tables:
         self.index = scenario.structure.agent_index(agent)
         self.rivals = tuple(k for k, a in enumerate(agents) if a != agent)
         self.opponents = {a: FREE for a in agents if a != agent}
-        # (state key, plan suffixes, eval type) -> (best utility, plays)
-        self.deviations: dict[tuple, tuple[Fraction, int]] = {}
-        # (state key, own true type) -> (plays, checked, charge, lines)
+        self.max_stages = engine.max_stages(scenario)
+        # (subtree key, plan suffixes) -> (payoff summary, plays, deep)
+        self.deviations: dict[tuple, tuple[dict[str, Fraction], int, int]] = {}
+        # (subtree key, own true type) -> (plays, checked, charge, lines, deep)
         self.truth: dict[tuple, tuple] = {}
         self.cap = self.spent = 0
 
@@ -305,6 +311,29 @@ class _Tables:
         self.spent += plays
         if self.spent > self.cap:
             raise _Fallback
+
+    def fits(self, state: engine.PlayState, found: tuple | None) -> bool:
+        """Whether ``found`` answers ``state``: its subtree, ``deep`` last, is within the cap."""
+        return found is not None and state.stage + found[-1] <= self.max_stages
+
+
+def _subtree_key(scenario: Scenario, state: engine.PlayState) -> tuple:
+    """:func:`engine.state_key` less the stage, which only the stage cap reads below."""
+    key = engine.state_key(scenario, state)
+    return key[1:] if state.history else key
+
+
+def _stripped(plan: tuple[str, ...]) -> tuple[str, ...]:
+    """``plan`` without trailing repeats, which ``plan_policy`` replays alike."""
+    while len(plan) > 1 and plan[-1] == plan[-2]:
+        plan = plan[:-1]
+    return plan
+
+
+def _best_value(scenario: Scenario, agent: str, eval_type: str,
+                summary: dict[str, Fraction]) -> Fraction:
+    """The largest utility at ``eval_type`` over the plays of a payoff summary."""
+    return max(scenario.outcomes.value(agent, eval_type, x) + t for x, t in summary.items())
 
 
 def _replay_policies(scenario: Scenario, tables: _Tables, state: engine.PlayState,
@@ -323,87 +352,98 @@ def _replay_policies(scenario: Scenario, tables: _Tables, state: engine.PlayStat
 
 def _best_deviation(scenario: Scenario, mech: Mechanism, tables: _Tables,
                     state: engine.PlayState, plans: tuple[tuple[str, ...], ...],
-                    eval_type: str, policies: dict[str, object] | None = None
-                    ) -> tuple[Fraction, int]:
-    """(best utility, play count) over the plays of ``engine.iter_paths``
-    from ``state``, the agent FREE and each opponent replaying her plan,
-    the agent's utility valued at ``eval_type``.
+                    policies: dict[str, object] | None = None
+                    ) -> tuple[dict[str, Fraction], int, int]:
+    """(payoff summary, plays, deep) of the plays of ``engine.iter_paths``
+    from the running ``state``, the agent FREE and each opponent replaying
+    her plan: the summary maps each outcome to the agent's largest transfer
+    over the plays, and ``deep`` counts the stages down to the deepest
+    running state.
 
     ``plans`` holds each opponent's plan suffix from ``state``'s stage on,
-    and a child gets it less its first report (the final report stays).
-    With the state key that fixes the subtree and its payoffs, so the
-    deviation table maps (state key, plans, eval type) to the result at
-    every running state, and conditioning checks with the same key share
-    an entry.  ``policies`` are built from the plans on the first miss when
-    not given.  Terminals are valued, not stored: a terminal is reached
-    again almost only through a parent the table already answers.  Every
+    stripped, and a child gets it less its first report (the final report
+    stays), which keeps it stripped.  An entry answers a state only where
+    ``deep`` keeps its subtree within the stage cap; otherwise the state is
+    expanded, so the cap trips where the plain walk trips.  ``policies``
+    are built from the plans on the first miss when not given.  Every
     running state has a feasible report, so there is at least one play.
     """
-    if state.stopped:
-        return mech.utility(engine.transcript(state), tables.agent, eval_type), 1
-    key = (engine.state_key(scenario, state), plans, eval_type)
+    key = (_subtree_key(scenario, state), plans)
     found = tables.deviations.get(key)
-    if found is None:
-        if policies is None:
-            policies = _replay_policies(scenario, tables, state, plans)
-        below = tuple(p[1:] if len(p) > 1 else p for p in plans)
-        best, plays = None, 0
-        for reports in engine.report_profiles(scenario, state, policies):
-            u, n = _best_deviation(scenario, mech, tables,
-                                   engine.advance(scenario, state, reports), below, eval_type,
-                                   policies)
+    if tables.fits(state, found):
+        return found
+    if policies is None:
+        policies = _replay_policies(scenario, tables, state, plans)
+    agent = tables.agent
+    below = tuple(p[1:] if len(p) > 1 else p for p in plans)
+    summary: dict[str, Fraction] = {}
+    plays = deep = 0
+    for reports in engine.report_profiles(scenario, state, policies):
+        child = engine.advance(scenario, state, reports)
+        if child.stopped:
+            # Terminals are settled, not stored: a terminal is reached
+            # again almost only through a parent the table already answers.
+            report = mech.report(engine.transcript(child))
+            items = ((report.outcome, report.transfers[agent]),)
+            plays += 1
+        else:
+            sub, n, d = _best_deviation(scenario, mech, tables, child, below, policies)
+            items = sub.items()
             plays += n
-            if best is None or u > best:
-                best = u
-        found = tables.deviations[key] = (best, plays)
+            deep = max(deep, d + 1)
+        for x, t in items:
+            if x not in summary or t > summary[x]:
+                summary[x] = t
+    found = tables.deviations[key] = (summary, plays, deep)
     return found
 
 
 def _truth_tree(scenario: Scenario, mech: Mechanism, tables: _Tables,
                 state: engine.PlayState) -> tuple:
-    """(plays, checked, charge, lines) of the plays of ``engine.iter_paths``
-    from ``state``, the agent truthful and her opponents FREE: the plays,
-    the conditioning checks at ``state`` and below with the plays they
-    charge, and each play as (opponents' plan suffixes from ``state``'s
-    stage, terminal transcript), in walk order, listed only at a
-    conditioning state.
+    """(plays, checked, charge, lines, deep) of the plays of
+    ``engine.iter_paths`` from ``state``, the agent truthful and her
+    opponents FREE: the plays, the conditioning checks at ``state`` and
+    below with the plays they charge, each play as (opponents' plan
+    suffixes from ``state``'s stage, terminal transcript), in walk order,
+    listed only at a conditioning state, and the stages down to the
+    deepest running state of the plays and the checks (-1 at a terminal).
 
-    The truth table maps (state key, own true type) to the result at every
-    running state; a hit may list the terminals of another state with the
-    same key, whose payoff summaries are the same.  Every play and check is
-    spent against the cap, and a failing check gives the instance up.
+    A hit may list the terminals of another state with the same key,
+    whose payoff summaries are the same.  Every play and check is spent
+    against the cap, and a failing check gives the instance up.
     """
     i = tables.index
     if state.stopped:
         tables.spend(1)
-        return 1, 0, 0, ((((),) * len(tables.rivals), engine.transcript(state)),)
-    key = (engine.state_key(scenario, state), state.true_profile[i])
+        return 1, 0, 0, ((((),) * len(tables.rivals), engine.transcript(state)),), -1
+    key = (_subtree_key(scenario, state), state.true_profile[i])
     found = tables.truth.get(key)
-    if found is not None:
+    if tables.fits(state, found):
         tables.spend(found[0] + found[2])
         return found
     # Awareness only rises along a play, so only a conditioning state has
     # a conditioning ancestor: only there are the plays listed.
     eval_type = state.perceived[i]
     conditioning = scenario.structure.level_of(tables.agent, eval_type) == tables.level
-    plays = checked = charge = 0
+    plays = checked = charge = deep = 0
     lines = []
     for reports in engine.report_profiles(scenario, state, tables.opponents):
-        n, c, cost, below = _truth_tree(scenario, mech, tables,
-                                        engine.advance(scenario, state, reports))
-        plays, checked, charge = plays + n, checked + c, charge + cost
+        n, c, cost, below, d = _truth_tree(scenario, mech, tables,
+                                           engine.advance(scenario, state, reports))
+        plays, checked, charge, deep = plays + n, checked + c, charge + cost, max(deep, d + 1)
         if conditioning:
             lines.extend((tuple((reports[k],) + p for k, p in zip(tables.rivals, plans)),
                           terminal) for plans, terminal in below)
     if conditioning:
         for plans, terminal in lines:
             u_truth = mech.utility(terminal, tables.agent, eval_type)
-            best, n = _best_deviation(scenario, mech, tables, state, plans, eval_type)
-            if best > u_truth:
+            summary, n, d = _best_deviation(scenario, mech, tables, state,
+                                            tuple(_stripped(p) for p in plans))
+            if _best_value(scenario, tables.agent, eval_type, summary) > u_truth:
                 raise _Fallback
             tables.spend(n)
-            checked, charge = checked + 1, charge + n
-    found = tables.truth[key] = (plays, checked, charge, tuple(lines))
+            checked, charge, deep = checked + 1, charge + n, max(deep, d)
+    found = tables.truth[key] = (plays, checked, charge, tuple(lines), deep)
     return found
 
 
@@ -433,10 +473,10 @@ def _walk(scenario: Scenario, mech: Mechanism, tables: _Tables, budget: PlayBudg
             if eval_type != valued:
                 valued, u_truth = eval_type, mech.utility(truth_transcript, agent, eval_type)
             checked += 1
-            best, plays = _best_deviation(scenario, mech, tables, h_state,
-                                          tuple(p[h_state.stage - 1:] for p in plans),
-                                          eval_type, policies)
-            if best <= u_truth:
+            summary, plays, _ = _best_deviation(
+                scenario, mech, tables, h_state,
+                tuple(_stripped(p[h_state.stage - 1:]) for p in plans), policies)
+            if _best_value(scenario, agent, eval_type, summary) <= u_truth:
                 # Walking these plays would charge each of them and find
                 # no witness.
                 budget.charge(plays)
@@ -490,7 +530,7 @@ def check_conditional_dominance(scenario: Scenario, scheme: SchemeConfig,
         start = engine.initial_state(scenario, level, profile, awareness)
         tables.cap, tables.spent = budget.bound - budget.used, 0
         try:
-            plays, n_checked, charge, _ = _truth_tree(scenario, mech, tables, start)
+            plays, n_checked, charge, _, _ = _truth_tree(scenario, mech, tables, start)
         except _Fallback:
             witness, n_checked = _walk(scenario, mech, tables, budget, profile, awareness, start)
             if witness is not None:

@@ -202,6 +202,13 @@ def test_verify_rejects_non_positive_counts(capsys, argv):
     assert "must be at least 1" in captured.err
 
 
+def test_verify_without_a_target_is_an_input_error(capsys):
+    assert main(["verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == "error: verify needs a scenario or --generated N"
+
+
 def test_verify_accepts_counts_of_one(capsys):
     assert main(["verify", "--generated", "1", "--bound", "1",
                  "--property", "stage-bound"]) == 0

@@ -708,6 +708,106 @@ def test_state_key_fixes_every_deviation_subtree_under_plan_replay():
     assert merged
 
 
+def test_subtree_key_fixes_every_deviation_summary_under_plan_replay():
+    # The deviation table's key: the state key less its stage, with plan
+    # suffixes from the state's stage less their trailing repeats.  A hit
+    # must answer every evaluation type at the level from its summary.
+    across_stages = across_repeats = 0
+    for name in ("example2", "example4r", "gen301-3", "gen301-4"):
+        s = _differential_scenario(name)
+        mech = Mechanism(s, s.scheme)
+        by_key, tables = {}, {}
+        for agent, plans, policies, state in replay_subtree_states(s):
+            raw = tuple(p[min(state.stage, len(p)) - 1:] for p in plans)
+            suffixes = tuple(verify._stripped(p) for p in raw)
+            terminals = list(engine.iter_completions(s, state, policies))
+            got = (len(terminals), Counter(payoff_summary(s, t) for t in terminals))
+            key = (agent, verify._subtree_key(s, state), suffixes)
+            first = by_key.setdefault(key, (state, raw, got))
+            assert got == first[2], (name, agent, suffixes, first[0], state)
+            across_stages += first[0].stage != state.stage
+            across_repeats += first[1] != raw
+            if state.stopped:
+                continue
+            level = s.structure.level_of(agent, state.perceived[s.structure.agent_index(agent)])
+            table = tables.setdefault((agent, level), verify._Tables(s, agent, level))
+            summary, plays, _ = verify._best_deviation(s, mech, table, state, suffixes)
+            assert plays == len(terminals)
+            for eval_type in s.structure.space(agent, level):
+                assert verify._best_value(s, agent, eval_type, summary) == max(
+                    mech.utility(engine.transcript(t), agent, eval_type) for t in terminals)
+    # The key merges states the stage, or the repeats, would split.
+    assert across_stages and across_repeats
+
+
+def _deeper_twin(state):
+    """``state`` one stage deeper: its first stage played twice."""
+    return state._replace(history=state.history[:1] + state.history,
+                          pooled=state.pooled[:1] + state.pooled)
+
+
+def test_a_hit_one_stage_deeper_trips_the_stage_cap(monkeypatch):
+    s = fixture("example2")
+    agent, level = "a1", "hi"
+
+    def reached(awareness, reports):
+        """The state after the first stage of ``reports`` in a check instance."""
+        profile = next(case[2] for case in verify._dominance_instances(s, (agent,))
+                       if case[1] == level and case[3] == awareness)
+        return engine.advance(s, engine.initial_state(s, level, profile, awareness), reports)
+
+    state = reached(("lo", "hi"), ("a1lo1", "a2lo"))
+
+    def tables():
+        fresh = verify._Tables(s, agent, level)
+        fresh.cap = 10 ** 6
+        return fresh
+
+    mech = Mechanism(s, s.scheme)
+    deep = verify._truth_tree(s, mech, tables(), state)[4]
+    conditioning = reached(("hi", "lo"), ("a1hi1", "a2lo"))
+    plans, _ = verify._truth_tree(s, mech, tables(), conditioning)[3][0]
+    plans = tuple(verify._stripped(p) for p in plans)
+    deviation_deep = verify._best_deviation(s, mech, tables(), conditioning, plans)[2]
+    assert (deep, deviation_deep) == (2, 1)
+    cases = ((lambda t, st: verify._truth_tree(s, mech, t, st), state, deep),
+             (lambda t, st: verify._best_deviation(s, mech, t, st, plans), conditioning,
+              deviation_deep))
+    for solve, solved, below in cases:
+        twin = _deeper_twin(solved)
+        assert verify._subtree_key(s, twin) == verify._subtree_key(s, solved)
+        # The solved state's subtree just fits the cap; its twin's does not.
+        monkeypatch.setattr(engine, "max_stages", lambda scenario: solved.stage + below)
+        shared = tables()
+        solve(shared, solved)
+        with pytest.raises(AssertionError, match="stage cap"):
+            solve(shared, twin)
+
+
+def _capped(check):
+    """``check()``, or "cap" when the stage cap trips."""
+    try:
+        return check()
+    except AssertionError as err:
+        assert "stage cap" in str(err)
+        return "cap"
+
+
+@pytest.mark.parametrize("name", ["example2", "example4r", "gen301-3", "gen301-4", "proc901-4"])
+def test_stage_cap_trips_where_the_plain_walk_trips(name, monkeypatch):
+    s = _differential_scenario(name)
+    full_cap = engine.max_stages(s)
+    outcomes = []
+    for cap in range(1, full_cap + 1):
+        monkeypatch.setattr(engine, "max_stages", lambda scenario: cap)
+        want = _capped(lambda: _reference_dominance(s, s.scheme)[:2])
+        result = _capped(lambda: verify.check_conditional_dominance(s, s.scheme))
+        got = result if result == "cap" else (result.holds, result.checked)
+        assert got == want, cap
+        outcomes.append(want)
+    assert outcomes[0] == "cap" and outcomes[-1] != "cap"
+
+
 # The fixtures, and the generated scenarios of index below 10 that the plain
 # walk covers in well under a second, plus gen301-1 as one larger case.
 DIFFERENTIAL_CASES = (["example2", "example4r", "gen301-1"]
