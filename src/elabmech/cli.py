@@ -287,7 +287,7 @@ def cmd_fixtures(args) -> int:
             print(name)
         return 0
     if args.name not in FIXTURES:
-        print(f"unknown fixture {args.name!r}", file=sys.stderr)
+        print(f"error: unknown fixture {args.name!r}", file=sys.stderr)
         return 2
     print(FIXTURES[args.name], end="")
     return 0

@@ -195,8 +195,10 @@ def advance(scenario: Scenario, state: PlayState, reports: tuple[str, ...]) -> P
     against its menu.
 
     One pass over the agents checks each report and joins its level into
-    the pooled level; a report's level is read only once it is known to be
-    feasible, so an undeclared report is an :class:`InfeasibleReport`.  By
+    the pooled level, reading the tables behind ``TypeStructure.level_of``
+    and ``Lattice.join`` directly.  A report's level is read only once it is
+    found in its menu, which lists declared types alone, so the lookup
+    cannot miss and an undeclared report is an :class:`InfeasibleReport`.  By
     (I2) a pooled level equal to the last one raises nobody's awareness, so
     awareness and perceived types carry over; by (I1) a new pooled level
     re-projects the true types only when it raised some awareness.
@@ -207,18 +209,18 @@ def advance(scenario: Scenario, state: PlayState, reports: tuple[str, ...]) -> P
     agents = structure.agents
     if len(reports) != len(agents):
         raise InfeasibleReport(f"{len(reports)} reports for {len(agents)} agents")
-    join = structure.lattice.join
-    level_of = structure.level_of
+    joins = structure.lattice.join_table
+    levels = structure.level_table
     pooled = None
     for agent, report in zip(agents, reports):
         if report not in feasible_reports(scenario, state, agent):
             raise InfeasibleReport(f"{agent}: {report}")
-        level = level_of(agent, report)
-        pooled = level if pooled is None else join(pooled, level)
+        level = levels[(agent, report)]
+        pooled = level if pooled is None else joins[(pooled, level)]
     history = state.history
     awareness, perceived = state.awareness, state.perceived
     if not history or pooled != state.pooled[-1]:
-        awareness = tuple(join(a, pooled) for a in awareness)
+        awareness = tuple(joins[(a, pooled)] for a in awareness)
         if awareness != state.awareness:
             perceived = tuple(structure.project(agent, t, a) for agent, t, a
                               in zip(agents, state.true_profile, awareness))

@@ -8,7 +8,7 @@ closure is computed before the lattice axioms are checked.  A validated
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Mapping
 
 
 class LatticeError(Exception):
@@ -126,6 +126,11 @@ class Lattice:
 
     def join(self, a: str, b: str) -> str:
         return self._join[(a, b)]
+
+    @property
+    def join_table(self) -> Mapping[tuple[str, str], str]:
+        """The (a, b) table :meth:`join` reads; a miss raises UnknownLevel."""
+        return self._join
 
     def meet(self, a: str, b: str) -> str:
         return self._meet[(a, b)]

@@ -63,7 +63,7 @@ class OutcomeModel:
                 if x not in self.outcomes:
                     out.append(f"available({level}) lists undeclared outcome {x}")
         for (agent, t, x), _ in self.valuations.items():
-            if (agent, t) not in self.structure._level_of:
+            if (agent, t) not in self.structure.level_table:
                 out.append(f"valuation references undeclared type ({agent}, {t})")
             if x not in self.outcomes:
                 out.append(f"valuation references undeclared outcome {x}")

@@ -65,6 +65,11 @@ class TypeStructure:
     def space(self, agent: str, level: str) -> tuple[str, ...]:
         return self.spaces[(agent, level)]
 
+    @property
+    def level_table(self) -> Mapping[tuple[str, str], str]:
+        """The (agent, type) table :meth:`level_of` reads; a miss is a KeyError."""
+        return self._level_of
+
     def level_of(self, agent: str, t: str) -> str:
         try:
             return self._level_of[(agent, t)]

@@ -199,9 +199,9 @@ def check_budget(scenario: Scenario, scheme: SchemeConfig, mode: str = "balance"
         checked += 1
         transcript = engine.transcript(terminal)
         report = transfer_report(mech, transcript)
-        total = -report.operator_balance
-        bad = total != 0 if mode == "balance" else total > 0
-        if bad:
+        balance = report.operator_balance
+        if balance != 0 if mode == "balance" else balance < 0:
+            total = -balance
             witnesses.append(Witness(
                 f"transfers sum to {total} on transcript {transcript.stages}",
                 {"stages": [list(s) for s in transcript.stages], "sum": str(total),

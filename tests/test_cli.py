@@ -76,6 +76,7 @@ def test_fixtures_subcommand(capsys):
     assert main(["fixtures", "example2"]) == 0
     assert "[lattice]" in capsys.readouterr().out
     assert main(["fixtures", "nope"]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == "error: unknown fixture 'nope'"
 
 
 def test_run_example1_prints_exact_transfers(capsys):

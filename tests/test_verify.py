@@ -202,6 +202,31 @@ def test_dominance_checker_agrees_with_direct_plan_space_oracle(ablate_premium):
     assert not verify.check_conditional_dominance(s, s.scheme).holds
 
 
+# Two-agent generate_scenario(2026, k) on each lattice shape: the first nine
+# chain2 ones, and the chain3 and diamond ones whose oracle runs fastest (a
+# diamond's oracle takes up to about 4.5 s).  Ablated, the premium-free
+# mechanism is violated on all but k = 28 and 66, so both verdicts are met.
+ORACLE_CORPUS = {
+    "chain2": (2, 6, 9, 15, 22, 28, 41, 45, 48),
+    "chain3": (17, 24, 34, 44, 51, 55, 66, 81),
+    "diamond": (5, 21, 53, 62),
+}
+
+
+@pytest.mark.parametrize("shape, k", [(shape, k) for shape, ks in ORACLE_CORPUS.items()
+                                      for k in ks])
+def test_dominance_checker_agrees_with_the_oracle_on_generated_scenarios(shape, k,
+                                                                         ablate_premium):
+    s = generate_scenario(2026, k)
+    assert len(s.agents) == 2
+    assert len(s.lattice.elements) == {"chain2": 2, "chain3": 3, "diamond": 4}[shape]
+    for ablated in (False, True):
+        if ablated:
+            ablate_premium()
+        oracle = _direct_plan_space_dominance_oracle(s, s.scheme)
+        assert (not oracle) == verify.check_conditional_dominance(s, s.scheme).holds, ablated
+
+
 def test_dominance_vacuous_for_single_agent_single_outcome():
     solo = parse_scenario("""
 [lattice]
@@ -926,6 +951,24 @@ PINNED_BUDGET = {
 }
 
 
+# The first witness's text, which states the signed transfer sum (the
+# operator balance negated) of each failing balance row above.
+BALANCE_WITNESS_TEXT = {
+    "example1": "transfers sum to -23 on transcript (('s1e', 's2e', 'bue'), "
+                "('s1e', 's2e', 'bua'), ('s1a', 's2a', 'bua'), ('s1a', 's2a', 'bua'))",
+    "example2": "transfers sum to -1 on transcript (('a1lo1', 'a2lo'), ('a1lo1', 'a2lo'))",
+    "example4r": "transfers sum to -2 on transcript (('p1lo', 'p2lo'), ('p1lo', 'p2hi'), "
+                 "('p1hi', 'p2hi'), ('p1hi', 'p2hi'))",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BALANCE_WITNESS_TEXT))
+def test_budget_witness_text_states_the_signed_sum(name):
+    s = fixture(name)
+    result = verify.check_budget(s, s.scheme, "balance")
+    assert result.witnesses[0].description == BALANCE_WITNESS_TEXT[name]
+
+
 @pytest.mark.parametrize("name, mode", sorted(PINNED_BUDGET))
 def test_budget_keeps_its_counts_and_first_witness(name, mode):
     s = fixture(name)
@@ -963,6 +1006,11 @@ def test_operator_funded_premium_keeps_its_planted_breach(monkeypatch):
                    ["s1ab", "s2ab", "buabc"], ["s1t80", "s2t86", "buabc"],
                    ["s1t80", "s2t86", "buabc"]],
         "sum": "2", "transfers": {"s1": "0", "s2": "0", "buyer": "2"}}
+    assert result.witnesses[0].description == (
+        "transfers sum to 2 on transcript (('s1e', 's2e', 'bue'), ('s1e', 's2e', 'bua'), "
+        "('s1a', 's2a', 'bua'), ('s1a', 's2a', 'buab'), ('s1ab', 's2ab', 'buab'), "
+        "('s1ab', 's2ab', 'buabc'), ('s1t80', 's2t86', 'buabc'), "
+        "('s1t80', 's2t86', 'buabc'))")
 
 
 def test_budget_play_bound_trips_exactly_past_the_walk():
