@@ -25,7 +25,7 @@ from .engine import StrategySpaceTooLarge
 from .fixtures import FIXTURES, fixture
 from .generate import generate_scenario
 from .scenario import (ParseError, Scenario, UnknownDraw, ValidationError, load_scenario,
-                       scheme_violations)
+                       read_text, scheme_violations)
 from .transfers import CLARKE, GROVES, KINDS, RSPA, Mechanism, PremiumAssumptionFails
 from .verify import InapplicableProperty
 
@@ -123,23 +123,22 @@ def _script_strategies(path: str, scenario: Scenario):
     number of every scripted (agent, stage) the play has not consulted yet.
     An infeasible scripted report is a ParseError naming its line."""
     script: dict[tuple[str, int], tuple[str, int]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                agent, stage, report = line.split()
-                key = (agent, int(stage))
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: expected 'agent stage report', "
-                                 f"got {line!r}") from None
-            if agent not in scenario.agents:
-                raise ParseError(f"{path}: line {lineno}: undeclared agent {agent!r}")
-            if key in script:
-                raise ParseError(f"{path}: line {lineno}: {agent} stage {stage} is already "
-                                 f"scripted on line {script[key][1]}")
-            script[key] = (report, lineno)
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            agent, stage, report = line.split()
+            key = (agent, int(stage))
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: expected 'agent stage report', "
+                             f"got {line!r}") from None
+        if agent not in scenario.agents:
+            raise ParseError(f"{path}: line {lineno}: undeclared agent {agent!r}")
+        if key in script:
+            raise ParseError(f"{path}: line {lineno}: {agent} stage {stage} is already "
+                             f"scripted on line {script[key][1]}")
+        script[key] = (report, lineno)
     unused = {key: lineno for key, (_, lineno) in script.items()}
 
     def policy(scenario: Scenario, state: engine.PlayState, agent: str) -> str:

@@ -1,19 +1,22 @@
 """Seeded random scenario generation for the property suites.
 
-Sizes stay within what the exhaustive checks can enumerate: chain lattices
-of two or three levels or the four-level diamond, at most three agents,
-at most three types per agent per level, at most four outcomes.
+Sizes stay within what the exhaustive checks can enumerate: one of the three
+lattice shapes in ``SHAPES`` (two- and three-level chains, the four-level
+diamond), at most three agents, at most three types per agent per level, at
+most four outcomes.
 
-Type spaces are built as successive coarsenings of the top-level space, so
-the projection laws (identity, composition, surjectivity) hold by
-construction.  Procurement scenarios give sellers costs that weakly grow
-along elaboration: a richer description can only reveal additional cost
-items, never erase known ones.
+One partition rule serves any lattice: levels are visited by falling
+down-set size, and each level's types are a random coarsening of the common
+coarsening of its upper covers' types, so the projection laws (identity,
+composition, surjectivity) hold by construction.  Procurement scenarios give
+sellers costs that weakly grow along elaboration: a richer description can
+only reveal additional cost items, never erase known ones.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 from .lattice import Lattice, build_lattice
 from .scenario import Scenario
@@ -24,16 +27,16 @@ from .typespace import NatureDraw, build_structure
 CHAIN2 = ("l0", "l1")
 CHAIN3 = ("l0", "l1", "l2")
 DIAMOND = ("bot", "west", "east", "top")
+# The shapes the generator draws, in draw order: (elements, Hasse edges).
+SHAPES = {
+    "chain2": (CHAIN2, [("l0", "l1")]),
+    "chain3": (CHAIN3, [("l0", "l1"), ("l1", "l2")]),
+    "diamond": (DIAMOND, [("bot", "west"), ("bot", "east"), ("west", "top"), ("east", "top")]),
+}
 
 
 def _lattice(rng: random.Random) -> Lattice:
-    shape = rng.choice(("chain2", "chain3", "diamond"))
-    if shape == "chain2":
-        return build_lattice(CHAIN2, [("l0", "l1")])
-    if shape == "chain3":
-        return build_lattice(CHAIN3, [("l0", "l1"), ("l1", "l2")])
-    return build_lattice(DIAMOND, [("bot", "west"), ("bot", "east"),
-                                   ("west", "top"), ("east", "top")])
+    return build_lattice(*SHAPES[rng.choice(tuple(SHAPES))])
 
 
 def _coarsen(rng: random.Random, blocks: list[frozenset[int]],
@@ -60,26 +63,15 @@ def _common_coarsening(left: list[frozenset[int]],
     return [frozenset(g) for g in merged]
 
 
-def _partitions(rng: random.Random, lattice: Lattice,
+def _partitions(rng: random.Random, lattice: Lattice, covers: list[tuple[str, str]],
                 top_size: int) -> dict[str, list[frozenset[int]]]:
-    """A refinement-monotone partition of range(top_size) per level."""
-    atoms = [frozenset([k]) for k in range(top_size)]
-    parts: dict[str, list[frozenset[int]]] = {lattice.top: atoms}
-    if lattice.elements == DIAMOND:
-        parts["west"] = _coarsen(rng, atoms, rng.randint(1, top_size))
-        parts["east"] = _coarsen(rng, atoms, rng.randint(1, top_size))
-        common = _common_coarsening(parts["west"], parts["east"])
-        parts["bot"] = _coarsen(rng, common, rng.randint(1, len(common)))
-        return parts
-    chain = sorted(lattice.elements, key=lambda x: -len(lattice.down_set(x)))
-    for level in chain[1:]:
-        above = parts[chain[chain.index(level) - 1]]
-        parts[level] = _coarsen(rng, above, rng.randint(1, len(above)))
+    """A refinement-monotone partition of range(top_size) per level; a stable
+    sort keeps declaration order among levels of equal down-set size."""
+    parts = {lattice.top: [frozenset([k]) for k in range(top_size)]}
+    for level in sorted(lattice.elements, key=lambda x: -len(lattice.down_set(x)))[1:]:
+        common = reduce(_common_coarsening, [parts[hi] for lo, hi in covers if lo == level])
+        parts[level] = _coarsen(rng, common, rng.randint(1, len(common)))
     return parts
-
-
-def _block_of(blocks: list[frozenset[int]], member: int) -> int:
-    return next(k for k, block in enumerate(blocks) if member in block)
 
 
 def generate_scenario(seed: int, index: int = 0, procurement: bool = False) -> Scenario:
@@ -92,32 +84,26 @@ def generate_scenario(seed: int, index: int = 0, procurement: bool = False) -> S
         agents = tuple(f"a{k + 1}" for k in range(rng.randint(2, 3)))
         buyer = None
 
+    covers = lattice.covers()
     spaces: dict[tuple[str, str], tuple[str, ...]] = {}
     edge_maps: dict[tuple[str, str, str], dict[str, str]] = {}
-    names: dict[tuple[str, str, int], str] = {}
-    partitions: dict[str, dict[str, list[frozenset[int]]]] = {}
     for agent in agents:
         top_size = 1 if agent == buyer and rng.random() < 0.5 else rng.randint(1, 3)
-        parts = _partitions(rng, lattice, top_size)
-        partitions[agent] = parts
+        parts = _partitions(rng, lattice, covers, top_size)
         for level, blocks in parts.items():
-            ids = tuple(f"{agent}_{level}_{k}" for k in range(len(blocks)))
-            spaces[(agent, level)] = ids
-            for k, t in enumerate(ids):
-                names[(agent, level, k)] = t
-        for lo, hi in lattice.covers():
-            table = {}
-            for k, block in enumerate(parts[hi]):
-                member = next(iter(block))
-                table[names[(agent, hi, k)]] = names[(agent, lo, _block_of(parts[lo], member))]
-            edge_maps[(agent, hi, lo)] = table
+            spaces[(agent, level)] = tuple(f"{agent}_{level}_{k}" for k in range(len(blocks)))
+        for lo, hi in covers:
+            # a block of hi lies inside one block of lo, the one holding any member
+            type_at_lo = {m: t for t, block in zip(spaces[(agent, lo)], parts[lo]) for m in block}
+            edge_maps[(agent, hi, lo)] = {t: type_at_lo[min(block)]
+                                          for t, block in zip(spaces[(agent, hi)], parts[hi])}
     structure = build_structure(lattice, agents, spaces, edge_maps)
 
+    valuations: dict[tuple[str, str, str], Fraction] = {}
     if procurement:
         supplies = {a: f"supply_{a}" for a in agents if a != buyer}
         outcomes = tuple(supplies.values()) + ("idle",)
         available = {level: outcomes for level in lattice.elements}
-        valuations: dict[tuple[str, str, str], Fraction] = {}
         levels_up = sorted(lattice.elements, key=lambda x: len(lattice.down_set(x)))
         cost: dict[tuple[str, str], Fraction] = {}
         for agent in agents:
@@ -138,7 +124,6 @@ def generate_scenario(seed: int, index: int = 0, procurement: bool = False) -> S
                         else:
                             valuations[(agent, t, x0)] = Fraction(0)
         scheme = SchemeConfig(kind=RSPA, buyer=buyer, supplies=supplies)
-        model = OutcomeModel(structure, outcomes, available, valuations)
     else:
         n_outcomes = rng.randint(2, 4)
         outcomes = tuple(f"x{k}" for k in range(n_outcomes))
@@ -146,14 +131,13 @@ def generate_scenario(seed: int, index: int = 0, procurement: bool = False) -> S
         for level in lattice.elements:
             keep = [x for x in outcomes if rng.random() < 0.8]
             available[level] = tuple(keep) if keep else (outcomes[0],)
-        valuations = {}
         for agent in agents:
             for level in lattice.elements:
                 for t in structure.space(agent, level):
                     for x0 in outcomes:
                         valuations[(agent, t, x0)] = Fraction(rng.randint(0, 9))
         scheme = SchemeConfig(kind=CLARKE)
-        model = OutcomeModel(structure, outcomes, available, valuations)
+    model = OutcomeModel(structure, outcomes, available, valuations)
 
     top = lattice.top
     draw = NatureDraw(tuple(rng.choice(structure.space(a, top)) for a in agents),

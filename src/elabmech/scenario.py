@@ -346,10 +346,18 @@ def scheme_violations(structure: TypeStructure, model: OutcomeModel,
     return out
 
 
-def load_scenario(path: str) -> Scenario:
+def read_text(path: str) -> str:
+    """A scenario or script file's text; a file that is not UTF-8 is a ParseError."""
     with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    return parse_scenario(text, name=path)
+        try:
+            return handle.read()
+        except UnicodeDecodeError as err:
+            raise ParseError(f"{path}: not UTF-8 text "
+                             f"({err.reason} {err.object[err.start]:#04x})") from None
+
+
+def load_scenario(path: str) -> Scenario:
+    return parse_scenario(read_text(path), name=path)
 
 
 def serialize_scenario(scenario: Scenario) -> str:

@@ -226,6 +226,23 @@ def test_invalid_scenario_exits_two(tmp_path, capsys):
     assert main(["run", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("command", ["report", "verify"])
+def test_scenario_file_that_is_not_utf8_exits_two(tmp_path, capsys, command):
+    bad = tmp_path / "bad.scn"
+    bad.write_bytes(b"[lattice]\nelements: l\xe9\n")
+    assert main([command, str(bad)]) == 2
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith("error:") and str(bad) in first
+
+
+def test_script_that_is_not_utf8_exits_two(tmp_path, capsys):
+    script = tmp_path / "script.txt"
+    script.write_bytes(b"a2 1 a2hi3\n\xff\n")
+    assert main(["run", "example2", "--strategy", str(script)]) == 2
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith("error:") and str(script) in first
+
+
 def test_report_summary(tmp_path, capsys):
     assert main(["report", "example2"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -1,14 +1,38 @@
 """Structural property suite over seeded random type structures."""
+import hashlib
 import random
 from itertools import islice
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from elabmech import engine
+from elabmech import engine, generate, verify
 from elabmech.generate import generate_scenario
-from elabmech.lattice import lattice_violations
-from elabmech.scenario import serialize_scenario
+from elabmech.lattice import build_lattice, lattice_violations
+from elabmech.scenario import parse_scenario, serialize_scenario
 from elabmech.typespace import TypeStructureError, build_structure
+
+# Lattices the generator never draws, as (elements, Hasse edges): the 4-chain,
+# the two non-distributive five-element lattices M3 and N5, and the diamond B2
+# with a new bottom (1+B2) or a new top (B2+1).
+NEW_SHAPES = {
+    "chain4": (("l0", "l1", "l2", "l3"), [("l0", "l1"), ("l1", "l2"), ("l2", "l3")]),
+    "M3": (("bot", "a", "b", "c", "top"),
+           [("bot", "a"), ("bot", "b"), ("bot", "c"), ("a", "top"), ("b", "top"), ("c", "top")]),
+    "N5": (("bot", "a", "b", "c", "top"),
+           [("bot", "a"), ("a", "b"), ("b", "top"), ("bot", "c"), ("c", "top")]),
+    "1+B2": (("z", "bot", "west", "east", "top"),
+             [("z", "bot"), ("bot", "west"), ("bot", "east"), ("west", "top"), ("east", "top")]),
+    "B2+1": (("bot", "west", "east", "top", "cap"),
+             [("bot", "west"), ("bot", "east"), ("west", "top"), ("east", "top"), ("top", "cap")]),
+}
+
+
+def generate_on(monkeypatch, shape, seed, index, procurement=False):
+    """``generate_scenario`` with its lattice draw replaced by ``shape``."""
+    lattice = build_lattice(*NEW_SHAPES[shape])
+    monkeypatch.setattr(generate, "_lattice", lambda rng: lattice)
+    return generate_scenario(seed, index, procurement)
 
 
 def test_generation_is_deterministic_per_seed():
@@ -18,25 +42,77 @@ def test_generation_is_deterministic_per_seed():
     assert a != serialize_scenario(generate_scenario(99, 5))
 
 
+def test_generated_bytes_match_the_recorded_digest():
+    # Recorded from the generator that partitioned the diamond and the chains
+    # in two separate branches; the one partition rule draws the same bytes.
+    digest = hashlib.sha256()
+    for seed in (2026, 777, 301, 901):
+        for k in range(60):
+            for procurement in (False, True):
+                digest.update(serialize_scenario(generate_scenario(seed, k, procurement)).encode())
+    assert digest.hexdigest() == \
+        "15051f4f3697ee62254f7fce01469b5c03724684215a52c21acc220576c28914"
+
+
+def _assert_structural_laws(s):
+    lat = s.lattice
+    assert not lattice_violations(lat.elements,
+                                  [(a, b) for a in lat.elements for b in lat.elements
+                                   if lat.leq(a, b)])
+    st_ = s.structure
+    for agent in s.agents:
+        for hi in lat.elements:
+            for t in st_.space(agent, hi):
+                assert st_.project(agent, t, hi) == t
+            for mid in lat.strictly_below(hi):
+                image = {st_.project(agent, t, mid) for t in st_.space(agent, hi)}
+                assert image == set(st_.space(agent, mid))
+                for lo in lat.strictly_below(mid):
+                    for t in st_.space(agent, hi):
+                        assert st_.project(agent, st_.project(agent, t, mid), lo) \
+                            == st_.project(agent, t, lo)
+
+
 def test_hundred_seeded_structures_pass_all_laws():
     for k in range(100):
-        s = generate_scenario(1000 + k, 0, procurement=(k % 3 == 0))
-        lat = s.lattice
-        assert not lattice_violations(lat.elements,
-                                      [(a, b) for a in lat.elements for b in lat.elements
-                                       if lat.leq(a, b)])
-        st_ = s.structure
-        for agent in s.agents:
-            for hi in lat.elements:
-                for t in st_.space(agent, hi):
-                    assert st_.project(agent, t, hi) == t
-                for mid in lat.strictly_below(hi):
-                    image = {st_.project(agent, t, mid) for t in st_.space(agent, hi)}
-                    assert image == set(st_.space(agent, mid))
-                    for lo in lat.strictly_below(mid):
-                        for t in st_.space(agent, hi):
-                            assert st_.project(agent, st_.project(agent, t, mid), lo) \
-                                == st_.project(agent, t, lo)
+        _assert_structural_laws(generate_scenario(1000 + k, 0, procurement=(k % 3 == 0)))
+
+
+def test_m3_and_n5_are_not_distributive():
+    for shape in ("M3", "N5"):
+        lat = build_lattice(*NEW_SHAPES[shape])
+        assert any(lat.meet(x, lat.join(y, z)) != lat.join(lat.meet(x, y), lat.meet(x, z))
+                   for x in lat.elements for y in lat.elements for z in lat.elements), shape
+
+
+@pytest.mark.parametrize("shape", NEW_SHAPES)
+def test_new_shapes_round_trip_and_keep_the_structural_laws(shape, monkeypatch):
+    for k in range(40):
+        for procurement in (False, True):
+            s = generate_on(monkeypatch, shape, 2026, k, procurement)
+            assert s.lattice.elements == NEW_SHAPES[shape][0]
+            text = serialize_scenario(s)
+            assert serialize_scenario(parse_scenario(text)) == text
+            _assert_structural_laws(s)
+
+
+@pytest.mark.parametrize("shape", ["chain4", "M3", "N5"])
+def test_six_properties_hold_on_new_shapes(shape, monkeypatch):
+    checked = 0
+    for k in range(10):
+        s = generate_on(monkeypatch, shape, 2026, k)
+        if len(s.agents) != 2:
+            continue
+        scheme = s.scheme
+        for result in (verify.check_efficiency(s),
+                       verify.check_pooled_implementation(s, scheme),
+                       verify.check_stage_bound(s),
+                       verify.check_budget(s, scheme, "no_deficit"),
+                       verify.check_participation(s, scheme, "ex_ante_anticipated"),
+                       verify.check_conditional_dominance(s, scheme)):
+            assert result.holds, (k, result.prop)
+        checked += 1
+    assert checked >= 5
 
 
 def _mutate_drop_projection(scenario, rng):

@@ -13,6 +13,7 @@ from elabmech.transfers import Mechanism, SchemeConfig, bidders
 
 import reference
 from test_engine import payoff_summary
+from test_generate import generate_on
 
 
 def test_efficiency_holds_on_fixtures():
@@ -224,6 +225,20 @@ def test_dominance_checker_agrees_with_the_oracle_on_generated_scenarios(shape, 
         if ablated:
             ablate_premium()
         oracle = _direct_plan_space_dominance_oracle(s, s.scheme)
+        assert (not oracle) == verify.check_conditional_dominance(s, s.scheme).holds, ablated
+
+
+def test_dominance_checker_agrees_with_the_oracle_on_m3(monkeypatch, ablate_premium):
+    # A two-agent scenario on M3, a lattice the generator never draws, with
+    # two top types for one agent; the oracle takes about 1.5 s per verdict.
+    # N5 and the 4-chain stay out: their oracle runs take up to 43 s.
+    s = generate_on(monkeypatch, "M3", 2026, 7)
+    assert len(s.agents) == 2
+    for ablated in (False, True):
+        if ablated:
+            ablate_premium()
+        oracle = _direct_plan_space_dominance_oracle(s, s.scheme)
+        assert bool(oracle) == ablated
         assert (not oracle) == verify.check_conditional_dominance(s, s.scheme).holds, ablated
 
 
