@@ -213,15 +213,20 @@ def cmd_verify(args) -> int:
                      for k in range(args.generated)]
     else:
         scenarios = [_apply_scheme(_load(args.scenario), args.scheme)]
+    runs = [(scenario, args.properties if args.properties and not args.all else
+             [prop for prop, (_, kinds) in PROPERTIES.items() if scenario.scheme.kind in kinds])
+            for scenario in scenarios]
     expect_fail = args.expect_fail or ()
+    unchecked = [prop for prop in dict.fromkeys(expect_fail)
+                 if not any(prop in props for _, props in runs)]
+    if unchecked:
+        print(f"error: --expect-fail names a property no scenario in this run checks: "
+              f"{', '.join(unchecked)}", file=sys.stderr)
+        return 2
     results = []
     worst = 0
     try:
-        for scenario in scenarios:
-            props = args.properties
-            if args.all or not props:
-                props = [prop for prop, (_, kinds) in PROPERTIES.items()
-                         if scenario.scheme.kind in kinds]
+        for scenario, props in runs:
             for prop in props:
                 check = PROPERTIES[prop][0]
                 try:

@@ -13,13 +13,11 @@ level, and no higher than her current awareness.  :func:`report_menus`
 tabulates every such menu once per scenario.
 
 :func:`report_profiles` is the one place that expands a running state: it
-dispatches the per-agent policies and enforces the stage cap.
-:func:`iter_paths` is the one enumerator of the play tree built on it, a
-depth-first recursion that walks every play and charges the play budget.
-:func:`iter_completions` (terminal states), :func:`truthful_path` (the
-single play when no agent is FREE) and :func:`run` are views of it; the
-dominance check's dynamic program expands states through
-:func:`report_profiles` as well, and keys them on :func:`state_key`.
+dispatches the per-agent policies and enforces the stage cap.  On it stand
+the two walks, neither of which builds a tuple per node:
+:func:`iter_completions` over the play tree and :func:`truthful_path`
+along its first play.  The dominance check's dynamic program expands
+states through :func:`report_profiles` too, keyed on :func:`state_key`.
 
 All state is immutable: :class:`PlayState` and :class:`Transcript` are
 NamedTuples, equal and hashing alike exactly when their fields do, so
@@ -239,13 +237,14 @@ def max_stages(scenario: Scenario) -> int:
 
 def truthful_path(scenario: Scenario, state: PlayState,
                   policies: Mapping[str, object] | None = None) -> list[PlayState]:
-    """Every state the play reaches from ``state``, ``state`` first and the
-    terminal last: the one play of :func:`iter_paths` when no agent is FREE.
-
-    An agent with a callable policy ``(scenario, state, agent) -> report``
-    plays it; every other agent tells the truth.
-    """
-    return list(next(iter_paths(scenario, state, policies or {})))
+    """Every state of the first play from ``state``, ``state`` first and the
+    terminal last: the one play when no agent is FREE.  Policies are those
+    of :func:`report_profiles`, whose stage cap may raise; nothing is charged."""
+    path = [state]
+    while not state.stopped:
+        state = advance(scenario, state, next(report_profiles(scenario, state, policies or {})))
+        path.append(state)
+    return path
 
 
 def run(scenario: Scenario, draw: NatureDraw, partial_level: str,
@@ -286,44 +285,32 @@ def report_profiles(scenario: Scenario, state: PlayState,
     return product(*menus)
 
 
-def iter_paths(scenario: Scenario, state: PlayState,
-               policies: Mapping[str, object],
-               budget: PlayBudget | None = None) -> Iterator[tuple[PlayState, ...]]:
-    """Every play from ``state`` under per-agent policies, as the tuple of
-    states it reaches: ``state`` first, the terminal last.
-
-    Policies are those of :func:`report_profiles`.  Plays come depth first,
-    report profiles in ``product`` order over the agents.  Each terminal is
-    charged to ``budget`` before its play is yielded.  Every feasible report
-    path is realized by some strategy profile and vice versa, so enumerating
-    paths is outcome-equivalent to enumerating strategies.
-    """
-    return _paths(scenario, (), state, policies, budget)
+def iter_completions(scenario: Scenario, state: PlayState, policies: Mapping[str, object],
+                     budget: PlayBudget | None = None) -> Iterator[PlayState]:
+    """The terminal of every play from ``state`` under the policies of
+    :func:`report_profiles`, depth first, report profiles in ``product``
+    order, each charged to ``budget`` before it is yielded.  The stage cap's
+    ``AssertionError`` comes from :func:`report_profiles`, an
+    :class:`InfeasibleReport` from :func:`advance` and
+    :class:`StrategySpaceTooLarge` from :meth:`PlayBudget.charge`.  Every
+    feasible report path is realized by some strategy profile and vice
+    versa, so walking plays is outcome-equivalent to walking strategies."""
+    return _completions(scenario, state, policies, budget)
 
 
-def _paths(scenario: Scenario, prefix: tuple[PlayState, ...], state: PlayState,
-           policies: Mapping[str, object],
-           budget: PlayBudget | None) -> Iterator[tuple[PlayState, ...]]:
-    """The plays of :func:`iter_paths` from ``state``, each after ``prefix``.
-    Module level, not a nested closure: a self-recursive closure is a
-    reference cycle that keeps what it captured alive until the cyclic
-    collector runs."""
-    path = prefix + (state,)
+def _completions(scenario: Scenario, state: PlayState, policies: Mapping[str, object],
+                 budget: PlayBudget | None) -> Iterator[PlayState]:
+    """The walk of :func:`iter_completions`.  Private, so that a wrapper of
+    the public name sees one call per walk, not one per node; and at module
+    level, since a self-recursive closure is a reference cycle that keeps
+    what it captured alive until the cyclic collector runs."""
     if state.stopped:
         if budget is not None:
             budget.charge()
-        yield path
+        yield state
         return
     for reports in report_profiles(scenario, state, policies):
-        yield from _paths(scenario, path, advance(scenario, state, reports), policies, budget)
-
-
-def iter_completions(scenario: Scenario, state: PlayState,
-                     policies: Mapping[str, object],
-                     budget: PlayBudget | None = None) -> Iterator[PlayState]:
-    """The terminal state of every play of :func:`iter_paths`."""
-    for path in iter_paths(scenario, state, policies, budget):
-        yield path[-1]
+        yield from _completions(scenario, advance(scenario, state, reports), policies, budget)
 
 
 def plan_policy(agent: str, reports_by_stage: tuple[str, ...], scenario: Scenario):

@@ -39,15 +39,16 @@ is within the stage cap; otherwise the state is expanded again, so the
 cap trips where walking every play trips.  Each instance is solved with
 the cap (bound - plays used) and charged at once.  If the charge passes the
 cap or a check fails, the instance is walked instead, play by play with
-:func:`engine.iter_paths` through the same tables, so the witness, the
-``checked`` count and the point where the play budget trips are those of
-walking every play.
+:func:`engine.iter_completions` through the same tables, so the witness,
+the ``checked`` count and the point where the play budget trips are those
+of walking every play.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from functools import partial
+from itertools import accumulate, product
 from typing import Iterable, Iterator
 
 from . import engine
@@ -237,6 +238,9 @@ def check_participation(scenario: Scenario, scheme: SchemeConfig,
     information set is evaluated within the partial game at its own
     awareness level, over every draw of that game consistent with it.
     """
+    if scheme.kind == STATIC_VICKREY:
+        raise InapplicableProperty(
+            f"participation applies to the dynamic protocol, not to {STATIC_VICKREY}")
     if mode not in ("ex_post", "ex_ante_anticipated"):
         raise ValueError(mode)
     mech = Mechanism(scenario, scheme)
@@ -354,11 +358,11 @@ def _best_deviation(scenario: Scenario, mech: Mechanism, tables: _Tables,
                     state: engine.PlayState, plans: tuple[tuple[str, ...], ...],
                     policies: dict[str, object] | None = None
                     ) -> tuple[dict[str, Fraction], int, int]:
-    """(payoff summary, plays, deep) of the plays of ``engine.iter_paths``
-    from the running ``state``, the agent FREE and each opponent replaying
-    her plan: the summary maps each outcome to the agent's largest transfer
-    over the plays, and ``deep`` counts the stages down to the deepest
-    running state.
+    """(payoff summary, plays, deep) of the plays of
+    ``engine.iter_completions`` from the running ``state``, the agent FREE
+    and each opponent replaying her plan: the summary maps each outcome to
+    the agent's largest transfer over the plays, and ``deep`` counts the
+    stages down to the deepest running state.
 
     ``plans`` holds each opponent's plan suffix from ``state``'s stage on,
     stripped, and a child gets it less its first report (the final report
@@ -401,7 +405,7 @@ def _best_deviation(scenario: Scenario, mech: Mechanism, tables: _Tables,
 def _truth_tree(scenario: Scenario, mech: Mechanism, tables: _Tables,
                 state: engine.PlayState) -> tuple:
     """(plays, checked, charge, lines, deep) of the plays of
-    ``engine.iter_paths`` from ``state``, the agent truthful and her
+    ``engine.iter_completions`` from ``state``, the agent truthful and her
     opponents FREE: the plays, the conditioning checks at ``state`` and
     below with the plays they charge, each play as (opponents' plan
     suffixes from ``state``'s stage, terminal transcript), in walk order,
@@ -452,21 +456,24 @@ def _walk(scenario: Scenario, mech: Mechanism, tables: _Tables, budget: PlayBudg
           start: engine.PlayState) -> tuple[Witness | None, int]:
     """(first witness or None, checked) of walking one instance play by
     play, each play charged as it is reached: the dominance check's
-    reference order, through the same deviation table."""
+    reference order, through the same deviation table.  A truthful play's
+    running states are rebuilt by replaying its reports from ``start`` with
+    the deterministic :func:`engine.advance`, which charges nothing."""
     agent, level, i = tables.agent, tables.level, tables.index
     structure = scenario.structure
     checked = 0
     # The agent tells the truth while opponents report freely; each play
     # fixes one opponents' plan profile.
-    for path in engine.iter_paths(scenario, start, tables.opponents, budget):
-        truth_transcript = engine.transcript(path[-1])
+    for terminal in engine.iter_completions(scenario, start, tables.opponents, budget):
+        truth_transcript = engine.transcript(terminal)
         plans = tuple(tuple(stage[k] for stage in truth_transcript.stages)
                       for k in tables.rivals)
         policies = _replay_policies(scenario, tables, start, plans)
         # Awareness only rises along a play, so a perceived type never
         # recurs once it changes: value the truthful play once per type.
         valued = None
-        for h_state in path[:-1]:
+        for h_state in accumulate(terminal.history[:-1], partial(engine.advance, scenario),
+                                  initial=start):
             if structure.level_of(agent, h_state.perceived[i]) != level:
                 continue
             eval_type = h_state.perceived[i]

@@ -3,13 +3,42 @@
 Each is the earlier, enumerating form of a construction that ``elabmech``
 now builds once in closed form: the welfare decomposition by Gaussian
 elimination over the rationals, and the projection closure by comparing
-every covering path.
+every covering path.  The play walk is an explicit-stack loop that keeps
+each play's states, in place of the engine's recursion over terminals.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
+from elabmech import engine
 from elabmech.transfers import opponent_profile
+
+
+def iter_paths(scenario, state, policies, budget=None):
+    """Every play from ``state`` as the tuple of states it reaches, ``state``
+    first: depth first, report profiles in ``product`` order, each terminal
+    charged before its play is yielded.  An explicit-stack loop, apart from
+    ``engine.iter_completions``, so the engine's walk is checked against it."""
+    path = [state]
+    untried = []  # report profiles still to play at each running state of ``path``
+    while True:
+        if state.stopped:
+            if budget is not None:
+                budget.charge()
+            yield tuple(path)
+            path.pop()
+        else:
+            untried.append(engine.report_profiles(scenario, state, policies))
+        while untried:
+            reports = next(untried[-1], None)
+            if reports is not None:
+                state = engine.advance(scenario, path[-1], reports)
+                path.append(state)
+                break
+            untried.pop()
+            path.pop()
+        else:
+            return
 
 
 def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:

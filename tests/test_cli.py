@@ -373,6 +373,29 @@ def test_verify_dominance_under_the_static_scheme_exits_two(capsys):
         "error: dominance applies to the dynamic protocol, not to static_vickrey"]
 
 
+def test_verify_participation_under_the_static_scheme_exits_two(capsys):
+    assert main(["verify", "example1", "--property", "participation-ex-post",
+                 "--scheme", "static_vickrey"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: participation applies to the dynamic protocol, not to static_vickrey"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["example2", "--property", "efficiency", "--expect-fail", "dominance"],
+    ["example2", "--all", "--expect-fail", "budget-balance"],
+])
+def test_verify_expect_fail_on_a_property_the_run_never_checks_exits_two(capsys, argv):
+    # An expected violation nobody looked for would report success
+    # without checking anything.
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error:") and argv[-1] in line
+
+
 @pytest.mark.parametrize("prop", ["holmstrom", "nonnegative-valuations"])
 def test_scheme_free_properties_run_under_the_static_scheme(capsys, prop):
     assert main(["verify", "example2", "--scheme", "static_vickrey",

@@ -8,6 +8,8 @@ from elabmech.generate import generate_scenario
 from elabmech.scenario import parse_scenario
 from elabmech.typespace import NatureDraw
 
+import reference
+
 ONE_LEVEL = """
 [lattice]
 elements: l0
@@ -317,16 +319,16 @@ def test_play_records_are_immutable_values():
 
 
 def test_states_built_apart_with_equal_fields_are_equal_and_hash_alike():
-    # The depth-first walk of iter_paths and the stack walk of
-    # reached_states visit the play tree in different orders and build
-    # every state separately; each state must find its twin.
+    # The product-order walk of reference.iter_paths and the last-in
+    # first-out worklist of reached_states visit the play tree in different
+    # orders and build every state separately; each state must find its twin.
     s = fixture("example2")
     free = {agent: engine.FREE for agent in s.agents}
     by_value = {}
     for level in s.lattice.elements:
         for profile, awareness in verify._partial_draws(s, level):
             start = engine.initial_state(s, level, profile, awareness)
-            for path in engine.iter_paths(s, start, free):
+            for path in reference.iter_paths(s, start, free):
                 for state in path:
                     by_value.setdefault(state, state)
     twins = 0
@@ -521,32 +523,6 @@ def test_plan_policy_caps_to_awareness_when_the_pool_stays_low():
     assert plan(s, state, "a2") == "a2lo"
 
 
-def reference_iter_paths(scenario, state, policies, budget=None):
-    """The explicit-stack walk that the recursion replaced, kept as the
-    oracle: depth first, report profiles in ``product`` order, each terminal
-    charged before its play is yielded."""
-    path = [state]
-    untried = []  # report profiles still to play at each running state of ``path``
-    while True:
-        if state.stopped:
-            if budget is not None:
-                budget.charge()
-            yield tuple(path)
-            path.pop()
-        else:
-            untried.append(engine.report_profiles(scenario, state, policies))
-        while untried:
-            reports = next(untried[-1], None)
-            if reports is not None:
-                state = engine.advance(scenario, path[-1], reports)
-                path.append(state)
-                break
-            untried.pop()
-            path.pop()
-        else:
-            return
-
-
 def walk_until_raise(walk, scenario, state, policies, bound=10 ** 6):
     """(plays yielded, plays charged, exception type or None) of one walk."""
     budget = engine.PlayBudget(bound)
@@ -573,29 +549,51 @@ def walk_cases(s):
                 yield start, policies
 
 
+def terminals(walked):
+    """``walk_until_raise`` of a path walk, each play read as its terminal."""
+    paths, used, raised = walked
+    return [path[-1] for path in paths], used, raised
+
+
 @pytest.mark.parametrize("case", WALK_CASES, ids=str)
 def test_recursive_walk_matches_the_explicit_stack_walk(case, monkeypatch):
     s = walk_scenario(case)
     cases = list(walk_cases(s))
     for start, policies in cases:
-        plays, used, raised = walk_until_raise(engine.iter_paths, s, start, policies)
+        paths = walk_until_raise(reference.iter_paths, s, start, policies)
+        plays, used, raised = walk_until_raise(engine.iter_completions, s, start, policies)
         assert raised is None and used == len(plays)
-        assert (plays, used, raised) == walk_until_raise(reference_iter_paths, s, start,
-                                                         policies), (s.name, start)
+        assert (plays, used, raised) == terminals(paths), (s.name, start)
+        assert engine.truthful_path(s, start, policies) == list(paths[0][0])
         if len(plays) > 1:
-            short = walk_until_raise(engine.iter_paths, s, start, policies, len(plays) - 1)
+            short = walk_until_raise(engine.iter_completions, s, start, policies,
+                                     len(plays) - 1)
             assert short == (plays[:-1], len(plays), engine.StrategySpaceTooLarge)
-            assert short == walk_until_raise(reference_iter_paths, s, start, policies,
-                                             len(plays) - 1)
+            assert short == terminals(walk_until_raise(reference.iter_paths, s, start,
+                                                       policies, len(plays) - 1))
     full_cap = engine.max_stages
-    monkeypatch.setattr(engine, "max_stages", lambda scenario: full_cap(scenario) - 1)
-    capped = 0
-    for start, policies in cases:
-        walked = walk_until_raise(engine.iter_paths, s, start, policies)
-        assert walked == walk_until_raise(reference_iter_paths, s, start, policies)
-        capped += walked[2] is AssertionError
-    if s.name == "example2":
-        assert capped
+    # One stage short of the cap trips only plays after the first; a cap
+    # of two stages trips some first plays as well.
+    for cap in (lambda scenario: full_cap(scenario) - 1, lambda scenario: 2):
+        monkeypatch.setattr(engine, "max_stages", cap)
+        capped = first_capped = 0
+        for start, policies in cases:
+            paths = walk_until_raise(reference.iter_paths, s, start, policies)
+            walked = walk_until_raise(engine.iter_completions, s, start, policies)
+            assert walked == terminals(paths)
+            capped += walked[2] is AssertionError
+            # truthful_path follows the first play, so it trips the cap
+            # exactly when the walk trips it before yielding any play.
+            if paths[0]:
+                assert engine.truthful_path(s, start, policies) == list(paths[0][0])
+            else:
+                assert paths[2] is AssertionError
+                first_capped += 1
+                with pytest.raises(AssertionError, match="stage cap"):
+                    engine.truthful_path(s, start, policies)
+        if s.name == "example2":
+            assert capped
+    assert first_capped
 
 
 def uncapped_plan_policy(agent, reports_by_stage, scenario):

@@ -184,10 +184,10 @@ def _direct_plan_space_dominance_oracle(scenario, scheme):
                                         continue
                                     eval_type = node.perceived[i]
                                     u_truth = mech.utility(truth, agent, eval_type)
-                                    for dev in engine.iter_completions(
+                                    for dev in reference.iter_paths(
                                             scenario, node,
                                             {agent: engine.FREE, other: policy}):
-                                        u_dev = mech.utility(engine.transcript(dev),
+                                        u_dev = mech.utility(engine.transcript(dev[-1]),
                                                              agent, eval_type)
                                         if u_dev > u_truth:
                                             violations.append((agent, u_truth, u_dev))
@@ -268,6 +268,17 @@ def test_dominance_rejects_static_scheme():
     static = dataclasses.replace(s.scheme, kind="static_vickrey")
     with pytest.raises(ValueError):
         verify.check_conditional_dominance(s, static)
+
+
+@pytest.mark.parametrize("mode", ["ex_post", "ex_ante_anticipated"])
+def test_participation_rejects_static_scheme(mode):
+    # check_participation walks the dynamic protocol's information sets,
+    # which the one-round static protocol never reaches.
+    s = fixture("example1")
+    static = dataclasses.replace(s.scheme, kind="static_vickrey")
+    with pytest.raises(verify.InapplicableProperty, match="participation applies to the "
+                       "dynamic protocol, not to static_vickrey"):
+        verify.check_participation(s, static, mode)
 
 
 def test_stage_bound_on_fixtures():
@@ -628,8 +639,8 @@ def test_run_matches_the_single_truthful_completion(name):
 
 
 # Dominance counts measured before the opponent walk of
-# check_conditional_dominance was merged into engine.iter_paths; the merge
-# must not move them.  Each case: (verdict holds, checked, plays), where
+# check_conditional_dominance was merged into the engine's play walk; no
+# change to that walk may move them.  Each case: (verdict holds, checked, plays), where
 # plays is the exact play budget the check consumes.
 PINNED_DOMINANCE = {
     "example2": (True, 104, 264),
@@ -667,7 +678,7 @@ def test_dominance_keeps_its_counts_and_play_budget(name, ablate_premium):
 
 def _reference_dominance(scenario, scheme, bound=10 ** 6):
     """The dominance check without memoization: every deviation from every
-    conditioning information set walked as plays of ``engine.iter_paths``,
+    conditioning information set walked as plays of ``reference.iter_paths``,
     each play charged.  Returns (holds, checked, first witness replay)."""
     mech = Mechanism(scenario, scheme)
     structure = scenario.structure
@@ -679,7 +690,7 @@ def _reference_dominance(scenario, scheme, bound=10 ** 6):
         i = structure.agent_index(agent)
         start = engine.initial_state(scenario, level, profile, awareness)
         opponents = {a: engine.FREE for a in agents if a != agent}
-        for path in engine.iter_paths(scenario, start, opponents, budget):
+        for path in reference.iter_paths(scenario, start, opponents, budget):
             truth = engine.transcript(path[-1])
             policies = {a: engine.plan_policy(a, tuple(stage[k] for stage in truth.stages),
                                               scenario)
@@ -691,8 +702,8 @@ def _reference_dominance(scenario, scheme, bound=10 ** 6):
                 eval_type = h_state.perceived[i]
                 u_truth = mech.utility(truth, agent, eval_type)
                 checked += 1
-                for terminal in engine.iter_completions(scenario, h_state, policies, budget):
-                    deviation = engine.transcript(terminal)
+                for dev_path in reference.iter_paths(scenario, h_state, policies, budget):
+                    deviation = engine.transcript(dev_path[-1])
                     u_dev = mech.utility(deviation, agent, eval_type)
                     if u_dev > u_truth:
                         return False, checked, {
@@ -714,7 +725,7 @@ def replay_subtree_states(s):
         i = s.structure.agent_index(agent)
         rivals = [(k, a) for k, a in enumerate(s.agents) if a != agent]
         start = engine.initial_state(s, level, profile, awareness)
-        for path in engine.iter_paths(s, start, {a: engine.FREE for _, a in rivals}):
+        for path in reference.iter_paths(s, start, {a: engine.FREE for _, a in rivals}):
             plans = tuple(tuple(stage[k] for stage in path[-1].history) for k, _ in rivals)
             policies = {a: engine.plan_policy(a, plan, s) for (_, a), plan in zip(rivals, plans)}
             policies[agent] = engine.FREE
