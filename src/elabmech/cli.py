@@ -15,7 +15,6 @@ read-only and no parse hands one call's state to the next.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -38,7 +37,7 @@ PROPERTIES = {
     "efficiency": (lambda s, bound: verify.check_efficiency(s), VCG),
     "pooled-implementation":
         (lambda s, bound: verify.check_pooled_implementation(s, s.scheme), KINDS),
-    "stage-bound": (lambda s, bound: verify.check_stage_bound(s), DYNAMIC),
+    "stage-bound": (lambda s, bound: verify.check_stage_bound(s, s.scheme), DYNAMIC),
     "budget-balance":
         (lambda s, bound: verify.check_budget(s, s.scheme, "balance", bound), (RSPA,)),
     "no-deficit": (lambda s, bound: verify.check_budget(s, s.scheme, "no_deficit", bound), VCG),
@@ -111,11 +110,11 @@ def _load(ref: str) -> Scenario:
 def _apply_scheme(scenario: Scenario, kind: str | None) -> Scenario:
     if kind is None or kind == scenario.scheme.kind:
         return scenario
-    scheme = dataclasses.replace(scenario.scheme, kind=kind)
+    scheme = scenario.scheme._replace(kind=kind)
     violations = scheme_violations(scenario.structure, scenario.outcomes, scheme)
     if violations:
         raise ValidationError([f"scheme: {v}" for v in violations])
-    return dataclasses.replace(scenario, scheme=scheme)
+    return scenario._replace(scheme=scheme)
 
 
 def _script_strategies(path: str, scenario: Scenario):

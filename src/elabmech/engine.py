@@ -182,7 +182,7 @@ def report_menus(structure: TypeStructure) -> dict[tuple, tuple[str, ...]]:
 
 
 def feasible_reports(scenario: Scenario, state: PlayState, agent: str) -> tuple[str, ...]:
-    i = scenario.structure.agents.index(agent)
+    i = scenario.structure.agent_position[agent]
     if state.history:
         return scenario.menus[(agent, state.awareness[i], state.history[-1][i], state.pooled[-1])]
     return scenario.menus[(agent, state.awareness[i], None, None)]
@@ -232,7 +232,7 @@ def transcript(state: PlayState) -> Transcript:
 
 
 def max_stages(scenario: Scenario) -> int:
-    return len(scenario.structure.agents) * scenario.lattice.height() + 2
+    return scenario.stage_cap
 
 
 def truthful_path(scenario: Scenario, state: PlayState,

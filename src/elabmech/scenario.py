@@ -50,7 +50,6 @@ requirements all pass; the diagnostics list every violation found.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
 
@@ -75,22 +74,29 @@ class UnknownDraw(Exception):
     pass
 
 
-@dataclass
 class Scenario:
     """A validated scenario.  ``menus``, every feasible-report menu
-    (:func:`engine.report_menus`), is built by each construction,
-    ``dataclasses.replace`` included, and never written afterwards."""
+    (:func:`engine.report_menus`), and ``stage_cap`` (:func:`engine.max_stages`)
+    are built by each construction, :meth:`_replace` included, and never
+    written afterwards."""
 
-    lattice: Lattice
-    structure: TypeStructure
-    outcomes: OutcomeModel
-    scheme: SchemeConfig
-    draws: dict[str, NatureDraw] = field(default_factory=dict)
-    name: str = "scenario"
-    menus: dict = field(init=False, repr=False, compare=False)
+    def __init__(self, lattice: Lattice, structure: TypeStructure, outcomes: OutcomeModel,
+                 scheme: SchemeConfig, draws: dict[str, NatureDraw] | None = None,
+                 name: str = "scenario"):
+        self.lattice = lattice
+        self.structure = structure
+        self.outcomes = outcomes
+        self.scheme = scheme
+        self.draws = {} if draws is None else draws
+        self.name = name
+        self.menus = report_menus(structure)
+        self.stage_cap = len(structure.agents) * lattice.height() + 2
 
-    def __post_init__(self) -> None:
-        self.menus = report_menus(self.structure)
+    def _replace(self, **changes) -> Scenario:
+        """A new scenario with ``changes`` to the constructor's fields."""
+        fields = dict(lattice=self.lattice, structure=self.structure, outcomes=self.outcomes,
+                      scheme=self.scheme, draws=self.draws, name=self.name)
+        return Scenario(**{**fields, **changes})
 
     @property
     def agents(self) -> tuple[str, ...]:

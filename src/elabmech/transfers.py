@@ -30,9 +30,8 @@ picks the protocol a scheme plays, and :func:`bidders` whose incentives count.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from . import engine
 from .engine import Transcript
@@ -65,8 +64,7 @@ STATIC_VICKREY = "static_vickrey"
 KINDS = (GROVES, CLARKE, RSPA, STATIC_VICKREY)
 
 
-@dataclass(frozen=True)
-class SchemeConfig:
+class SchemeConfig(NamedTuple):
     kind: str
     y_tables: Mapping[tuple[str, str, tuple[str, ...]], Fraction] | None = None
     buyer: str | None = None
@@ -74,8 +72,7 @@ class SchemeConfig:
     simplified_premium_ok: bool = False
 
 
-@dataclass(frozen=True)
-class TransferReport:
+class TransferReport(NamedTuple):
     outcome: str
     transfers: dict[str, Fraction]
     adjustments: dict[str, Fraction]

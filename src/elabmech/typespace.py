@@ -8,9 +8,8 @@ Preimages collect the elaborations of a type at one weakly higher level.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .lattice import Lattice
 
@@ -29,8 +28,7 @@ class LevelNotBelow(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class NatureDraw:
+class NatureDraw(NamedTuple):
     """A move of nature: top-level true types plus an awareness level per agent."""
 
     true_types: tuple[str, ...]
@@ -40,8 +38,8 @@ class NatureDraw:
 class TypeStructure:
     """Validated type spaces.  Immutable; concurrent reads are safe.
 
-    ``spaces`` maps (agent, level) to the tuple of type identifiers and
-    ``projection`` gives the full (composed) table.
+    ``spaces`` maps (agent, level) to the tuple of type identifiers,
+    ``projection`` gives the composed table, ``agent_position`` each agent's index.
     """
 
     def __init__(self, lattice: Lattice, agents: tuple[str, ...],
@@ -49,6 +47,7 @@ class TypeStructure:
                  projection: Mapping[tuple[str, str, str], str]):
         self.lattice = lattice
         self.agents = agents
+        self.agent_position = {agent: i for i, agent in enumerate(agents)}
         self.spaces = dict(spaces)
         self._proj = dict(projection)  # (agent, type, target level) -> type
         # One pass over the spaces: each type records its level and joins,
@@ -103,7 +102,7 @@ class TypeStructure:
         return product(*(self.spaces[(a, level)] for a in self.agents if a != agent))
 
     def agent_index(self, agent: str) -> int:
-        return self.agents.index(agent)
+        return self.agent_position[agent]
 
 
 def validate_draw(structure: TypeStructure, draw: NatureDraw) -> list[str]:

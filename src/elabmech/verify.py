@@ -45,11 +45,10 @@ of walking every play.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import engine
 from .engine import FREE, PlayBudget
@@ -67,14 +66,12 @@ class InapplicableProperty(ValueError):
 STAGE_BOUND = 3
 
 
-@dataclass
-class Witness:
+class Witness(NamedTuple):
     description: str
-    replay: dict = field(default_factory=dict)
+    replay: dict
 
 
-@dataclass
-class VerificationResult:
+class VerificationResult(NamedTuple):
     prop: str
     witnesses: list[Witness]
     checked: int
@@ -88,8 +85,7 @@ class VerificationResult:
             "property": self.prop,
             "verdict": "holds" if self.holds else "violated",
             "checked": self.checked,
-            "witnesses": [{"description": w.description, "replay": w.replay}
-                          for w in self.witnesses],
+            "witnesses": [w._asdict() for w in self.witnesses],
         }
 
 
@@ -159,8 +155,11 @@ def check_pooled_implementation(scenario: Scenario, scheme: SchemeConfig) -> Ver
     return VerificationResult("pooled-implementation", witnesses, checked)
 
 
-def check_stage_bound(scenario: Scenario) -> VerificationResult:
+def check_stage_bound(scenario: Scenario, scheme: SchemeConfig) -> VerificationResult:
     """Every truthful run, in every partial game, stops within ``STAGE_BOUND`` stages."""
+    if scheme.kind == STATIC_VICKREY:
+        raise InapplicableProperty(
+            f"the stage bound applies to the dynamic protocol, not to {STATIC_VICKREY}")
     witnesses = []
     checked = 0
     for level in scenario.lattice.elements:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -380,6 +381,49 @@ def test_verify_participation_under_the_static_scheme_exits_two(capsys):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "error: participation applies to the dynamic protocol, not to static_vickrey"]
+
+
+def test_verify_stage_bound_under_the_static_scheme_exits_two(capsys):
+    assert main(["verify", "example2", "--property", "stage-bound",
+                 "--scheme", "static_vickrey"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: the stage bound applies to the dynamic protocol, not to static_vickrey"]
+
+
+# sha256 of the JSON reports, recorded before the package's records became
+# NamedTuples; the participation report carries witnesses and their replays.
+REPORT_DIGESTS = [
+    (["run", "example1"], 0,
+     "dc7b14f576755ae2dd7b2cd4e7d09005f8887595bfa7005a1cafb47c26aa13cb"),
+    (["verify", "example2", "--all"], 0,
+     "08fc24af357716046f5921a1133c6bdcfb45f50246e3406c7b9ccaf17d654404"),
+    (["verify", "example4r", "--property", "participation-ex-post"], 1,
+     "5136037462a30cac8160607167912eb5a088bcee7a636d4419779fe9fe557979"),
+]
+
+
+@pytest.mark.parametrize("argv, status, digest", REPORT_DIGESTS,
+                         ids=[" ".join(argv) for argv, _, _ in REPORT_DIGESTS])
+def test_json_reports_keep_their_bytes(tmp_path, capsys, argv, status, digest):
+    target = tmp_path / "report.json"
+    assert main(argv + ["--report", str(target)]) == status
+    capsys.readouterr()
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # A fresh isolated interpreter; modules that site preloads do not count.
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+             "import elabmech, elabmech.cli, elabmech.verify; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    done = subprocess.run([sys.executable, "-I", "-c", probe, src],
+                          capture_output=True, text=True, check=True)
+    loaded = set(done.stdout.split())
+    assert "elabmech.verify" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("argv", [

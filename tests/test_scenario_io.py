@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from elabmech import engine
 from elabmech.fixtures import FIXTURES, fixture
 from elabmech.generate import generate_scenario
 from elabmech.scenario import (ParseError, UnknownDraw, ValidationError, parse_scenario,
@@ -110,6 +111,18 @@ def test_missing_valuation_entry_reported():
     with pytest.raises(ValidationError) as err:
         parse_scenario(text)
     assert any("missing valuation (a2, a2hi3, win1)" in v for v in err.value.violations)
+
+
+def test_replace_rebuilds_menus_and_stage_cap():
+    first, second = fixture("example1"), fixture("example2")
+    assert first.stage_cap != second.stage_cap
+    moved = first._replace(lattice=second.lattice, structure=second.structure)
+    assert moved.menus == second.menus and moved.menus != first.menus
+    assert moved.stage_cap == second.stage_cap == engine.max_stages(moved)
+    assert (moved.outcomes, moved.scheme, moved.draws, moved.name) == \
+        (first.outcomes, first.scheme, first.draws, first.name)
+    with pytest.raises(TypeError):
+        first._replace(menus={})
 
 
 def test_roundtrip_fixtures():

@@ -5,7 +5,6 @@ bids are 2 and 3, so the pivot payment is 2; the premium for the bidder who
 first announced the pooled level is exactly the margin she could have kept
 by concealing (winning at 2 against 1 instead of losing), which is 1.
 """
-import dataclasses
 from fractions import Fraction
 from itertools import islice, product
 
@@ -324,9 +323,8 @@ def test_clarke_y_bounds_opponent_welfare():
 
 
 def test_static_vickrey_example2():
-    import dataclasses
     s = fixture("example2")
-    static = dataclasses.replace(s.scheme, kind="static_vickrey")
+    static = s.scheme._replace(kind="static_vickrey")
     t = engine.run_single_stage(s, s.draw(), "hi")
     report = transfer_report(Mechanism(s, static), t)
     assert report.outcome == "win1"
@@ -440,9 +438,8 @@ supply: s2 supply_s2
 def test_rspa_premium_simplified_cross_check_accepts_competitive_costs():
     # every seller loses for some profile at every level, so the opt-out
     # assumption behind the short recursion holds and the two forms agree
-    import dataclasses
     s = parse_scenario(COMPETITIVE)
-    flagged = dataclasses.replace(s.scheme, simplified_premium_ok=True)
+    flagged = s.scheme._replace(simplified_premium_ok=True)
     mech = Mechanism(s, flagged)
     for seller in ("s1", "s2"):
         assert mech.premium(seller, "hi") == \
@@ -451,14 +448,13 @@ def test_rspa_premium_simplified_cross_check_accepts_competitive_costs():
 
 
 def test_rspa_premium_simplified_cross_check_rejects_when_assumption_fails():
-    import dataclasses
     # a seller who always wins at every level breaks the opt-out assumption
     text = PROCUREMENT.replace("value: s1 s1lo supply_s1 -64",
                                "value: s1 s1lo supply_s1 -1") \
                       .replace("value: s1 s1hi supply_s1 -80",
                                "value: s1 s1hi supply_s1 -1")
     s = parse_scenario(text)
-    flagged = dataclasses.replace(s.scheme, simplified_premium_ok=True)
+    flagged = s.scheme._replace(simplified_premium_ok=True)
     mech = Mechanism(s, flagged)
     with pytest.raises(ValueError):
         mech.premium("s1", "hi")
@@ -594,8 +590,8 @@ def test_mechanism_run_plays_the_protocol_of_its_scheme():
     for name in ("example2", "example4r"):
         s = fixture(name)
         top = s.lattice.top
-        dynamic = Mechanism(s, dataclasses.replace(s.scheme, kind=transfers.CLARKE))
-        static = Mechanism(s, dataclasses.replace(s.scheme, kind=transfers.STATIC_VICKREY))
+        dynamic = Mechanism(s, s.scheme._replace(kind=transfers.CLARKE))
+        static = Mechanism(s, s.scheme._replace(kind=transfers.STATIC_VICKREY))
         draws = 0
         for true_profile in s.structure.profiles(top):
             for awareness in product(s.lattice.elements, repeat=len(s.agents)):

@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -32,7 +31,7 @@ def test_efficiency_catches_an_injected_suboptimal_choice():
         def efficient_outcome(self, profile):
             return "win1"  # ignore welfare entirely
 
-    sabotaged = dataclasses.replace(s, outcomes=Broken())
+    sabotaged = s._replace(outcomes=Broken())
     result = verify.check_efficiency(sabotaged)
     assert not result.holds
     assert any("welfare gap" in w.description for w in result.witnesses)
@@ -49,7 +48,7 @@ def test_pooled_implementation_example2_clarke_serves_the_truly_aware_value():
 
 def test_pooled_implementation_static_fails_on_example2():
     s = fixture("example2")
-    static = dataclasses.replace(s.scheme, kind="static_vickrey")
+    static = s.scheme._replace(kind="static_vickrey")
     result = verify.check_pooled_implementation(s, static)
     assert not result.holds
     witness = result.witnesses[0]
@@ -265,7 +264,7 @@ kind: clarke
 
 def test_dominance_rejects_static_scheme():
     s = fixture("example2")
-    static = dataclasses.replace(s.scheme, kind="static_vickrey")
+    static = s.scheme._replace(kind="static_vickrey")
     with pytest.raises(ValueError):
         verify.check_conditional_dominance(s, static)
 
@@ -275,15 +274,26 @@ def test_participation_rejects_static_scheme(mode):
     # check_participation walks the dynamic protocol's information sets,
     # which the one-round static protocol never reaches.
     s = fixture("example1")
-    static = dataclasses.replace(s.scheme, kind="static_vickrey")
+    static = s.scheme._replace(kind="static_vickrey")
     with pytest.raises(verify.InapplicableProperty, match="participation applies to the "
                        "dynamic protocol, not to static_vickrey"):
         verify.check_participation(s, static, mode)
 
 
+def test_stage_bound_rejects_static_scheme():
+    # The bound is on stages of the dynamic protocol, which the one-round
+    # static protocol never plays.
+    s = fixture("example2")
+    static = s.scheme._replace(kind="static_vickrey")
+    with pytest.raises(verify.InapplicableProperty, match="the stage bound applies to the "
+                       "dynamic protocol, not to static_vickrey"):
+        verify.check_stage_bound(s, static)
+
+
 def test_stage_bound_on_fixtures():
     for name in ("example1", "example2", "example4r"):
-        result = verify.check_stage_bound(fixture(name))
+        s = fixture(name)
+        result = verify.check_stage_bound(s, s.scheme)
         assert result.holds
 
 
@@ -625,7 +635,7 @@ def test_truthful_run_checks_keep_their_counts(name):
     for mode, want in (("ex_post", ex_post), ("ex_ante_anticipated", ex_ante)):
         result = verify.check_participation(s, s.scheme, mode)
         assert (result.checked, len(result.witnesses)) == want
-    assert verify.check_stage_bound(s).checked == stage_bound
+    assert verify.check_stage_bound(s, s.scheme).checked == stage_bound
     assert verify.check_pooled_implementation(s, s.scheme).checked == pooled
 
 
