@@ -28,7 +28,7 @@ from __future__ import annotations
 from itertools import product
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
-from .typespace import NatureDraw, TypeStructure
+from .typespace import NatureDraw, TypeStructure, UnknownType
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -71,7 +71,8 @@ class PlayState(NamedTuple):
     Every state that :func:`initial_state` or :func:`advance` builds keeps
     two invariants, which let :func:`advance` skip work that cannot change:
 
-    (I1) ``perceived[i]`` is ``project(agent_i, true_profile[i], awareness[i])``;
+    (I1) ``perceived[i]`` is ``project(agent_i, true_profile[i], awareness[i])``,
+         which :func:`advance` reads from ``TypeStructure.projection_table``;
     (I2) after any stage, ``awareness[i]`` lies weakly above ``pooled[-1]``,
          because it was just joined with it.
 
@@ -117,14 +118,22 @@ class PlayBudget:
 def pooled_recipient(structure: TypeStructure, stages: tuple[tuple[str, ...], ...],
                      pooled: tuple[str, ...]) -> str | None:
     """The one agent reporting at the last pooled level at the first stage
-    that reached it, or None when no agent or several do."""
+    that reached it, or None when no agent or several do.
+
+    Report levels are read from ``TypeStructure.level_table``; a report
+    the table lacks raises :class:`~typespace.UnknownType`, as ``level_of``
+    does."""
     target = pooled[-1]
+    levels = structure.level_table
     recipient = None
-    for agent, report in zip(structure.agents, stages[pooled.index(target)]):
-        if structure.level_of(agent, report) == target:
-            if recipient is not None:
-                return None
-            recipient = agent
+    try:
+        for agent, report in zip(structure.agents, stages[pooled.index(target)]):
+            if levels[(agent, report)] == target:
+                if recipient is not None:
+                    return None
+                recipient = agent
+    except KeyError:
+        raise UnknownType(f"{agent}: {report}") from None
     return recipient
 
 
@@ -199,7 +208,11 @@ def advance(scenario: Scenario, state: PlayState, reports: tuple[str, ...]) -> P
     cannot miss and an undeclared report is an :class:`InfeasibleReport`.  By
     (I2) a pooled level equal to the last one raises nobody's awareness, so
     awareness and perceived types carry over; by (I1) a new pooled level
-    re-projects the true types only when it raised some awareness.
+    re-projects the true types only when it raised some awareness, reading
+    ``TypeStructure.projection_table``.  That table misses only where an
+    awareness rose above a true type's own level, which a caller of
+    :func:`initial_state` can bring about, and a miss raises what
+    ``TypeStructure.project`` raises: :class:`~typespace.LevelNotBelow`.
     """
     if state.stopped:
         raise InfeasibleReport("play already stopped")
@@ -220,8 +233,14 @@ def advance(scenario: Scenario, state: PlayState, reports: tuple[str, ...]) -> P
     if not history or pooled != state.pooled[-1]:
         awareness = tuple(joins[(a, pooled)] for a in awareness)
         if awareness != state.awareness:
-            perceived = tuple(structure.project(agent, t, a) for agent, t, a
-                              in zip(agents, state.true_profile, awareness))
+            projections = structure.projection_table
+            try:
+                perceived = tuple(projections[(agent, t, a)] for agent, t, a
+                                  in zip(agents, state.true_profile, awareness))
+            except KeyError:
+                # project raises the error a miss stands for
+                perceived = tuple(structure.project(agent, t, a) for agent, t, a
+                                  in zip(agents, state.true_profile, awareness))
     stopped = bool(history) and reports == history[-1]
     return PlayState(state.true_profile, awareness, perceived, history + (reports,),
                      state.pooled + (pooled,), stopped)
@@ -327,9 +346,16 @@ def plan_policy(agent: str, reports_by_stage: tuple[str, ...], scenario: Scenari
     stretched level-wise but never changes content.  The replay is always
     feasible: the floor stays below the plan's final level because a
     stopped play ends with every agent at the final pooled level.
+
+    The replay reads ``TypeStructure.level_table`` and the lattice's
+    ``join_table`` and ``meet_table`` directly; it reads the agent's last
+    report, which :func:`advance` found in its menu, so the level lookup
+    cannot miss.  Only the projection goes through ``project``, which
+    checks that the level lies below the final report's.
     """
     structure = scenario.structure
-    lattice = scenario.lattice
+    levels = structure.level_table
+    joins, meets = scenario.lattice.join_table, scenario.lattice.meet_table
     idx = structure.agent_index(agent)
     schedule = tuple(structure.level_of(agent, r) for r in reports_by_stage)
     final_report = reports_by_stage[-1]
@@ -337,11 +363,10 @@ def plan_policy(agent: str, reports_by_stage: tuple[str, ...], scenario: Scenari
     def policy(scenario_: Scenario, state: PlayState, owner: str) -> str:
         assert owner == agent
         target = schedule[min(state.stage, len(schedule)) - 1]
-        level = lattice.meet(target, state.awareness[idx])
+        level = meets[(target, state.awareness[idx])]
         if state.history:
-            floor = lattice.join(structure.level_of(agent, state.history[-1][idx]),
-                                 state.pooled[-1])
-            level = lattice.join(level, floor)
+            floor = joins[(levels[(agent, state.history[-1][idx])], state.pooled[-1])]
+            level = joins[(level, floor)]
         return structure.project(agent, final_report, level)
 
     return policy

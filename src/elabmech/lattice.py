@@ -135,6 +135,11 @@ class Lattice:
     def meet(self, a: str, b: str) -> str:
         return self._meet[(a, b)]
 
+    @property
+    def meet_table(self) -> Mapping[tuple[str, str], str]:
+        """The (a, b) table :meth:`meet` reads; a miss raises UnknownLevel."""
+        return self._meet
+
     def join_all(self, levels: Iterable[str]) -> str:
         result = None
         for level in levels:

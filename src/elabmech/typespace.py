@@ -39,7 +39,7 @@ class TypeStructure:
     """Validated type spaces.  Immutable; concurrent reads are safe.
 
     ``spaces`` maps (agent, level) to the tuple of type identifiers,
-    ``projection`` gives the composed table, ``agent_position`` each agent's index.
+    ``projection_table`` is the composed table, ``agent_position`` each agent's index.
     """
 
     def __init__(self, lattice: Lattice, agents: tuple[str, ...],
@@ -68,6 +68,12 @@ class TypeStructure:
     def level_table(self) -> Mapping[tuple[str, str], str]:
         """The (agent, type) table :meth:`level_of` reads; a miss is a KeyError."""
         return self._level_of
+
+    @property
+    def projection_table(self) -> Mapping[tuple[str, str, str], str]:
+        """The (agent, type, level) table :meth:`project` reads, holding every
+        level weakly below the type's own; a miss is a KeyError."""
+        return self._proj
 
     def level_of(self, agent: str, t: str) -> str:
         try:

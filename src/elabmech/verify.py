@@ -32,8 +32,14 @@ subtree's plays), which gives the best deviation utility at every
 evaluation type, and the play count.  The truth table maps (key, the
 agent's own true type) to the opponents' free subtree under the truthful
 agent: its plays, its checks, the plays they charge, and each play as
-(plan suffixes, representative terminal), from which an ancestor runs its
-own checks.  Each entry records ``deep``, the stages down to its deepest
+(plan suffixes, truthful utility), from which an ancestor runs its own
+checks.  The checks run at the conditioning states, those where the
+agent's awareness is the game level.  There she perceives her true type,
+by (I1) of :class:`engine.PlayState`: awareness never exceeds the game
+level, and her true type lies at it.  So every conditioning state values
+a truthful play at the same type, and a terminal is settled once, when
+the first conditioning state lists it, not once per conditioning
+ancestor.  Each entry records ``deep``, the stages down to its deepest
 running state, and answers a state at stage ``s`` only if ``s + deep``
 is within the stage cap; otherwise the state is expanded again, so the
 cap trips where walking every play trips.  Each instance is solved with
@@ -355,7 +361,7 @@ def _replay_policies(scenario: Scenario, tables: _Tables, state: engine.PlayStat
 
 def _best_deviation(scenario: Scenario, mech: Mechanism, tables: _Tables,
                     state: engine.PlayState, plans: tuple[tuple[str, ...], ...],
-                    policies: dict[str, object] | None = None
+                    policies: dict[str, object] | None = None, subtree: tuple | None = None
                     ) -> tuple[dict[str, Fraction], int, int]:
     """(payoff summary, plays, deep) of the plays of
     ``engine.iter_completions`` from the running ``state``, the agent FREE
@@ -368,10 +374,11 @@ def _best_deviation(scenario: Scenario, mech: Mechanism, tables: _Tables,
     stays), which keeps it stripped.  An entry answers a state only where
     ``deep`` keeps its subtree within the stage cap; otherwise the state is
     expanded, so the cap trips where the plain walk trips.  ``policies``
-    are built from the plans on the first miss when not given.  Every
-    running state has a feasible report, so there is at least one play.
+    are built from the plans on the first miss, and ``subtree`` is
+    ``_subtree_key(scenario, state)``, when not given.  Every running state
+    has a feasible report, so there is at least one play.
     """
-    key = (_subtree_key(scenario, state), plans)
+    key = (_subtree_key(scenario, state) if subtree is None else subtree, plans)
     found = tables.deviations.get(key)
     if tables.fits(state, found):
         return found
@@ -407,27 +414,36 @@ def _truth_tree(scenario: Scenario, mech: Mechanism, tables: _Tables,
     ``engine.iter_completions`` from ``state``, the agent truthful and her
     opponents FREE: the plays, the conditioning checks at ``state`` and
     below with the plays they charge, each play as (opponents' plan
-    suffixes from ``state``'s stage, terminal transcript), in walk order,
-    listed only at a conditioning state, and the stages down to the
-    deepest running state of the plays and the checks (-1 at a terminal).
+    suffixes from ``state``'s stage, the agent's utility of the play at
+    her true type), in walk order, listed only at a conditioning state,
+    and the stages down to the deepest running state of the plays and the
+    checks (-1 at a terminal).
 
-    A hit may list the terminals of another state with the same key,
-    whose payoff summaries are the same.  Every play and check is spent
-    against the cap, and a failing check gives the instance up.
+    A hit may list the plays of another state with the same key, whose
+    payoff summaries are the same.  Every play and check is spent against
+    the cap, and a failing check gives the instance up.
     """
     i = tables.index
+    # A conditioning state perceives the true type (see the module
+    # docstring); awareness only rises along a play, so only a
+    # conditioning state has a conditioning ancestor: only there are the
+    # plays listed.
+    conditioning = state.awareness[i] == tables.level
     if state.stopped:
         tables.spend(1)
-        return 1, 0, 0, ((((),) * len(tables.rivals), engine.transcript(state)),), -1
-    key = (_subtree_key(scenario, state), state.true_profile[i])
+        # The stopping stage repeats the last profile and raises no
+        # awareness, so the terminal conditions exactly when its parent
+        # does, and is settled for that parent's lines.
+        if not conditioning:
+            return 1, 0, 0, (), -1
+        u_truth = mech.utility(engine.transcript(state), tables.agent, state.perceived[i])
+        return 1, 0, 0, ((((),) * len(tables.rivals), u_truth),), -1
+    subtree = _subtree_key(scenario, state)
+    key = (subtree, state.true_profile[i])
     found = tables.truth.get(key)
     if tables.fits(state, found):
         tables.spend(found[0] + found[2])
         return found
-    # Awareness only rises along a play, so only a conditioning state has
-    # a conditioning ancestor: only there are the plays listed.
-    eval_type = state.perceived[i]
-    conditioning = scenario.structure.level_of(tables.agent, eval_type) == tables.level
     plays = checked = charge = deep = 0
     lines = []
     for reports in engine.report_profiles(scenario, state, tables.opponents):
@@ -436,12 +452,12 @@ def _truth_tree(scenario: Scenario, mech: Mechanism, tables: _Tables,
         plays, checked, charge, deep = plays + n, checked + c, charge + cost, max(deep, d + 1)
         if conditioning:
             lines.extend((tuple((reports[k],) + p for k, p in zip(tables.rivals, plans)),
-                          terminal) for plans, terminal in below)
+                          u_truth) for plans, u_truth in below)
     if conditioning:
-        for plans, terminal in lines:
-            u_truth = mech.utility(terminal, tables.agent, eval_type)
+        eval_type = state.perceived[i]
+        for plans, u_truth in lines:
             summary, n, d = _best_deviation(scenario, mech, tables, state,
-                                            tuple(_stripped(p) for p in plans))
+                                            tuple(_stripped(p) for p in plans), subtree=subtree)
             if _best_value(scenario, tables.agent, eval_type, summary) > u_truth:
                 raise _Fallback
             tables.spend(n)
@@ -459,7 +475,6 @@ def _walk(scenario: Scenario, mech: Mechanism, tables: _Tables, budget: PlayBudg
     running states are rebuilt by replaying its reports from ``start`` with
     the deterministic :func:`engine.advance`, which charges nothing."""
     agent, level, i = tables.agent, tables.level, tables.index
-    structure = scenario.structure
     checked = 0
     # The agent tells the truth while opponents report freely; each play
     # fixes one opponents' plan profile.
@@ -468,16 +483,16 @@ def _walk(scenario: Scenario, mech: Mechanism, tables: _Tables, budget: PlayBudg
         plans = tuple(tuple(stage[k] for stage in truth_transcript.stages)
                       for k in tables.rivals)
         policies = _replay_policies(scenario, tables, start, plans)
-        # Awareness only rises along a play, so a perceived type never
-        # recurs once it changes: value the truthful play once per type.
-        valued = None
+        # Every conditioning state perceives the agent's true type (see
+        # the module docstring): value the truthful play once.
+        u_truth = None
         for h_state in accumulate(terminal.history[:-1], partial(engine.advance, scenario),
                                   initial=start):
-            if structure.level_of(agent, h_state.perceived[i]) != level:
+            if h_state.awareness[i] != level:
                 continue
             eval_type = h_state.perceived[i]
-            if eval_type != valued:
-                valued, u_truth = eval_type, mech.utility(truth_transcript, agent, eval_type)
+            if u_truth is None:
+                u_truth = mech.utility(truth_transcript, agent, eval_type)
             checked += 1
             summary, plays, _ = _best_deviation(
                 scenario, mech, tables, h_state,

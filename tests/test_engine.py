@@ -6,7 +6,7 @@ from elabmech import engine, transfers, verify
 from elabmech.fixtures import fixture
 from elabmech.generate import generate_scenario
 from elabmech.scenario import parse_scenario
-from elabmech.typespace import NatureDraw
+from elabmech.typespace import LevelNotBelow, NatureDraw
 
 import reference
 
@@ -120,6 +120,16 @@ def test_infeasible_report_rejected():
     state = stage1(s)
     with pytest.raises(engine.InfeasibleReport):
         engine.advance(s, state, ("a1hi2", "a2hi3"))  # a2 is only aware of lo
+
+
+def test_a_true_type_below_a_reached_awareness_is_level_not_below():
+    # initial_state takes any declared true types.  a1's lies at lo, and a2
+    # reporting at hi raises a1's awareness above it: the re-projection
+    # misses its table and raises what project raises, not a KeyError.
+    s = fixture("example2")
+    state = engine.initial_state(s, "hi", ("a1lo1", "a2hi2"), ("lo", "hi"))
+    with pytest.raises(LevelNotBelow):
+        engine.advance(s, state, ("a1lo1", "a2hi2"))
 
 
 def test_report_profile_of_the_wrong_length_rejected():

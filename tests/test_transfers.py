@@ -17,7 +17,7 @@ from elabmech.scenario import parse_scenario
 from elabmech.transfers import (FewerThanTwoSellers, Mechanism, MissingYEntry, SchemeConfig,
                                 TranscriptNotStopped, awareness_adjustments, clarke_y,
                                 first_pooled_reporter, rspa_auction, transfer_report)
-from elabmech.typespace import NatureDraw
+from elabmech.typespace import NatureDraw, UnknownType
 
 PROCUREMENT = """
 [lattice]
@@ -124,6 +124,9 @@ def test_first_pooled_reporter_ties_and_misses():
     assert first_pooled_reporter(one, TIE_TRANSCRIPT) is None  # simultaneous at stage 1
     with pytest.raises(TranscriptNotStopped):
         first_pooled_reporter(one, engine.Transcript((("p", "r"),), ("l0",), False))
+    # A stopped transcript naming an undeclared type: the level lookup misses.
+    with pytest.raises(UnknownType):
+        first_pooled_reporter(one, engine.Transcript((("p", "zz"),) * 2, ("l0",) * 2, True))
 
 
 def test_premium_example2_value():

@@ -801,6 +801,33 @@ def test_subtree_key_fixes_every_deviation_summary_under_plan_replay():
     assert across_stages and across_repeats
 
 
+def test_a_conditioning_state_is_one_aware_of_the_game_level(monkeypatch):
+    # The truth tree conditions where the agent's awareness is the game
+    # level and values the truthful play at her true type.  On every
+    # running state it visits, that must be where her perceived type lies
+    # at the game level, and the perceived type her true type.
+    solve = verify._truth_tree
+    seen = Counter()
+
+    def checked(scenario, mech, tables, state):
+        if not state.stopped:
+            i = tables.index
+            perceived = state.perceived[i]
+            at_level = scenario.structure.level_of(tables.agent, perceived) == tables.level
+            assert at_level == (state.awareness[i] == tables.level), state
+            assert not at_level or perceived == state.true_profile[i], state
+            seen[at_level] += 1
+        return solve(scenario, mech, tables, state)
+
+    monkeypatch.setattr(verify, "_truth_tree", checked)
+    scenarios = [fixture(name) for name in ("example1", "example2", "example4r")]
+    scenarios += [generate_scenario(2026, k, procurement)
+                  for k in range(12) for procurement in (False, True)]
+    for s in scenarios:
+        verify.check_conditional_dominance(s, s.scheme)
+    assert seen[True] and seen[False]
+
+
 def _deeper_twin(state):
     """``state`` one stage deeper: its first stage played twice."""
     return state._replace(history=state.history[:1] + state.history,
