@@ -777,7 +777,7 @@ def test_subtree_key_fixes_every_deviation_summary_under_plan_replay():
     for name in ("example2", "example4r", "gen301-3", "gen301-4"):
         s = _differential_scenario(name)
         mech = Mechanism(s, s.scheme)
-        by_key, tables = {}, {}
+        by_key, tables, steps = {}, {}, {}
         for agent, plans, policies, state in replay_subtree_states(s):
             raw = tuple(p[min(state.stage, len(p)) - 1:] for p in plans)
             suffixes = tuple(verify._stripped(p) for p in raw)
@@ -791,7 +791,7 @@ def test_subtree_key_fixes_every_deviation_summary_under_plan_replay():
             if state.stopped:
                 continue
             level = s.structure.level_of(agent, state.perceived[s.structure.agent_index(agent)])
-            table = tables.setdefault((agent, level), verify._Tables(s, agent, level))
+            table = tables.setdefault((agent, level), verify._Tables(s, agent, level, steps))
             summary, plays, _ = verify._best_deviation(s, mech, table, state, suffixes)
             assert plays == len(terminals)
             for eval_type in s.structure.space(agent, level):
@@ -809,7 +809,7 @@ def test_a_conditioning_state_is_one_aware_of_the_game_level(monkeypatch):
     solve = verify._truth_tree
     seen = Counter()
 
-    def checked(scenario, mech, tables, state):
+    def checked(scenario, mech, tables, state, subtree=None):
         if not state.stopped:
             i = tables.index
             perceived = state.perceived[i]
@@ -817,7 +817,7 @@ def test_a_conditioning_state_is_one_aware_of_the_game_level(monkeypatch):
             assert at_level == (state.awareness[i] == tables.level), state
             assert not at_level or perceived == state.true_profile[i], state
             seen[at_level] += 1
-        return solve(scenario, mech, tables, state)
+        return solve(scenario, mech, tables, state, subtree)
 
     monkeypatch.setattr(verify, "_truth_tree", checked)
     scenarios = [fixture(name) for name in ("example1", "example2", "example4r")]
@@ -826,6 +826,47 @@ def test_a_conditioning_state_is_one_aware_of_the_game_level(monkeypatch):
     for s in scenarios:
         verify.check_conditional_dominance(s, s.scheme)
     assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize("name", ["example2", "gen301-4", "gen2026-30"])
+def test_dominance_advances_each_step_once_per_check(name, monkeypatch):
+    # One step table per check, shared by every agent's tables: each
+    # (state, reports) is advanced once, the table holds what advance
+    # returns, and nothing of it outlives the check.
+    s = _differential_scenario(name)
+    if name == "gen2026-30":
+        # diamond 1111 1111 1111: three agents, one type per level, so
+        # every agent's tables start from the same states
+        assert len(s.agents) == 3 and len(s.lattice.elements) == 4
+        assert all(len(s.structure.space(a, level)) == 1
+                   for a in s.agents for level in s.lattice.elements)
+    advance = engine.advance
+
+    def counted(scenario, state, reports):
+        calls.append((state, reports))
+        return advance(scenario, state, reports)
+
+    class Recorded(verify._Tables):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(engine, "advance", counted)
+    monkeypatch.setattr(verify, "_Tables", Recorded)
+    counts = []
+    for _ in range(2):
+        calls, made = [], []
+        assert verify.check_conditional_dominance(s, s.scheme).holds
+        counts.append(len(calls))
+        assert len(made) > 1 and all(t.steps is made[0].steps for t in made)
+        steps = made[0].steps
+        assert len(set(calls)) == len(calls)
+        assert set(steps) == set(calls)
+        for (state, reports), (child, key) in steps.items():
+            fresh = advance(s, state, reports)
+            assert child == fresh
+            assert key == (None if fresh.stopped else verify._subtree_key(s, fresh))
+    assert counts[0] == counts[1] > 0
 
 
 def _deeper_twin(state):
@@ -847,7 +888,7 @@ def test_a_hit_one_stage_deeper_trips_the_stage_cap(monkeypatch):
     state = reached(("lo", "hi"), ("a1lo1", "a2lo"))
 
     def tables():
-        fresh = verify._Tables(s, agent, level)
+        fresh = verify._Tables(s, agent, level, {})
         fresh.cap = 10 ** 6
         return fresh
 
