@@ -25,31 +25,7 @@ from .fixtures import FIXTURES, fixture
 from .generate import generate_scenario
 from .scenario import (ParseError, Scenario, UnknownDraw, ValidationError, load_scenario,
                        read_text, scheme_violations)
-from .transfers import CLARKE, GROVES, KINDS, RSPA, Mechanism, PremiumAssumptionFails
-from .verify import InapplicableProperty
-
-VCG = (GROVES, CLARKE)
-DYNAMIC = (GROVES, CLARKE, RSPA)
-
-# Property name -> (check of a scenario under its scheme and a play bound, the
-# scheme kinds whose --all runs it).  --all runs the properties in table order.
-PROPERTIES = {
-    "efficiency": (lambda s, bound: verify.check_efficiency(s), VCG),
-    "pooled-implementation":
-        (lambda s, bound: verify.check_pooled_implementation(s, s.scheme), KINDS),
-    "stage-bound": (lambda s, bound: verify.check_stage_bound(s, s.scheme), DYNAMIC),
-    "budget-balance":
-        (lambda s, bound: verify.check_budget(s, s.scheme, "balance", bound), (RSPA,)),
-    "no-deficit": (lambda s, bound: verify.check_budget(s, s.scheme, "no_deficit", bound), VCG),
-    "participation-ex-post":
-        (lambda s, bound: verify.check_participation(s, s.scheme, "ex_post"), (RSPA,)),
-    "participation-ex-ante":
-        (lambda s, bound: verify.check_participation(s, s.scheme, "ex_ante_anticipated"), VCG),
-    "nonnegative-valuations": (lambda s, bound: verify.check_nonnegative_valuations(s), ()),
-    "holmstrom": (lambda s, bound: verify.check_decomposition(s), ()),
-    "dominance":
-        (lambda s, bound: verify.check_conditional_dominance(s, s.scheme, bound), DYNAMIC),
-}
+from .transfers import KINDS, Mechanism, PremiumAssumptionFails
 
 
 @functools.cache
@@ -79,12 +55,13 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--procurement", action="store_true",
                      help="generate procurement scenarios (reverse auction scheme)")
     ver.add_argument("--scheme", default=None, choices=KINDS, help="override the scheme kind")
-    ver.add_argument("--property", dest="properties", action="append", choices=PROPERTIES,
-                     help="property to check (repeatable)")
+    selection = ver.add_mutually_exclusive_group()
+    selection.add_argument("--property", dest="properties", action="append",
+                           choices=verify.PROPERTIES, help="property to check (repeatable)")
+    selection.add_argument("--all", action="store_true", help="run every applicable property")
     ver.add_argument("--expect-fail", dest="expect_fail", action="append",
-                     choices=PROPERTIES, metavar="PROP",
+                     choices=verify.PROPERTIES, metavar="PROP",
                      help="property whose violation is the expected outcome")
-    ver.add_argument("--all", action="store_true", help="run every applicable property")
     ver.add_argument("--bound", type=int, default=10 ** 6,
                      help="enumeration bound per exhaustive query")
     ver.add_argument("--report", default=None, help="write a JSON report to this path")
@@ -205,15 +182,13 @@ def cmd_verify(args) -> int:
         if count is not None and count < 1:
             print(f"error: {flag} must be at least 1, got {count}", file=sys.stderr)
             return 2
-    if args.generated is not None:
-        scenarios = [_apply_scheme(generate_scenario(args.seed, k,
-                                                     procurement=args.procurement),
-                                   args.scheme)
-                     for k in range(args.generated)]
-    else:
-        scenarios = [_apply_scheme(_load(args.scenario), args.scheme)]
-    runs = [(scenario, args.properties if args.properties and not args.all else
-             [prop for prop, (_, kinds) in PROPERTIES.items() if scenario.scheme.kind in kinds])
+    scenarios = [_apply_scheme(scenario, args.scheme) for scenario in (
+        [_load(args.scenario)] if args.generated is None else
+        (generate_scenario(args.seed, k, procurement=args.procurement)
+         for k in range(args.generated)))]
+    chosen = list(dict.fromkeys(args.properties or ()))
+    runs = [(scenario, chosen or [prop for prop, (_, _, kinds) in verify.PROPERTIES.items()
+                                  if scenario.scheme.kind in kinds])
             for scenario in scenarios]
     expect_fail = args.expect_fail or ()
     unchecked = [prop for prop in dict.fromkeys(expect_fail)
@@ -222,22 +197,19 @@ def cmd_verify(args) -> int:
         print(f"error: --expect-fail names a property no scenario in this run checks: "
               f"{', '.join(unchecked)}", file=sys.stderr)
         return 2
-    results = []
-    worst = 0
+    results, worst = [], 0
     try:
         for scenario, props in runs:
             for prop in props:
-                check = PROPERTIES[prop][0]
                 try:
-                    result = check(scenario, args.bound)
+                    result = verify.check(prop, scenario, args.bound)
                 except StrategySpaceTooLarge as err:
                     print(f"{scenario.name}: {prop}: enumeration bound exceeded ({err})")
                     return 3
                 results.append((scenario.name, result))
                 verdict = "holds" if result.holds else "VIOLATED"
                 expected = prop in expect_fail
-                print(f"{scenario.name}: {result.prop}: {verdict} "
-                      f"({result.checked} cases)"
+                print(f"{scenario.name}: {result.prop}: {verdict} ({result.checked} cases)"
                       + (" [expected violation]" if expected and not result.holds else ""))
                 for witness in result.witnesses[:3]:
                     print(f"  witness: {witness.description}")
@@ -300,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, ValidationError, UnknownDraw, InapplicableProperty,
+    except (ParseError, ValidationError, UnknownDraw, verify.InapplicableProperty,
             PremiumAssumptionFails, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

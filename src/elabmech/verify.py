@@ -10,6 +10,9 @@ which they write only by filling its argmax memo: distinct (property, draw,
 level) cells may be fanned out to parallel workers and their results merged
 in any order.
 
+:data:`PROPERTIES` is the one rule for which property applies under which
+scheme kind, and :func:`check` its one guard; a ``check_*`` assumes it applies.
+
 Conditional dominance is the expensive check.  Opponents' strategies are
 enumerated as realized-report plans per nature draw: the report sequences
 they produce on the truthful play, replayed positionally (with an awareness
@@ -69,8 +72,8 @@ from typing import Iterable, Iterator, NamedTuple
 from . import engine
 from .engine import FREE, PlayBudget
 from .scenario import Scenario
-from .transfers import (STATIC_VICKREY, Mechanism, SchemeConfig, bidders, opponent_profile,
-                        scheme_outcome, transfer_report)
+from .transfers import (CLARKE, GROVES, KINDS, RSPA, STATIC_VICKREY, Mechanism, SchemeConfig,
+                        bidders, opponent_profile, scheme_outcome, transfer_report)
 from .typespace import NatureDraw
 
 
@@ -171,11 +174,8 @@ def check_pooled_implementation(scenario: Scenario, scheme: SchemeConfig) -> Ver
     return VerificationResult("pooled-implementation", witnesses, checked)
 
 
-def check_stage_bound(scenario: Scenario, scheme: SchemeConfig) -> VerificationResult:
+def check_stage_bound(scenario: Scenario) -> VerificationResult:
     """Every truthful run, in every partial game, stops within ``STAGE_BOUND`` stages."""
-    if scheme.kind == STATIC_VICKREY:
-        raise InapplicableProperty(
-            f"the stage bound applies to the dynamic protocol, not to {STATIC_VICKREY}")
     witnesses = []
     checked = 0
     for level in scenario.lattice.elements:
@@ -253,9 +253,6 @@ def check_participation(scenario: Scenario, scheme: SchemeConfig,
     information set is evaluated within the partial game at its own
     awareness level, over every draw of that game consistent with it.
     """
-    if scheme.kind == STATIC_VICKREY:
-        raise InapplicableProperty(
-            f"participation applies to the dynamic protocol, not to {STATIC_VICKREY}")
     if mode not in ("ex_post", "ex_ante_anticipated"):
         raise ValueError(mode)
     mech = Mechanism(scenario, scheme)
@@ -566,9 +563,6 @@ def check_conditional_dominance(scenario: Scenario, scheme: SchemeConfig,
     of the truthful play and of every deviating continuation from an
     information set are both evaluated at the type perceived there.
     """
-    if scheme.kind == STATIC_VICKREY:
-        raise InapplicableProperty(
-            f"dominance applies to the dynamic protocol, not to {STATIC_VICKREY}")
     mech = Mechanism(scenario, scheme)
     budget = PlayBudget(bound)
     checked = 0
@@ -706,3 +700,36 @@ def derive_y_from_g(scenario: Scenario,
     """Scale a decomposition into budget-balancing y-tables."""
     n = len(scenario.agents)
     return {key: -(n - 1) * value for key, value in g.items()}
+
+
+# Property name -> (check under the scenario's scheme with a play bound; for a
+# dynamic-protocol property the noun its static_vickrey error names, else None;
+# the kinds whose --all runs it, in table order).  A check looks its function
+# up when it runs, so a patched or traced check_* is the one called.
+_VCG, _DYNAMIC = (GROVES, CLARKE), (GROVES, CLARKE, RSPA)
+PROPERTIES = {
+    "efficiency": (lambda s, bound: check_efficiency(s), None, _VCG),
+    "pooled-implementation":
+        (lambda s, bound: check_pooled_implementation(s, s.scheme), None, KINDS),
+    "stage-bound": (lambda s, bound: check_stage_bound(s), "the stage bound", _DYNAMIC),
+    "budget-balance": (lambda s, bound: check_budget(s, s.scheme, "balance", bound), None, (RSPA,)),
+    "no-deficit": (lambda s, bound: check_budget(s, s.scheme, "no_deficit", bound), None, _VCG),
+    "participation-ex-post":
+        (lambda s, bound: check_participation(s, s.scheme, "ex_post"), "participation", (RSPA,)),
+    "participation-ex-ante": (lambda s, bound: check_participation(
+        s, s.scheme, "ex_ante_anticipated"), "participation", _VCG),
+    "nonnegative-valuations": (lambda s, bound: check_nonnegative_valuations(s), None, ()),
+    "holmstrom": (lambda s, bound: check_decomposition(s), None, ()),
+    "dominance":
+        (lambda s, bound: check_conditional_dominance(s, s.scheme, bound), "dominance", _DYNAMIC),
+}
+
+
+def check(prop: str, scenario: Scenario, bound: int = 10 ** 6) -> VerificationResult:
+    """``prop`` checked on ``scenario`` under its scheme, ``bound`` plays per
+    exhaustive query; a dynamic-protocol property is inapplicable to static_vickrey."""
+    run, dynamic, _ = PROPERTIES[prop]
+    if dynamic is not None and scenario.scheme.kind == STATIC_VICKREY:
+        raise InapplicableProperty(
+            f"{dynamic} applies to the dynamic protocol, not to {STATIC_VICKREY}")
+    return run(scenario, bound)

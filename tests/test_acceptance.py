@@ -149,11 +149,11 @@ def test_criterion_04_three_stage_bound():
     for name in ("example1", "example2", "example4r"):
         s = fixture(name)
         clauses.append((f"{name} stops within 3 stages",
-                        verify.check_stage_bound(s, s.scheme).holds))
+                        verify.check_stage_bound(s).holds))
     for k in range(20):
         s = generate_scenario(401, k)
         clauses.append((f"generated {k} stops within 3 stages",
-                        verify.check_stage_bound(s, s.scheme).holds))
+                        verify.check_stage_bound(s).holds))
     _criterion("4 (three-stage bound under truth-telling)", clauses)
 
 

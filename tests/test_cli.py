@@ -392,6 +392,55 @@ def test_verify_stage_bound_under_the_static_scheme_exits_two(capsys):
         "error: the stage bound applies to the dynamic protocol, not to static_vickrey"]
 
 
+VCG_ALL = ["efficiency", "pooled-implementation", "stage-bound", "no-deficit",
+           "participation-ex-ante", "dominance"]
+
+
+def test_verify_all_runs_each_scheme_kinds_properties_in_order(tmp_path, capsys):
+    from elabmech.fixtures import fixture
+    from elabmech.scenario import serialize_scenario
+    from elabmech.transfers import SchemeConfig
+    from test_acceptance import zero_y_tables
+
+    s = fixture("example2")
+    groves = tmp_path / "groves.scenario"
+    groves.write_text(serialize_scenario(
+        s._replace(scheme=SchemeConfig(kind="groves", y_tables=zero_y_tables(s)))))
+
+    def checked(*argv):
+        main(["verify", *argv, "--all"])
+        return [line.split(": ")[1] for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("  witness: ")]
+
+    assert checked(str(groves)) == VCG_ALL
+    assert checked("example2") == VCG_ALL
+    assert checked("--generated", "1", "--seed", "1", "--procurement") == [
+        "pooled-implementation", "stage-bound", "budget-balance", "participation-ex-post",
+        "dominance"]
+    assert checked("example2", "--scheme", "static_vickrey") == ["pooled-implementation"]
+
+
+def test_verify_all_with_a_property_is_a_usage_error(capsys):
+    # --all used to run its list and drop --property without a word.
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "example2", "--all", "--property", "holmstrom"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "elabmech verify: error: argument --property: not allowed with argument --all")
+
+
+def test_verify_repeated_property_runs_once(tmp_path, capsys):
+    target = tmp_path / "r.json"
+    assert main(["verify", "example2", "--property", "efficiency", "--property", "stage-bound",
+                 "--property", "efficiency", "--report", str(target)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "example2: efficiency: holds (12 cases)", "example2: stage-bound: holds (18 cases)"]
+    payload = json.loads(target.read_text())
+    assert [p["property"] for p in payload] == ["efficiency", "stage-bound"]
+
+
 # sha256 of the JSON reports, recorded before the package's records became
 # NamedTuples; the participation report carries witnesses and their replays.
 REPORT_DIGESTS = [

@@ -106,7 +106,7 @@ def test_six_properties_hold_on_new_shapes(shape, monkeypatch):
         scheme = s.scheme
         for result in (verify.check_efficiency(s),
                        verify.check_pooled_implementation(s, scheme),
-                       verify.check_stage_bound(s, scheme),
+                       verify.check_stage_bound(s),
                        verify.check_budget(s, scheme, "no_deficit"),
                        verify.check_participation(s, scheme, "ex_ante_anticipated"),
                        verify.check_conditional_dominance(s, scheme)):

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from elabmech import engine, transfers, verify
+from elabmech.cli import main
 from elabmech.fixtures import fixture
 from elabmech.generate import generate_scenario
 from elabmech.scenario import parse_scenario
@@ -262,38 +263,55 @@ kind: clarke
     assert result.holds
 
 
-def test_dominance_rejects_static_scheme():
-    s = fixture("example2")
-    static = s.scheme._replace(kind="static_vickrey")
-    with pytest.raises(ValueError):
-        verify.check_conditional_dominance(s, static)
+# Each dynamic-only row of verify.PROPERTIES and the message it is refused
+# with under static_vickrey, as recorded before the rule moved into verify.
+STATIC_REJECTIONS = [
+    ("stage-bound", "the stage bound applies to the dynamic protocol, not to static_vickrey"),
+    ("participation-ex-post",
+     "participation applies to the dynamic protocol, not to static_vickrey"),
+    ("participation-ex-ante",
+     "participation applies to the dynamic protocol, not to static_vickrey"),
+    ("dominance", "dominance applies to the dynamic protocol, not to static_vickrey"),
+]
+
+
+@pytest.mark.parametrize("prop, message", STATIC_REJECTIONS,
+                         ids=[prop for prop, _ in STATIC_REJECTIONS])
+def test_dynamic_only_properties_are_inapplicable_under_the_static_scheme(capsys, prop, message):
+    # The stage bound counts stages of the dynamic protocol, and participation
+    # and dominance are checked at its information sets: the one-round
+    # static protocol never plays either.
+    assert [p for p, (_, dynamic, _) in verify.PROPERTIES.items() if dynamic] == \
+        [p for p, _ in STATIC_REJECTIONS]
+    for name in ("example1", "example2"):
+        s = fixture(name)
+        static = s._replace(scheme=s.scheme._replace(kind="static_vickrey"))
+        with pytest.raises(ValueError) as raised:
+            verify.check(prop, static)
+        assert type(raised.value) is verify.InapplicableProperty
+        assert str(raised.value) == message
+        assert main(["verify", name, "--scheme", "static_vickrey", "--property", prop]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
 
 
 @pytest.mark.parametrize("mode", ["ex_post", "ex_ante_anticipated"])
 def test_participation_rejects_static_scheme(mode):
     # check_participation walks the dynamic protocol's information sets,
     # which the one-round static protocol never reaches.
+    prop = {"ex_post": "participation-ex-post", "ex_ante_anticipated": "participation-ex-ante"}
     s = fixture("example1")
-    static = s.scheme._replace(kind="static_vickrey")
+    static = s._replace(scheme=s.scheme._replace(kind="static_vickrey"))
     with pytest.raises(verify.InapplicableProperty, match="participation applies to the "
                        "dynamic protocol, not to static_vickrey"):
-        verify.check_participation(s, static, mode)
-
-
-def test_stage_bound_rejects_static_scheme():
-    # The bound is on stages of the dynamic protocol, which the one-round
-    # static protocol never plays.
-    s = fixture("example2")
-    static = s.scheme._replace(kind="static_vickrey")
-    with pytest.raises(verify.InapplicableProperty, match="the stage bound applies to the "
-                       "dynamic protocol, not to static_vickrey"):
-        verify.check_stage_bound(s, static)
+        verify.check(prop[mode], static)
 
 
 def test_stage_bound_on_fixtures():
     for name in ("example1", "example2", "example4r"):
         s = fixture(name)
-        result = verify.check_stage_bound(s, s.scheme)
+        result = verify.check_stage_bound(s)
         assert result.holds
 
 
@@ -635,7 +653,7 @@ def test_truthful_run_checks_keep_their_counts(name):
     for mode, want in (("ex_post", ex_post), ("ex_ante_anticipated", ex_ante)):
         result = verify.check_participation(s, s.scheme, mode)
         assert (result.checked, len(result.witnesses)) == want
-    assert verify.check_stage_bound(s, s.scheme).checked == stage_bound
+    assert verify.check_stage_bound(s).checked == stage_bound
     assert verify.check_pooled_implementation(s, s.scheme).checked == pooled
 
 
