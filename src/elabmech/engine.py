@@ -22,13 +22,16 @@ states through :func:`report_profiles` too, keyed on :func:`state_key`.
 All state is immutable: :class:`PlayState` and :class:`Transcript` are
 NamedTuples, equal and hashing alike exactly when their fields do, so
 distinct plays may be explored concurrently and states may key tables.
+
+The protocol reads level, projection, join and meet tables directly: each
+is a :class:`~lattice.Table`, whose miss raises its accessor's error.
 """
 from __future__ import annotations
 
 from itertools import product
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
-from .typespace import NatureDraw, TypeStructure, UnknownType
+from .typespace import NatureDraw, TypeStructure
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -72,7 +75,7 @@ class PlayState(NamedTuple):
     two invariants, which let :func:`advance` skip work that cannot change:
 
     (I1) ``perceived[i]`` is ``project(agent_i, true_profile[i], awareness[i])``,
-         which :func:`advance` reads from ``TypeStructure.projection_table``;
+         read from ``TypeStructure.projection_table``;
     (I2) after any stage, ``awareness[i]`` lies weakly above ``pooled[-1]``,
          because it was just joined with it.
 
@@ -118,22 +121,16 @@ class PlayBudget:
 def pooled_recipient(structure: TypeStructure, stages: tuple[tuple[str, ...], ...],
                      pooled: tuple[str, ...]) -> str | None:
     """The one agent reporting at the last pooled level at the first stage
-    that reached it, or None when no agent or several do.
-
-    Report levels are read from ``TypeStructure.level_table``; a report
-    the table lacks raises :class:`~typespace.UnknownType`, as ``level_of``
-    does."""
+    that reached it, or None when no agent or several do.  Report levels
+    are read from ``TypeStructure.level_table``, which raises UnknownType."""
     target = pooled[-1]
     levels = structure.level_table
     recipient = None
-    try:
-        for agent, report in zip(structure.agents, stages[pooled.index(target)]):
-            if levels[(agent, report)] == target:
-                if recipient is not None:
-                    return None
-                recipient = agent
-    except KeyError:
-        raise UnknownType(f"{agent}: {report}") from None
+    for agent, report in zip(structure.agents, stages[pooled.index(target)]):
+        if levels[(agent, report)] == target:
+            if recipient is not None:
+                return None
+            recipient = agent
     return recipient
 
 
@@ -201,18 +198,13 @@ def advance(scenario: Scenario, state: PlayState, reports: tuple[str, ...]) -> P
     """The state after one stage of ``reports``, every report checked
     against its menu.
 
-    One pass over the agents checks each report and joins its level into
-    the pooled level, reading the tables behind ``TypeStructure.level_of``
-    and ``Lattice.join`` directly.  A report's level is read only once it is
-    found in its menu, which lists declared types alone, so the lookup
-    cannot miss and an undeclared report is an :class:`InfeasibleReport`.  By
-    (I2) a pooled level equal to the last one raises nobody's awareness, so
-    awareness and perceived types carry over; by (I1) a new pooled level
-    re-projects the true types only when it raised some awareness, reading
-    ``TypeStructure.projection_table``.  That table misses only where an
-    awareness rose above a true type's own level, which a caller of
-    :func:`initial_state` can bring about, and a miss raises what
-    ``TypeStructure.project`` raises: :class:`~typespace.LevelNotBelow`.
+    One pass over the agents checks each report against its menu, then
+    joins its level into the pooled level, so an undeclared report is an
+    :class:`InfeasibleReport`.  By (I2) a pooled level equal to the last one
+    raises nobody's awareness, so awareness and perceived types carry over;
+    by (I1) a new pooled level re-projects the true types only when it raised
+    some awareness.  An awareness above a true type's own level, which a
+    caller of :func:`initial_state` can bring about, raises LevelNotBelow.
     """
     if state.stopped:
         raise InfeasibleReport("play already stopped")
@@ -220,8 +212,7 @@ def advance(scenario: Scenario, state: PlayState, reports: tuple[str, ...]) -> P
     agents = structure.agents
     if len(reports) != len(agents):
         raise InfeasibleReport(f"{len(reports)} reports for {len(agents)} agents")
-    joins = structure.lattice.join_table
-    levels = structure.level_table
+    joins, levels = structure.lattice.join_table, structure.level_table
     pooled = None
     for agent, report in zip(agents, reports):
         if report not in feasible_reports(scenario, state, agent):
@@ -234,13 +225,8 @@ def advance(scenario: Scenario, state: PlayState, reports: tuple[str, ...]) -> P
         awareness = tuple(joins[(a, pooled)] for a in awareness)
         if awareness != state.awareness:
             projections = structure.projection_table
-            try:
-                perceived = tuple(projections[(agent, t, a)] for agent, t, a
-                                  in zip(agents, state.true_profile, awareness))
-            except KeyError:
-                # project raises the error a miss stands for
-                perceived = tuple(structure.project(agent, t, a) for agent, t, a
-                                  in zip(agents, state.true_profile, awareness))
+            perceived = tuple(projections[(agent, t, a)] for agent, t, a
+                              in zip(agents, state.true_profile, awareness))
     stopped = bool(history) and reports == history[-1]
     return PlayState(state.true_profile, awareness, perceived, history + (reports,),
                      state.pooled + (pooled,), stopped)
@@ -347,14 +333,10 @@ def plan_policy(agent: str, reports_by_stage: tuple[str, ...], scenario: Scenari
     feasible: the floor stays below the plan's final level because a
     stopped play ends with every agent at the final pooled level.
 
-    The replay reads ``TypeStructure.level_table`` and the lattice's
-    ``join_table`` and ``meet_table`` directly; it reads the agent's last
-    report, which :func:`advance` found in its menu, so the level lookup
-    cannot miss.  Only the projection goes through ``project``, which
-    checks that the level lies below the final report's.
+    The replay reads the level, join, meet and projection tables directly.
     """
     structure = scenario.structure
-    levels = structure.level_table
+    levels, projections = structure.level_table, structure.projection_table
     joins, meets = scenario.lattice.join_table, scenario.lattice.meet_table
     idx = structure.agent_index(agent)
     schedule = tuple(structure.level_of(agent, r) for r in reports_by_stage)
@@ -367,7 +349,7 @@ def plan_policy(agent: str, reports_by_stage: tuple[str, ...], scenario: Scenari
         if state.history:
             floor = joins[(levels[(agent, state.history[-1][idx])], state.pooled[-1])]
             level = joins[(level, floor)]
-        return structure.project(agent, final_report, level)
+        return projections[(agent, final_report, level)]
 
     return policy
 

@@ -18,6 +18,7 @@ figures.
 """
 from __future__ import annotations
 
+from .lattice import Table
 from .scenario import Scenario, parse_scenario
 
 EXAMPLE1 = """\
@@ -290,17 +291,12 @@ kind: clarke
 draw: main types a1=p1hi a2=p2hi levels a1=lo a2=hi
 """
 
-FIXTURES = {
+FIXTURES = Table({
     "example1": EXAMPLE1,
     "example2": EXAMPLE2,
     "example4r": EXAMPLE4R,
-}
+}, lambda name: KeyError(f"unknown fixture {name!r}; available: {', '.join(sorted(FIXTURES))}"))
 
 
 def fixture(name: str) -> Scenario:
-    try:
-        text = FIXTURES[name]
-    except KeyError:
-        raise KeyError(f"unknown fixture {name!r}; available: {', '.join(sorted(FIXTURES))}") \
-            from None
-    return parse_scenario(text, name=name)
+    return parse_scenario(FIXTURES[name], name=name)

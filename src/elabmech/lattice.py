@@ -86,31 +86,47 @@ def lattice_violations(elements: Iterable[str], order: Iterable[tuple[str, str]]
     return _analyse(elements, order)[4]
 
 
-class _Table(dict):
-    """A table keyed by a level or a pair of levels, total over the declared
-    levels, so that a miss names an undeclared one."""
+class Table(dict):
+    """A lookup table that is its own checked accessor: a miss raises the
+    domain error ``miss(key)`` returns.  ``miss`` closes over the data it
+    reads, never over the table's owner, lest a reference cycle keep it."""
+
+    __slots__ = ("miss",)
+
+    def __init__(self, entries: Mapping, miss):
+        super().__init__(entries)
+        self.miss = miss
 
     def __missing__(self, key):
-        declared = {k[0] if isinstance(k, tuple) else k for k in self}
-        bad = next(x for x in (key if isinstance(key, tuple) else (key,)) if x not in declared)
-        raise UnknownLevel(f"undeclared level {bad!r}")
+        raise self.miss(key)
+
+
+def _undeclared(elements: tuple[str, ...]):
+    """The miss of a table keyed by levels: it names the first undeclared one."""
+    def miss(key):
+        bad = next(x for x in (key if isinstance(key, tuple) else (key,)) if x not in elements)
+        return UnknownLevel(f"undeclared level {bad!r}")
+    return miss
 
 
 class Lattice:
     """A validated finite lattice whose every query is one table lookup.
 
     Construct through :func:`build_lattice`, which checks the axioms.  The
-    constructor fills every table; none is written afterwards.
+    constructor fills every table; none is written afterwards.  Each is a
+    :class:`Table` raising :class:`UnknownLevel`; ``join_table`` and ``meet_table`` are public.
     """
 
     def __init__(self, elements: tuple[str, ...], leq: set[tuple[str, str]],
                  join: dict[tuple[str, str], str], meet: dict[tuple[str, str], str]):
         self.elements = elements
-        self._leq = _Table({(a, b): (a, b) in leq for a in elements for b in elements})
-        self._join = _Table(join)
-        self._meet = _Table(meet)
-        self._down = _Table({a: frozenset(b for b in elements if (b, a) in leq) for a in elements})
-        self._below = _Table({a: down - {a} for a, down in self._down.items()})
+        miss = _undeclared(elements)
+        self._leq = Table({(a, b): (a, b) in leq for a in elements for b in elements}, miss)
+        self.join_table = Table(join, miss)
+        self.meet_table = Table(meet, miss)
+        self._down = Table({a: frozenset(b for b in elements if (b, a) in leq)
+                            for a in elements}, miss)
+        self._below = Table({a: down - {a} for a, down in self._down.items()}, miss)
         self.top = self.join_all(elements)
         self.bottom = next(a for a in elements if not self._below[a])
         depth: dict[str, int] = {}
@@ -125,30 +141,18 @@ class Lattice:
         return self.leq(a, b) and a != b
 
     def join(self, a: str, b: str) -> str:
-        return self._join[(a, b)]
-
-    @property
-    def join_table(self) -> Mapping[tuple[str, str], str]:
-        """The (a, b) table :meth:`join` reads; a miss raises UnknownLevel."""
-        return self._join
+        return self.join_table[(a, b)]
 
     def meet(self, a: str, b: str) -> str:
-        return self._meet[(a, b)]
-
-    @property
-    def meet_table(self) -> Mapping[tuple[str, str], str]:
-        """The (a, b) table :meth:`meet` reads; a miss raises UnknownLevel."""
-        return self._meet
+        return self.meet_table[(a, b)]
 
     def join_all(self, levels: Iterable[str]) -> str:
         result = None
         for level in levels:
             result = level if result is None else self.join(result, level)
-        if result not in self._down:  # no level at all, or one undeclared level
-            if result is None:
-                raise EmptyLattice("join of no levels")
-            raise UnknownLevel(f"undeclared level {result!r}")
-        return result
+        if result is None:
+            raise EmptyLattice("join of no levels")
+        return self.join_table[(result, result)]  # UnknownLevel for a lone bad level
 
     def down_set(self, level: str) -> frozenset[str]:
         """All levels weakly below ``level``, including itself."""

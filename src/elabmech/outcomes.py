@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .lattice import Table
 from .typespace import TypeStructure
 
 
@@ -35,7 +36,8 @@ class OutcomeModel:
         self.structure = structure
         self.outcomes = tuple(dict.fromkeys(outcomes))
         self.available = {level: tuple(dict.fromkeys(xs)) for level, xs in available.items()}
-        self.valuations = {key: Fraction(v) for key, v in valuations.items()}
+        self.valuations = Table({key: Fraction(v) for key, v in valuations.items()},
+                                lambda key: MissingValuation("(%s, %s, %s)" % key))
         order = tuple(tie_break) if tie_break is not None else tuple(sorted(self.outcomes))
         self.tie_break = order
         self.rank = {x: k for k, x in enumerate(order)}
@@ -79,10 +81,7 @@ class OutcomeModel:
         return out
 
     def value(self, agent: str, t: str, outcome: str) -> Fraction:
-        try:
-            return self.valuations[(agent, t, outcome)]
-        except KeyError:
-            raise MissingValuation(f"({agent}, {t}, {outcome})") from None
+        return self.valuations[(agent, t, outcome)]
 
     def welfare(self, outcome: str, profile: tuple[str, ...]) -> Fraction:
         return self.opponents_welfare(None, outcome, profile)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .lattice import Lattice
+from .lattice import Lattice, Table
 
 
 class TypeStructureError(Exception):
@@ -35,11 +35,25 @@ class NatureDraw(NamedTuple):
     awareness: tuple[str, ...]
 
 
+def _wrong_side(levels: Table, lattice: Lattice, side: str):
+    """The miss of an (agent, type, level) table holding the levels on one
+    ``side`` of the type's own: UnknownType, UnknownLevel, then LevelNotBelow."""
+    def miss(key):
+        agent, t, level = key
+        own = levels[(agent, t)]
+        lattice.leq(own, level)  # an undeclared level raises UnknownLevel
+        return LevelNotBelow(f"{level} is not {side} {own}")
+    return miss
+
+
 class TypeStructure:
     """Validated type spaces.  Immutable; concurrent reads are safe.
 
     ``spaces`` maps (agent, level) to the tuple of type identifiers,
-    ``projection_table`` is the composed table, ``agent_position`` each agent's index.
+    ``agent_position`` each agent's index, ``level_table`` (agent, type) to
+    its level and ``projection_table`` (agent, type, level) to its projection
+    at each level weakly below its own.  Both are :class:`~lattice.Table`
+    objects that raise the accessors' errors, so callers read them directly.
     """
 
     def __init__(self, lattice: Lattice, agents: tuple[str, ...],
@@ -49,49 +63,30 @@ class TypeStructure:
         self.agents = agents
         self.agent_position = {agent: i for i, agent in enumerate(agents)}
         self.spaces = dict(spaces)
-        self._proj = dict(projection)  # (agent, type, target level) -> type
+        levels = self.level_table = Table({}, lambda key: UnknownType(f"{key[0]}: {key[1]}"))
+        self.projection_table = Table(projection, _wrong_side(levels, lattice, "below"))
         # One pass over the spaces: each type records its level and joins,
         # in space order, the preimage of each of its projections.
-        self._level_of: dict[tuple[str, str], str] = {}
         preimage: dict[tuple[str, str, str], list[str]] = {}
         for (agent, hi), types in self.spaces.items():
             for s in types:
-                self._level_of[(agent, s)] = hi
+                levels[(agent, s)] = hi
                 for lo in lattice.down_set(hi):
-                    preimage.setdefault((agent, self._proj[(agent, s, lo)], hi), []).append(s)
-        self._preimage = {key: tuple(pre) for key, pre in preimage.items()}
+                    preimage.setdefault((agent, projection[(agent, s, lo)], hi), []).append(s)
+        self._preimage = Table({key: tuple(pre) for key, pre in preimage.items()},
+                               _wrong_side(levels, lattice, "above"))
 
     def space(self, agent: str, level: str) -> tuple[str, ...]:
         return self.spaces[(agent, level)]
 
-    @property
-    def level_table(self) -> Mapping[tuple[str, str], str]:
-        """The (agent, type) table :meth:`level_of` reads; a miss is a KeyError."""
-        return self._level_of
-
-    @property
-    def projection_table(self) -> Mapping[tuple[str, str, str], str]:
-        """The (agent, type, level) table :meth:`project` reads, holding every
-        level weakly below the type's own; a miss is a KeyError."""
-        return self._proj
-
     def level_of(self, agent: str, t: str) -> str:
-        try:
-            return self._level_of[(agent, t)]
-        except KeyError:
-            raise UnknownType(f"{agent}: {t}") from None
+        return self.level_table[(agent, t)]
 
     def project(self, agent: str, t: str, level: str) -> str:
-        own = self.level_of(agent, t)
-        if not self.lattice.leq(level, own):
-            raise LevelNotBelow(f"{level} is not below {own}")
-        return self._proj[(agent, t, level)]
+        return self.projection_table[(agent, t, level)]
 
     def preimage(self, agent: str, t: str, level: str) -> tuple[str, ...]:
         """Types at ``level`` projecting onto ``t``; requires level above t's own."""
-        own = self.level_of(agent, t)
-        if not self.lattice.leq(own, level):
-            raise LevelNotBelow(f"{level} is not above {own}")
         return self._preimage[(agent, t, level)]
 
     def pooled_level(self, profile: tuple[str, ...]) -> str:

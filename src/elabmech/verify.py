@@ -175,7 +175,8 @@ def check_pooled_implementation(scenario: Scenario, scheme: SchemeConfig) -> Ver
 
 
 def check_stage_bound(scenario: Scenario) -> VerificationResult:
-    """Every truthful run, in every partial game, stops within ``STAGE_BOUND`` stages."""
+    """Every truthful run, in every partial game, stops within ``STAGE_BOUND`` stages.
+    Dynamic schemes only: unlike :func:`check`, this does not refuse static_vickrey."""
     witnesses = []
     checked = 0
     for level in scenario.lattice.elements:
@@ -252,6 +253,7 @@ def check_participation(scenario: Scenario, scheme: SchemeConfig,
     ``ex_ante_anticipated`` only at initial information sets.  Each
     information set is evaluated within the partial game at its own
     awareness level, over every draw of that game consistent with it.
+    Dynamic schemes only: unlike :func:`check`, this does not refuse static_vickrey.
     """
     if mode not in ("ex_post", "ex_ante_anticipated"):
         raise ValueError(mode)
@@ -562,6 +564,7 @@ def check_conditional_dominance(scenario: Scenario, scheme: SchemeConfig,
     the awareness-cap fallback of :func:`engine.plan_policy`.  The utility
     of the truthful play and of every deviating continuation from an
     information set are both evaluated at the type perceived there.
+    Dynamic schemes only: unlike :func:`check`, this does not refuse static_vickrey.
     """
     mech = Mechanism(scenario, scheme)
     budget = PlayBudget(bound)

@@ -5,13 +5,19 @@ now builds once in closed form: the welfare decomposition by Gaussian
 elimination over the rationals, and the projection closure by comparing
 every covering path.  The play walk is an explicit-stack loop that keeps
 each play's states, in place of the engine's recursion over terminals.
+:class:`CheckedAccessors` keeps the lookups as they were before every
+table raised its own domain error: plain dicts, each miss translated by
+the accessor that reads it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from elabmech import engine
+from elabmech.lattice import UnknownLevel
+from elabmech.outcomes import MissingValuation
 from elabmech.transfers import opponent_profile
+from elabmech.typespace import LevelNotBelow, UnknownType
 
 
 def iter_paths(scenario, state, policies, budget=None):
@@ -148,3 +154,99 @@ def compose_projections(lattice, agents, spaces, edge_maps):
                 if image != set(spaces[(agent, lo)]):
                     return None
     return full
+
+
+class _LevelKeyed(dict):
+    """A dict keyed by a level or a pair of levels, total over the declared
+    levels, whose miss names the first key level no key starts with."""
+
+    def __missing__(self, key):
+        declared = {k[0] if isinstance(k, tuple) else k for k in self}
+        bad = next(x for x in (key if isinstance(key, tuple) else (key,)) if x not in declared)
+        raise UnknownLevel(f"undeclared level {bad!r}")
+
+
+class CheckedAccessors:
+    """The lattice, type-structure, valuation and fixture lookups of one
+    scenario, each an accessor that checks its arguments, then reads a
+    plain dict: the order, joins, meets and down-sets from the order alone,
+    preimages by scanning the level's space."""
+
+    def __init__(self, scenario, fixtures):
+        lattice, structure = scenario.lattice, scenario.structure
+        levels = lattice.elements
+        self._leq = _LevelKeyed({(a, b): lattice.leq(a, b) for a in levels for b in levels})
+        self._join = _LevelKeyed({(a, b): self._bound(levels, a, b, up=True)
+                                  for a in levels for b in levels})
+        self._meet = _LevelKeyed({(a, b): self._bound(levels, a, b, up=False)
+                                  for a in levels for b in levels})
+        self._down = _LevelKeyed({a: frozenset(b for b in levels if self._leq[(b, a)])
+                                  for a in levels})
+        self._level_of = {(agent, t): level for (agent, level), types in structure.spaces.items()
+                          for t in types}
+        self._proj = dict(structure.projection_table)
+        self._spaces = dict(structure.spaces)
+        self._agents = structure.agents
+        self._valuations = dict(scenario.outcomes.valuations)
+        self._fixtures = dict(fixtures)
+
+    def _bound(self, levels, a, b, up):
+        above = (lambda x, y: self._leq[(x, y)]) if up else (lambda x, y: self._leq[(y, x)])
+        bounds = [c for c in levels if above(a, c) and above(b, c)]
+        return next(c for c in bounds if all(above(c, d) for d in bounds))
+
+    def leq(self, a, b):
+        return self._leq[(a, b)]
+
+    def join(self, a, b):
+        return self._join[(a, b)]
+
+    def meet(self, a, b):
+        return self._meet[(a, b)]
+
+    def down_set(self, level):
+        return self._down[level]
+
+    def level_of(self, agent, t):
+        try:
+            return self._level_of[(agent, t)]
+        except KeyError:
+            raise UnknownType(f"{agent}: {t}") from None
+
+    def project(self, agent, t, level):
+        own = self.level_of(agent, t)
+        if not self.leq(level, own):
+            raise LevelNotBelow(f"{level} is not below {own}")
+        return self._proj[(agent, t, level)]
+
+    def preimage(self, agent, t, level):
+        own = self.level_of(agent, t)
+        if not self.leq(own, level):
+            raise LevelNotBelow(f"{level} is not above {own}")
+        return tuple(s for s in self._spaces[(agent, level)] if self._proj[(agent, s, own)] == t)
+
+    def value(self, agent, t, outcome):
+        try:
+            return self._valuations[(agent, t, outcome)]
+        except KeyError:
+            raise MissingValuation(f"({agent}, {t}, {outcome})") from None
+
+    def fixture_text(self, name):
+        try:
+            return self._fixtures[name]
+        except KeyError:
+            raise KeyError(f"unknown fixture {name!r}; available: "
+                           f"{', '.join(sorted(self._fixtures))}") from None
+
+    def pooled_recipient(self, stages, pooled):
+        target = pooled[-1]
+        recipient = None
+        try:
+            for agent, report in zip(self._agents, stages[pooled.index(target)]):
+                if self._level_of[(agent, report)] == target:
+                    if recipient is not None:
+                        return None
+                    recipient = agent
+        except KeyError:
+            raise UnknownType(f"{agent}: {report}") from None
+        return recipient

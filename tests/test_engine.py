@@ -125,7 +125,7 @@ def test_infeasible_report_rejected():
 def test_a_true_type_below_a_reached_awareness_is_level_not_below():
     # initial_state takes any declared true types.  a1's lies at lo, and a2
     # reporting at hi raises a1's awareness above it: the re-projection
-    # misses its table and raises what project raises, not a KeyError.
+    # misses the projection table, which raises LevelNotBelow itself.
     s = fixture("example2")
     state = engine.initial_state(s, "hi", ("a1lo1", "a2hi2"), ("lo", "hi"))
     with pytest.raises(LevelNotBelow):

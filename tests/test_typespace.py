@@ -257,7 +257,7 @@ def _single_entry_mutations(spaces, tables):
 
 def _full_or_none(lattice, agents, spaces, tables):
     try:
-        return build_structure(lattice, agents, spaces, tables)._proj
+        return build_structure(lattice, agents, spaces, tables).projection_table
     except TypeStructureError:
         return None
 
