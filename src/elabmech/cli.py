@@ -121,7 +121,7 @@ def _script_strategies(path: str, scenario: Scenario):
         key = (agent, state.stage)
         unused.pop(key, None)
         if key not in script:
-            return state.perceived[scenario.structure.agent_index(agent)]
+            return state.perceived[scenario.structure.agent_position[agent]]
         report, lineno = script[key]
         if report not in engine.feasible_reports(scenario, state, agent):
             raise ParseError(f"{path}: line {lineno}: {agent} cannot report {report} "

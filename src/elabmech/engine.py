@@ -31,6 +31,7 @@ from __future__ import annotations
 from itertools import product
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
+from .lattice import Table
 from .typespace import NatureDraw, TypeStructure
 
 if TYPE_CHECKING:
@@ -161,9 +162,10 @@ def state_from_draw(scenario: Scenario, draw: NatureDraw, partial_level: str) ->
     return initial_state(scenario, partial_level, profile, draw.awareness)
 
 
-def report_menus(structure: TypeStructure) -> dict[tuple, tuple[str, ...]]:
+def report_menus(structure: TypeStructure) -> Table:
     """Every feasible-report menu, keyed (agent, awareness, last report,
-    pooled level), the last two None at the first stage.
+    pooled level), the last two None at the first stage, in a
+    :class:`~lattice.Table` whose miss is an :class:`InfeasibleReport`.
 
     A first-stage menu lists every type at every level weakly below the
     agent's awareness; a later one lists the elaborations of her last
@@ -172,7 +174,7 @@ def report_menus(structure: TypeStructure) -> dict[tuple, tuple[str, ...]]:
     protocol floor.  Levels come by down-set size, then name.
     """
     lattice = structure.lattice
-    menus: dict[tuple, tuple[str, ...]] = {}
+    menus = Table({}, lambda key: InfeasibleReport(f"no report menu {key!r}"))
     for aware in lattice.elements:
         levels = sorted(lattice.down_set(aware), key=lambda x: (len(lattice.down_set(x)), x))
         for agent in structure.agents:
@@ -338,7 +340,7 @@ def plan_policy(agent: str, reports_by_stage: tuple[str, ...], scenario: Scenari
     structure = scenario.structure
     levels, projections = structure.level_table, structure.projection_table
     joins, meets = scenario.lattice.join_table, scenario.lattice.meet_table
-    idx = structure.agent_index(agent)
+    idx = structure.agent_position[agent]
     schedule = tuple(structure.level_of(agent, r) for r in reports_by_stage)
     final_report = reports_by_stage[-1]
 

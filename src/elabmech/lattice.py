@@ -101,26 +101,23 @@ class Table(dict):
         raise self.miss(key)
 
 
-def _undeclared(elements: tuple[str, ...]):
-    """The miss of a table keyed by levels: it names the first undeclared one."""
-    def miss(key):
-        bad = next(x for x in (key if isinstance(key, tuple) else (key,)) if x not in elements)
-        return UnknownLevel(f"undeclared level {bad!r}")
-    return miss
-
-
 class Lattice:
     """A validated finite lattice whose every query is one table lookup.
 
     Construct through :func:`build_lattice`, which checks the axioms.  The
-    constructor fills every table; none is written afterwards.  Each is a
-    :class:`Table` raising :class:`UnknownLevel`; ``join_table`` and ``meet_table`` are public.
+    constructor fills every table; none is written afterwards.  Every table,
+    ``join_table`` and ``meet_table`` public, raises :class:`UnknownLevel` by the public ``miss``.
     """
 
     def __init__(self, elements: tuple[str, ...], leq: set[tuple[str, str]],
                  join: dict[tuple[str, str], str], meet: dict[tuple[str, str], str]):
         self.elements = elements
-        miss = _undeclared(elements)
+
+        def miss(key):  # names the key's first undeclared level, else the whole key
+            bad = next((x for x in (key if isinstance(key, tuple) else (key,))
+                        if x not in elements), key)
+            return UnknownLevel(f"undeclared level {bad!r}")
+        self.miss = miss
         self._leq = Table({(a, b): (a, b) in leq for a in elements for b in elements}, miss)
         self.join_table = Table(join, miss)
         self.meet_table = Table(meet, miss)

@@ -35,7 +35,8 @@ class OutcomeModel:
                  tie_break: Iterable[str] | None = None):
         self.structure = structure
         self.outcomes = tuple(dict.fromkeys(outcomes))
-        self.available = {level: tuple(dict.fromkeys(xs)) for level, xs in available.items()}
+        self.available = Table({level: tuple(dict.fromkeys(xs)) for level, xs in available.items()},
+                               structure.lattice.miss)
         self.valuations = Table({key: Fraction(v) for key, v in valuations.items()},
                                 lambda key: MissingValuation("(%s, %s, %s)" % key))
         order = tuple(tie_break) if tie_break is not None else tuple(sorted(self.outcomes))

@@ -54,7 +54,7 @@ from fractions import Fraction
 from math import inf
 
 from .engine import report_menus
-from .lattice import Lattice, LatticeError, NotALattice, build_lattice
+from .lattice import Lattice, LatticeError, NotALattice, Table, build_lattice
 from .outcomes import OutcomeModel
 from .transfers import KINDS, RSPA, GROVES, SchemeConfig
 from .typespace import NatureDraw, TypeStructure, TypeStructureError, build_structure, validate_draw
@@ -75,10 +75,10 @@ class UnknownDraw(Exception):
 
 
 class Scenario:
-    """A validated scenario.  ``menus``, every feasible-report menu
-    (:func:`engine.report_menus`), and ``stage_cap`` (:func:`engine.max_stages`)
-    are built by each construction, :meth:`_replace` included, and never
-    written afterwards."""
+    """A validated scenario.  ``draws`` is a :class:`~lattice.Table` whose miss
+    is an :class:`UnknownDraw`; it, ``menus`` (:func:`engine.report_menus`) and
+    ``stage_cap`` (:func:`engine.max_stages`) are built by each construction,
+    :meth:`_replace` included, and never written afterwards."""
 
     def __init__(self, lattice: Lattice, structure: TypeStructure, outcomes: OutcomeModel,
                  scheme: SchemeConfig, draws: dict[str, NatureDraw] | None = None,
@@ -87,7 +87,9 @@ class Scenario:
         self.structure = structure
         self.outcomes = outcomes
         self.scheme = scheme
-        self.draws = {} if draws is None else draws
+        names = ", ".join(draws or ())
+        self.draws = Table(draws or {},
+                           lambda x: UnknownDraw(f"unknown draw {x!r}; declared: {names}"))
         self.name = name
         self.menus = report_menus(structure)
         self.stage_cap = len(structure.agents) * lattice.height() + 2
@@ -107,8 +109,6 @@ class Scenario:
             raise UnknownDraw("scenario declares no nature draws")
         if name is None:
             return next(iter(self.draws.values()))
-        if name not in self.draws:
-            raise UnknownDraw(f"unknown draw {name!r}; declared: {', '.join(self.draws)}")
         return self.draws[name]
 
 
@@ -314,13 +314,19 @@ def scheme_violations(structure: TypeStructure, model: OutcomeModel,
     out = []
     if scheme.kind not in KINDS:
         return [f"unknown scheme kind {scheme.kind!r}"]
+    out.extend(f"{role} {agent} is not a declared agent" for role, agent in
+               [("buyer", scheme.buyer), *(("supplier", a) for a in scheme.supplies or ())]
+               if agent is not None and agent not in structure.agents)
     if scheme.kind == GROVES:
-        tables = scheme.y_tables or {}
+        tables, read = scheme.y_tables or {}, set()
         for agent in structure.agents:
             for level in structure.lattice.elements:
                 for opp in structure.opponent_profiles(agent, level):
+                    read.add((agent, level, opp))
                     if (agent, level, opp) not in tables:
                         out.append(f"missing y entry ({agent}, {level}, {', '.join(opp) or '-'})")
+        out.extend(f"y entry ({agent}, {level}, {', '.join(opp) or '-'}) is never read"
+                   for agent, level, opp in tables if (agent, level, opp) not in read)
     if scheme.kind == RSPA:
         if scheme.buyer is None or scheme.buyer not in structure.agents:
             out.append("rspa needs a declared buyer among the agents")

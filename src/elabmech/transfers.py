@@ -226,7 +226,7 @@ class Mechanism:
                                model.opponents_welfare(agent, x0, coarse_profile)
                                + y_value(scenario, scheme, agent, lower, coarse_profile)))
             for fine_profile in scenario.structure.profiles(level):
-                fine_type = fine_profile[scenario.structure.agent_index(agent)]
+                fine_type = fine_profile[scenario.structure.agent_position[agent]]
                 drop = (model.welfare(model.efficient_outcome(fine_profile), fine_profile)
                         + y_value(scenario, scheme, agent, level, fine_profile))
                 # The concealment value couples the agent's fine type with the
@@ -241,7 +241,7 @@ class Mechanism:
         outcome, price = rspa_auction(scenario, self.scheme, profile)
         if outcome != supply:
             return Fraction(0)
-        own = profile[scenario.structure.agent_index(agent)]
+        own = profile[scenario.structure.agent_position[agent]]
         return price + scenario.outcomes.value(agent, own, supply)
 
     def _rspa_premium(self, agent: str, level: str) -> Fraction:

@@ -49,11 +49,11 @@ def _wrong_side(levels: Table, lattice: Lattice, side: str):
 class TypeStructure:
     """Validated type spaces.  Immutable; concurrent reads are safe.
 
-    ``spaces`` maps (agent, level) to the tuple of type identifiers,
-    ``agent_position`` each agent's index, ``level_table`` (agent, type) to
-    its level and ``projection_table`` (agent, type, level) to its projection
-    at each level weakly below its own.  Both are :class:`~lattice.Table`
-    objects that raise the accessors' errors, so callers read them directly.
+    ``agent_position`` maps each agent to its index, ``spaces`` (agent, level)
+    to its types, ``level_table`` (agent, type) to its level and
+    ``projection_table`` (agent, type, level) to its projection at each level
+    weakly below its own.  Each is a :class:`~lattice.Table` raising UnknownType
+    first for an undeclared agent or type, so callers read them directly.
     """
 
     def __init__(self, lattice: Lattice, agents: tuple[str, ...],
@@ -61,8 +61,10 @@ class TypeStructure:
                  projection: Mapping[tuple[str, str, str], str]):
         self.lattice = lattice
         self.agents = agents
-        self.agent_position = {agent: i for i, agent in enumerate(agents)}
-        self.spaces = dict(spaces)
+        positions = self.agent_position = Table({a: i for i, a in enumerate(agents)},
+                                                lambda a: UnknownType(f"undeclared agent {a!r}"))
+        self.spaces = Table(spaces, lambda key: lattice.miss(key[1]) if key[0] in positions
+                            else positions[key[0]])  # an undeclared agent raises UnknownType
         levels = self.level_table = Table({}, lambda key: UnknownType(f"{key[0]}: {key[1]}"))
         self.projection_table = Table(projection, _wrong_side(levels, lattice, "below"))
         # One pass over the spaces: each type records its level and joins,
@@ -101,9 +103,6 @@ class TypeStructure:
     def opponent_profiles(self, agent: str, level: str) -> Iterator[tuple[str, ...]]:
         """All type profiles of ``agent``'s opponents at ``level``, in agent order."""
         return product(*(self.spaces[(a, level)] for a in self.agents if a != agent))
-
-    def agent_index(self, agent: str) -> int:
-        return self.agent_position[agent]
 
 
 def validate_draw(structure: TypeStructure, draw: NatureDraw) -> list[str]:

@@ -268,7 +268,7 @@ def check_participation(scenario: Scenario, scheme: SchemeConfig,
             transcript = engine.transcript(path[-1])
             reached = path[:-1] if mode == "ex_post" else path[:1]
             for agent in bidders(scenario, scheme):
-                i = structure.agent_index(agent)
+                i = structure.agent_position[agent]
                 for node in reached:
                     if structure.level_of(agent, node.perceived[i]) != level:
                         continue
@@ -317,7 +317,7 @@ class _Tables:
     def __init__(self, scenario: Scenario, agent: str, level: str, steps: dict):
         agents = scenario.structure.agents
         self.agent, self.level = agent, level
-        self.index = scenario.structure.agent_index(agent)
+        self.index = scenario.structure.agent_position[agent]
         self.rivals = tuple(k for k, a in enumerate(agents) if a != agent)
         self.opponents = {a: FREE for a in agents if a != agent}
         self.max_stages = engine.max_stages(scenario)

@@ -158,11 +158,13 @@ def compose_projections(lattice, agents, spaces, edge_maps):
 
 class _LevelKeyed(dict):
     """A dict keyed by a level or a pair of levels, total over the declared
-    levels, whose miss names the first key level no key starts with."""
+    levels, whose miss names the first key level no key starts with, or the
+    whole key when every level in it is declared."""
 
     def __missing__(self, key):
         declared = {k[0] if isinstance(k, tuple) else k for k in self}
-        bad = next(x for x in (key if isinstance(key, tuple) else (key,)) if x not in declared)
+        bad = next((x for x in (key if isinstance(key, tuple) else (key,)) if x not in declared),
+                   key)
         raise UnknownLevel(f"undeclared level {bad!r}")
 
 

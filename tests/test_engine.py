@@ -146,7 +146,7 @@ def reference_feasible_reports(scenario, state, agent):
     the agent's awareness, levels by down-set size, then name."""
     structure = scenario.structure
     lattice = structure.lattice
-    i = structure.agent_index(agent)
+    i = structure.agent_position[agent]
     aware = state.awareness[i]
     last = state.history[-1][i] if state.history else None
     pooled = state.pooled[-1] if state.history else None
@@ -610,7 +610,7 @@ def uncapped_plan_policy(agent, reports_by_stage, scenario):
     """``engine.plan_policy`` with the awareness cap dropped: the replay
     says as much of its final report as its schedule asks, aware or not."""
     structure, lattice = scenario.structure, scenario.lattice
-    idx = structure.agent_index(agent)
+    idx = structure.agent_position[agent]
     schedule = tuple(structure.level_of(agent, r) for r in reports_by_stage)
 
     def policy(scenario_, state, owner):

@@ -411,3 +411,31 @@ def test_one_record_edit_raises_its_diagnostic(text, old, new, error, message):
     with pytest.raises(error) as err:
         parse_scenario(base.replace(old, new, 1)).draw()
     assert message in str(err.value)
+
+
+def _groves_example2():
+    """example2 under groves, with a zero y entry for every key groves reads."""
+    s = fixture("example2")
+    ys = [f"y: {agent} {level} {' '.join(opp)} 0" for agent in s.agents
+          for level in s.lattice.elements for opp in s.structure.opponent_profiles(agent, level)]
+    return FIXTURES["example2"].replace("kind: clarke", "\n".join(["kind: groves", *ys]))
+
+
+@pytest.mark.parametrize("base, record, line", [
+    ("groves", "y: a1 zz a2lo 1", "y entry (a1, zz, a2lo) is never read"),
+    ("groves", "y: zz hi a2lo 1", "y entry (zz, hi, a2lo) is never read"),
+    ("groves", "y: a1 hi zz 1", "y entry (a1, hi, zz) is never read"),
+    ("groves", "y: a1 hi a2lo a2lo 1", "y entry (a1, hi, a2lo, a2lo) is never read"),
+    ("example2", "supply: zz win1", "supplier zz is not a declared agent"),
+    ("example2", "buyer: zz", "buyer zz is not a declared agent"),
+], ids=["y-level", "y-agent", "y-type", "y-arity", "supply-agent", "buyer-agent"])
+def test_stray_scheme_record_exits_two_with_one_diagnostic(tmp_path, capsys, base, record, line):
+    from elabmech.cli import main
+    text = _groves_example2() if base == "groves" else FIXTURES["example2"]
+    path = tmp_path / "stray.scenario"
+    path.write_text(text)
+    assert main(["report", str(path)]) == 0
+    path.write_text(text.replace("[scheme]\n", f"[scheme]\n{record}\n", 1))
+    capsys.readouterr()
+    assert main(["report", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: scheme: {line}\n"

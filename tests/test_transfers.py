@@ -151,7 +151,7 @@ def brute_force_premium(scenario, scheme, agent, level):
     model = scenario.outcomes
     if level == lattice.bottom:
         return Fraction(0)
-    i = scenario.structure.agent_index(agent)
+    i = scenario.structure.agent_position[agent]
     best = Fraction(0)
     for lower in lattice.strictly_below(level):
         for coarse in scenario.structure.profiles(lower):
@@ -603,3 +603,23 @@ def test_mechanism_run_plays_the_protocol_of_its_scheme():
                 assert static.run(draw, top) == engine.run_single_stage(s, draw, top)
                 draws += 1
         assert draws > 1
+
+
+def test_full_awareness_reduces_to_static_vcg():
+    """With every agent aware of the top, the dynamic clarke settlement of
+    every top-level profile is the static VCG settlement there: all agents
+    reach the top together, so nobody earns a premium."""
+    scenarios = [fixture(name) for name in ("example1", "example2", "example4r")]
+    scenarios += [generate_scenario(2026, k) for k in range(20)]
+    draws = 0
+    for s in scenarios:
+        assert s.scheme.kind == transfers.CLARKE
+        top = s.lattice.top
+        dynamic = Mechanism(s, s.scheme)
+        static = Mechanism(s, s.scheme._replace(kind=transfers.STATIC_VICKREY))
+        for true_profile in s.structure.profiles(top):
+            draw = NatureDraw(true_profile, (top,) * len(s.agents))
+            assert (dynamic.report(dynamic.run(draw, top))
+                    == static.report(static.run(draw, top))), (s.name, true_profile)
+            draws += 1
+    assert draws == 166

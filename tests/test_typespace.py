@@ -104,7 +104,7 @@ def upset(structure, agent, t):
 
 def perceived_type(structure, agent, draw, level):
     """Type and effective awareness of ``agent`` within the ``level``-partial game."""
-    i = structure.agent_index(agent)
+    i = structure.agent_position[agent]
     effective = structure.lattice.meet(draw.awareness[i], level)
     return structure.project(agent, draw.true_types[i], effective), effective
 

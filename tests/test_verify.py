@@ -147,8 +147,8 @@ def _direct_plan_space_dominance_oracle(scenario, scheme):
     violations = []
     for agent in agents:
         other = next(a for a in agents if a != agent)
-        j = structure.agent_index(other)
-        i = structure.agent_index(agent)
+        j = structure.agent_position[other]
+        i = structure.agent_position[agent]
         for level in lattice.elements:
             for own_level in lattice.down_set(level):
                 for opp_level in lattice.down_set(level):
@@ -503,7 +503,7 @@ def test_participation_witness_replays_to_the_same_utility():
         if not state.stopped:
             nodes.append(state)
     node = nodes[witness["stage"] - 1]
-    i = s.structure.agent_index(witness["agent"])
+    i = s.structure.agent_position[witness["agent"]]
     assert node.perceived[i] == witness["perceived"]
     u = Mechanism(s, s.scheme).utility(engine.transcript(state), witness["agent"],
                                        witness["perceived"])
@@ -715,7 +715,7 @@ def _reference_dominance(scenario, scheme, bound=10 ** 6):
     checked = 0
     for agent, level, profile, awareness in verify._dominance_instances(scenario,
                                                                         bidders(scenario, scheme)):
-        i = structure.agent_index(agent)
+        i = structure.agent_position[agent]
         start = engine.initial_state(scenario, level, profile, awareness)
         opponents = {a: engine.FREE for a in agents if a != agent}
         for path in reference.iter_paths(scenario, start, opponents, budget):
@@ -750,7 +750,7 @@ def replay_subtree_states(s):
     each once."""
     seen = set()
     for agent, level, profile, awareness in verify._dominance_instances(s, bidders(s, s.scheme)):
-        i = s.structure.agent_index(agent)
+        i = s.structure.agent_position[agent]
         rivals = [(k, a) for k, a in enumerate(s.agents) if a != agent]
         start = engine.initial_state(s, level, profile, awareness)
         for path in reference.iter_paths(s, start, {a: engine.FREE for _, a in rivals}):
@@ -808,7 +808,7 @@ def test_subtree_key_fixes_every_deviation_summary_under_plan_replay():
             across_repeats += first[1] != raw
             if state.stopped:
                 continue
-            level = s.structure.level_of(agent, state.perceived[s.structure.agent_index(agent)])
+            level = s.structure.level_of(agent, state.perceived[s.structure.agent_position[agent]])
             table = tables.setdefault((agent, level), verify._Tables(s, agent, level, steps))
             summary, plays, _ = verify._best_deviation(s, mech, table, state, suffixes)
             assert plays == len(terminals)
