@@ -101,6 +101,14 @@ class Table(dict):
         raise self.miss(key)
 
 
+def tuple_miss(parts: str, error, miss):
+    """The miss of a table keyed by tuples of ``parts``, such as ``"agent, type"``:
+    ``miss(*key)`` for a key of as many parts, else ``error`` naming the whole key."""
+    size = parts.count(",") + 1
+    return lambda key: (miss(*key) if isinstance(key, tuple) and len(key) == size
+                        else error(f"{key!r} is not an ({parts}) key"))
+
+
 class Lattice:
     """A validated finite lattice whose every query is one table lookup.
 

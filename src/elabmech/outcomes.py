@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .lattice import Table
+from .lattice import Table, tuple_miss
 from .typespace import TypeStructure
 
 
@@ -38,7 +38,8 @@ class OutcomeModel:
         self.available = Table({level: tuple(dict.fromkeys(xs)) for level, xs in available.items()},
                                structure.lattice.miss)
         self.valuations = Table({key: Fraction(v) for key, v in valuations.items()},
-                                lambda key: MissingValuation("(%s, %s, %s)" % key))
+                                tuple_miss("agent, type, outcome", MissingValuation,
+                                           lambda *key: MissingValuation("(%s, %s, %s)" % key)))
         order = tuple(tie_break) if tie_break is not None else tuple(sorted(self.outcomes))
         self.tie_break = order
         self.rank = {x: k for k, x in enumerate(order)}

@@ -286,6 +286,9 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                           supplies=supplies or None,
                           simplified_premium_ok=_BOOLEANS[simplified_ok.lower()])
     violations.extend(f"scheme: {v}" for v in scheme_violations(structure, model, scheme))
+    stray = (("y", GROVES, y_tables), ("simplified_premium_ok", RSPA, scheme.simplified_premium_ok))
+    violations.extend(f"scheme: kind {scheme_kind} never reads {record}"
+                      for record, reader, found in stray if found and scheme_kind != reader)
 
     draws: dict[str, NatureDraw] = {}
     for draw_name, type_map, level_map in draw_specs:

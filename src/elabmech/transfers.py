@@ -13,12 +13,16 @@ Four kinds:
 * ``static_vickrey`` -- one-shot clarke transfers with no premium, for
   reproducing what a static auction does to asymmetric awareness.
 
-The awareness premium m_i(level) is a recursion over strictly lower levels
-bounding what agent i could gain by concealing awareness; it is floored at
-zero and paid to the unique first reporter of the final pooled level.  Under
+The awareness premium m_i(level) bounds what agent i could gain by
+concealing awareness.  It is 0 at the bottom and for the rspa buyer; above,
+the largest of 0 and m_i(lower) + u(coarse) - u(fine) over every lower
+level, profile ``coarse`` at it and profile ``fine`` at ``level``, u being
+i's utility in the premium-free settlement, so the premium and the
+settlement share one premium-free transfer.  Groves and clarke value
+coarse's outcome at i's type in ``fine``, rspa at hers in ``coarse``.  The
+premium goes to the unique first reporter of the final pooled level.  Under
 groves/clarke every other agent funds an equal share, keeping the adjustment
-terms budget neutral; under rspa the buyer pays and non-recipients owe
-nothing.
+terms budget neutral; under rspa the buyer pays and non-recipients owe nothing.
 
 A settlement therefore reads only its payoff summary: the final profile,
 the final pooled level and the premium recipient.  :func:`transfer_report`
@@ -161,7 +165,8 @@ class Mechanism:
     """A scheme bound to a scenario, and the mutable memo of that pair: its
     premia and its settlements.
 
-    ``premium`` fills m_i(level) per (agent, level) asked;
+    ``premium`` fills m_i(level) per (agent, level) asked, by the one recursion
+    of the module docstring over the premium-free settlements (recipient None);
     :func:`transfer_report`, and so ``report`` and ``utility``, fills one
     settlement per payoff summary (final profile, final pooled level,
     premium recipient), which is everything a settlement reads.  Entries are
@@ -198,87 +203,68 @@ class Mechanism:
         return self.scenario.outcomes.value(agent, eval_type, rep.outcome) + rep.transfers[agent]
 
     def _compute(self, agent: str, level: str) -> Fraction:
-        lattice = self.scenario.lattice
-        if level == lattice.bottom:
+        """m_i(level) by the rule of the module docstring."""
+        scenario, rspa = self.scenario, self.scheme.kind == RSPA
+        if level == scenario.lattice.bottom or agent not in bidders(scenario, self.scheme):
             return Fraction(0)
-        if self.scheme.kind == RSPA:
-            value = self._rspa_premium(agent, level)
-            if self.scheme.simplified_premium_ok:
-                short = self._rspa_premium_simplified(agent, level)
-                if short != value:
-                    raise PremiumAssumptionFails(
-                        f"simplified premium {short} for ({agent}, {level}) disagrees with the "
-                        f"full recursion {value}; the opt-out assumption does not hold here")
-            return value
-        return self._vcg_premium(agent, level)
-
-    def _vcg_premium(self, agent: str, level: str) -> Fraction:
-        scenario, scheme = self.scenario, self.scheme
-        model = scenario.outcomes
+        i, value = scenario.structure.agent_position[agent], scenario.outcomes.value
+        fine = [(p[i], value(agent, p[i], x) + pay)
+                for p, x, pay in self._premium_free(agent, level)]
         best = Fraction(0)
-        for lower in scenario.lattice.strictly_below(level):
-            base = self.premium(agent, lower)
-            # Coarse side: realized outcome and transfer terms at the lower level.
-            coarse = []
-            for coarse_profile in scenario.structure.profiles(lower):
-                x0 = model.efficient_outcome(coarse_profile)
-                coarse.append((x0,
-                               model.opponents_welfare(agent, x0, coarse_profile)
-                               + y_value(scenario, scheme, agent, lower, coarse_profile)))
-            for fine_profile in scenario.structure.profiles(level):
-                fine_type = fine_profile[scenario.structure.agent_position[agent]]
-                drop = (model.welfare(model.efficient_outcome(fine_profile), fine_profile)
-                        + y_value(scenario, scheme, agent, level, fine_profile))
-                # The concealment value couples the agent's fine type with the
-                # coarse outcome, exactly as the recursion is written.
-                gain = max(model.value(agent, fine_type, x0) + rest for x0, rest in coarse)
-                best = max(best, base + gain - drop)
+        for lower in self._lower(level):
+            base, coarse = self.premium(agent, lower), self._premium_free(agent, lower)
+            # Groves and clarke value the coarse outcome at the agent's fine
+            # type, exactly as the recursion is written; rspa at her own coarse type.
+            gain = {t: max(value(agent, p[i] if rspa else t, x) + pay for p, x, pay in coarse)
+                    for t in dict.fromkeys(t for t, _ in fine)}
+            best = max(best, base + max(gain[t] - u for t, u in fine))
+        if rspa and self.scheme.simplified_premium_ok:
+            short = self._rspa_premium_simplified(agent, level)
+            if short != best:
+                raise PremiumAssumptionFails(
+                    f"simplified premium {short} for ({agent}, {level}) disagrees with the "
+                    f"full recursion {best}; the opt-out assumption does not hold here")
         return best
 
-    def _win_margin(self, agent: str, profile: tuple[str, ...]) -> Fraction:
-        """Price less cost when ``agent`` wins the auction at ``profile``, else 0."""
-        scenario, supply = self.scenario, self.scheme.supplies[agent]
-        outcome, price = rspa_auction(scenario, self.scheme, profile)
-        if outcome != supply:
-            return Fraction(0)
-        own = profile[scenario.structure.agent_position[agent]]
-        return price + scenario.outcomes.value(agent, own, supply)
+    def _lower(self, level: str) -> list[str]:
+        """The levels strictly below ``level``, in declaration order."""
+        below = self.scenario.lattice.strictly_below(level)
+        return [lower for lower in self.scenario.lattice.elements if lower in below]
 
-    def _rspa_premium(self, agent: str, level: str) -> Fraction:
-        scenario = self.scenario
-        best = Fraction(0)
-        for lower in scenario.lattice.strictly_below(level):
-            base = self.premium(agent, lower)
-            gain = max(self._win_margin(agent, p) for p in scenario.structure.profiles(lower))
-            drop = min(self._win_margin(agent, p) for p in scenario.structure.profiles(level))
-            best = max(best, base + gain - drop)
-        return best
+    def _premium_free(self, agent: str, level: str) -> list[tuple[tuple[str, ...], str, Fraction]]:
+        """(profile, outcome, ``agent``'s transfer) of the premium-free
+        settlement of each profile at ``level``."""
+        reports = ((p, self._settlement(p, level, None))
+                   for p in self.scenario.structure.profiles(level))
+        return [(p, r.outcome, r.transfers[agent]) for p, r in reports]
+
+    def _settlement(self, final: tuple[str, ...], level: str,
+                    recipient: str | None) -> TransferReport:
+        key = (final, level, recipient)
+        report = self._settlements.get(key)
+        if report is None:
+            report = self._settlements[key] = _settle(self, *key)
+        return report
 
     def _rspa_premium_simplified(self, agent: str, level: str) -> Fraction:
-        scenario = self.scenario
-        if level == scenario.lattice.bottom:
-            return Fraction(0)
-        best = None
-        for lower in scenario.lattice.strictly_below(level):
-            base = self._rspa_premium_simplified(agent, lower)
-            gain = max(self._win_margin(agent, p) for p in scenario.structure.profiles(lower))
-            candidate = base + gain
-            best = candidate if best is None else max(best, candidate)
-        return best
+        """The largest m(lower) + u(coarse), with no u(fine) and no floor; 0 at the bottom."""
+        i, value = self.scenario.structure.agent_position[agent], self.scenario.outcomes.value
+        return max((self._rspa_premium_simplified(agent, lower)
+                    + max(value(agent, p[i], x) + pay
+                          for p, x, pay in self._premium_free(agent, lower))
+                    for lower in self._lower(level)), default=Fraction(0))
 
 
 def awareness_adjustments(mechanism: Mechanism, level: str,
                           recipient: str | None) -> dict[str, Fraction]:
     """Per-agent adjustment terms when ``recipient`` first reported the
     final pooled ``level`` (None under ``static_vickrey``)."""
-    scheme = mechanism.scheme
     agents = mechanism.scenario.structure.agents
     out = {a: Fraction(0) for a in agents}
-    if (recipient is None or len(agents) == 1
-            or (scheme.kind == RSPA and recipient == scheme.buyer)):
+    if recipient is None or len(agents) == 1:
         return out
     m = out[recipient] = mechanism.premium(recipient, level)
-    if scheme.kind in (GROVES, CLARKE):
+    if mechanism.scheme.kind in (GROVES, CLARKE):
         share = -m / (len(agents) - 1)
         for a in agents:
             if a != recipient:
@@ -294,11 +280,7 @@ def transfer_report(mechanism: Mechanism, transcript: Transcript) -> TransferRep
         raise TranscriptNotStopped()
     recipient = (None if mechanism.scheme.kind == STATIC_VICKREY
                  else first_pooled_reporter(mechanism.scenario, transcript))
-    key = (transcript.final, transcript.final_pooled, recipient)
-    report = mechanism._settlements.get(key)
-    if report is None:
-        report = mechanism._settlements[key] = _settle(mechanism, *key)
-    return report
+    return mechanism._settlement(transcript.final, transcript.final_pooled, recipient)
 
 
 def _settle(mechanism: Mechanism, final: tuple[str, ...], level: str,

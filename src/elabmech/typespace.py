@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .lattice import Lattice, Table
+from .lattice import Lattice, Table, UnknownLevel, tuple_miss
 
 
 class TypeStructureError(Exception):
@@ -38,12 +38,11 @@ class NatureDraw(NamedTuple):
 def _wrong_side(levels: Table, lattice: Lattice, side: str):
     """The miss of an (agent, type, level) table holding the levels on one
     ``side`` of the type's own: UnknownType, UnknownLevel, then LevelNotBelow."""
-    def miss(key):
-        agent, t, level = key
+    def miss(agent, t, level):
         own = levels[(agent, t)]
         lattice.leq(own, level)  # an undeclared level raises UnknownLevel
         return LevelNotBelow(f"{level} is not {side} {own}")
-    return miss
+    return tuple_miss("agent, type, level", UnknownType, miss)
 
 
 class TypeStructure:
@@ -63,9 +62,11 @@ class TypeStructure:
         self.agents = agents
         positions = self.agent_position = Table({a: i for i, a in enumerate(agents)},
                                                 lambda a: UnknownType(f"undeclared agent {a!r}"))
-        self.spaces = Table(spaces, lambda key: lattice.miss(key[1]) if key[0] in positions
-                            else positions[key[0]])  # an undeclared agent raises UnknownType
-        levels = self.level_table = Table({}, lambda key: UnknownType(f"{key[0]}: {key[1]}"))
+        self.spaces = Table(spaces, tuple_miss(  # an undeclared agent raises UnknownType
+            "agent, level", UnknownLevel,
+            lambda a, level: lattice.miss(level) if a in positions else positions[a]))
+        levels = self.level_table = Table({}, tuple_miss(
+            "agent, type", UnknownType, lambda a, t: UnknownType(f"{a}: {t}")))
         self.projection_table = Table(projection, _wrong_side(levels, lattice, "below"))
         # One pass over the spaces: each type records its level and joins,
         # in space order, the preimage of each of its projections.

@@ -527,6 +527,29 @@ def test_verify_failed_premium_assumption_exits_two(tmp_path, capsys):
     assert err[0].endswith("the opt-out assumption does not hold here")
 
 
+def test_failed_premium_assumption_names_the_same_level_under_every_hash_seed(tmp_path):
+    """The premium recursion visits lower levels in declaration order, so
+    the failing cell it names does not follow the hash seed."""
+    import elabmech
+    from elabmech.generate import generate_scenario
+    from elabmech.scenario import serialize_scenario
+    s = generate_scenario(2026, 11, procurement=True)
+    path = tmp_path / "flagged.scenario"
+    path.write_text(serialize_scenario(s._replace(
+        scheme=s.scheme._replace(simplified_premium_ok=True))))
+    src = os.path.dirname(os.path.dirname(elabmech.__file__))
+    outputs = set()
+    for seed in (0, 4):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", "elabmech.cli", "verify", str(path),
+                               "--property", "budget-balance"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        outputs.add(done.stderr)
+    assert outputs == {"error: simplified premium 1 for (s1, west) disagrees with the full "
+                       "recursion 0; the opt-out assumption does not hold here\n"}
+
+
 def test_lattice_fault_exits_four_but_an_empty_lattice_exits_two(tmp_path, capsys, monkeypatch):
     from elabmech import lattice
 

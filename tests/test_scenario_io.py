@@ -225,8 +225,11 @@ SINGLE_VALUED = [("lattice", "top: l0"), ("lattice", "bottom: l0"), ("scheme", "
 
 
 def _with_record(section, line):
-    """MINIMAL, less its kind record, with ``line`` first in ``section``."""
-    bare = MINIMAL.replace("kind: clarke\n", "")
+    """MINIMAL, less its kind record, with ``line`` first in ``section``;
+    the rspa-only premium flag goes into the procurement scenario instead."""
+    from test_transfers import PROCUREMENT
+    base = PROCUREMENT if line.startswith("simplified_premium_ok") else MINIMAL
+    bare = base.replace("kind: clarke\n", "")
     return bare.replace(f"[{section}]\n", f"[{section}]\n{line}\n", 1)
 
 
@@ -358,11 +361,11 @@ def test_repeated_keyed_record_is_a_parse_error_naming_both_lines(section, first
 
 
 def test_keyed_records_with_distinct_keys_load():
-    text = FIXTURES["example2"].replace("[scheme]\n", "[scheme]\ny: a1 hi a2hi2 1\n"
-                                        "y: a1 hi a2hi3 1\ny: a1 lo a2lo 1\n", 1)
-    tables = parse_scenario(text).scheme.y_tables
+    tables = parse_scenario(_groves_example2()).scheme.y_tables
     assert sorted(tables) == [("a1", "hi", ("a2hi2",)), ("a1", "hi", ("a2hi3",)),
-                              ("a1", "lo", ("a2lo",))]
+                              ("a1", "lo", ("a2lo",)), ("a2", "hi", ("a1hi1",)),
+                              ("a2", "hi", ("a1hi2",)), ("a2", "lo", ("a1lo1",)),
+                              ("a2", "lo", ("a1lo2",))]
 
 
 def test_diamond_loads():
@@ -439,3 +442,38 @@ def test_stray_scheme_record_exits_two_with_one_diagnostic(tmp_path, capsys, bas
     capsys.readouterr()
     assert main(["report", str(path)]) == 2
     assert capsys.readouterr().err == f"error: scheme: {line}\n"
+
+
+@pytest.mark.parametrize("kind, record", [
+    ("clarke", "y: a1 hi a2hi2 0"), ("rspa", "y: s1 hi s2hi 0"),
+    ("static_vickrey", "y: a1 lo a2lo 0"),
+    ("clarke", "simplified_premium_ok: true"), ("groves", "simplified_premium_ok: yes"),
+    ("static_vickrey", "simplified_premium_ok: 1")])
+def test_scheme_record_the_kind_never_reads_exits_two(tmp_path, capsys, kind, record):
+    from elabmech.cli import main
+    from test_transfers import PROCUREMENT
+    text = {"clarke": FIXTURES["example2"], "rspa": PROCUREMENT, "groves": _groves_example2(),
+            "static_vickrey": FIXTURES["example2"].replace("kind: clarke",
+                                                           "kind: static_vickrey")}[kind]
+    path = tmp_path / "stray.scenario"
+    path.write_text(text)
+    assert main(["report", str(path)]) == 0
+    path.write_text(text.replace("[scheme]\n", f"[scheme]\n{record}\n", 1))
+    capsys.readouterr()
+    assert main(["report", str(path)]) == 2
+    name = record.split(":")[0]
+    assert capsys.readouterr().err == f"error: scheme: kind {kind} never reads {name}\n"
+
+
+def test_scheme_override_keeps_records_the_new_kind_never_reads(tmp_path):
+    """``--scheme`` replaces the kind on purpose: the records the file's own
+    kind reads ride along and are not diagnosed."""
+    from elabmech.cli import main
+    from test_transfers import PROCUREMENT
+    for name, text in (("groves", _groves_example2()),
+                       ("rspa", PROCUREMENT.replace("kind: rspa", "kind: rspa\n"
+                                                    "simplified_premium_ok: true"))):
+        path = tmp_path / f"{name}.scenario"
+        path.write_text(text)
+        assert main(["verify", str(path), "--property", "efficiency"]) == 0
+        assert main(["verify", str(path), "--property", "efficiency", "--scheme", "clarke"]) == 0

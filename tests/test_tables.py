@@ -21,6 +21,7 @@ from elabmech.engine import InfeasibleReport
 from elabmech.fixtures import FIXTURES, fixture
 from elabmech.generate import generate_scenario
 from elabmech.lattice import UnknownLevel
+from elabmech.outcomes import MissingValuation
 from elabmech.scenario import UnknownDraw, parse_scenario
 from elabmech.transfers import Mechanism
 from elabmech.typespace import UnknownType
@@ -107,6 +108,20 @@ def _in_generator(read):
     return lambda *key: next(read(*key) for _ in (None,))
 
 
+def _wrong_shapes(s):
+    """(read, key, error) for tuple-keyed tables given keys of the wrong
+    shape: a part short, a part over, or no tuple at all."""
+    structure, agent, top = s.structure, s.agents[0], s.lattice.top
+    t, x = structure.spaces[(agent, top)][0], s.outcomes.outcomes[0]
+    return [(table.__getitem__, (key,), error) for table, error, keys in (
+        (structure.spaces, UnknownLevel, [(agent,), (agent, top, "x"), agent]),
+        (structure.level_table, UnknownType, [(agent,), (agent, t, top), t]),
+        (structure.projection_table, UnknownType, [(agent, t), (agent, t, top, top)]),
+        (structure._preimage, UnknownType, [(agent,), (agent, t)]),
+        (s.outcomes.valuations, MissingValuation, [(agent, t), (agent, t, x, x)]),
+    ) for key in keys]
+
+
 @pytest.mark.parametrize("name", ["example1", "example2", "generated-diamond", "diamond"])
 def test_no_bad_key_escapes_as_a_non_domain_error(name):
     s = SCENARIOS[name]()
@@ -134,6 +149,7 @@ def test_no_bad_key_escapes_as_a_non_domain_error(name):
           for read in (lattice.down_set, lattice.strictly_below)),
         *((lattice.join_table.__getitem__, (key,), UnknownLevel)
           for a in lattice.elements for key in ((a,), (a, a, a))),
+        *_wrong_shapes(s),
     ]
     misses = 0
     for read, key, error in grid:
@@ -146,6 +162,25 @@ def test_no_bad_key_escapes_as_a_non_domain_error(name):
                 assert type(err) is error, (key, err)
                 misses += 1
     assert misses >= 2 * (4 * len(agents) + 2 * len(lattice.elements) ** 2)
+
+
+def test_a_key_of_the_wrong_shape_names_the_whole_key():
+    s = fixture("example2")
+    for read, (key,), error in _wrong_shapes(s):
+        with pytest.raises(error) as err:
+            read(key)
+        assert str(err.value).startswith(repr(key)), (key, err.value)
+    structure = s.structure
+    for table, key, message in (
+            (structure.spaces, ("a1", "lo", "x"),
+             "('a1', 'lo', 'x') is not an (agent, level) key"),
+            (structure.projection_table, ("a1", "a1hi1"),
+             "('a1', 'a1hi1') is not an (agent, type, level) key"),
+            (s.outcomes.valuations, ("a1", "x"),
+             "('a1', 'x') is not an (agent, type, outcome) key")):
+        with pytest.raises(Exception) as err:
+            table[key]
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("make", [

@@ -177,6 +177,70 @@ def test_premium_matches_unmemoized_brute_force_on_generated_scenarios():
                     brute_force_premium(s, s.scheme, agent, level)
 
 
+def test_groves_premium_matches_unmemoized_brute_force():
+    """The premium reads y through the premium-free settlement: under groves
+    it must agree with the brute force's direct y lookups, for zero y-tables
+    and for y-tables that vary with the key."""
+    from test_acceptance import zero_y_tables
+    for s in (fixture("example2"), *(generate_scenario(31, k) for k in range(6))):
+        zeros = zero_y_tables(s)
+        for y in (zeros, {key: Fraction(n % 5 - 2, 3) for n, key in enumerate(zeros)}):
+            groves = SchemeConfig(kind="groves", y_tables=y)
+            mech = Mechanism(s, groves)
+            for agent in s.agents:
+                for level in s.lattice.elements:
+                    assert mech.premium(agent, level) == \
+                        brute_force_premium(s, groves, agent, level), (s.name, agent, level)
+
+
+def brute_force_rspa_premium(scenario, scheme, agent, level):
+    """Unmemoized rspa recursion with a seller's win margin written out:
+    the price less her cost where she wins the auction, else 0, at her own
+    type in each profile."""
+    lattice = scenario.lattice
+    if level == lattice.bottom:
+        return Fraction(0)
+    i, supply = scenario.structure.agent_position[agent], scheme.supplies[agent]
+
+    def margin(profile):
+        outcome, price = rspa_auction(scenario, scheme, profile)
+        if outcome != supply:
+            return Fraction(0)
+        return price + scenario.outcomes.value(agent, profile[i], supply)
+
+    fine = [margin(p) for p in scenario.structure.profiles(level)]
+    best = Fraction(0)
+    for lower in lattice.strictly_below(level):
+        base = brute_force_rspa_premium(scenario, scheme, agent, lower)
+        for coarse in scenario.structure.profiles(lower):
+            for drop in fine:
+                best = max(best, base + margin(coarse) - drop)
+    return best
+
+
+def test_rspa_premium_matches_unmemoized_brute_force_on_generated_scenarios():
+    positive = 0
+    for k in range(12):
+        s = generate_scenario(31, k, procurement=True)
+        mech = Mechanism(s, s.scheme)
+        for seller in transfers.bidders(s, s.scheme):
+            for level in s.lattice.elements:
+                m = mech.premium(seller, level)
+                assert m == brute_force_rspa_premium(s, s.scheme, seller, level), \
+                    (k, seller, level)
+                positive += m > 0
+    assert positive > 0
+
+
+def test_rspa_buyer_premium_is_zero_at_every_level():
+    for s in (parse_scenario(PROCUREMENT),
+              *(generate_scenario(31, k, procurement=True) for k in range(12))):
+        mech, buyer = Mechanism(s, s.scheme), s.scheme.buyer
+        for level in s.lattice.elements:
+            assert mech.premium(buyer, level) == 0
+            assert awareness_adjustments(mech, level, buyer) == dict.fromkeys(s.agents, 0)
+
+
 def test_adjustments_example2():
     s, t = run_fixture("example2")
     recipient = first_pooled_reporter(s, t)
