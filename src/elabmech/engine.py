@@ -14,10 +14,11 @@ tabulates every such menu once per scenario.
 
 :func:`report_profiles` is the one place that expands a running state: it
 dispatches the per-agent policies and enforces the stage cap.  On it stand
-the two walks, neither of which builds a tuple per node:
-:func:`iter_completions` over the play tree and :func:`truthful_path`
-along its first play.  The dominance check's dynamic program expands
-states through :func:`report_profiles` too, keyed on :func:`state_key`.
+the two walks: :func:`iter_completions`, one explicit stack over the play
+tree that hands each terminal straight to its caller, and
+:func:`truthful_path` along the first play.  The dominance check's dynamic
+program expands states through :func:`report_profiles` too, keyed on
+:func:`state_key`.
 
 All state is immutable: :class:`PlayState` and :class:`Transcript` are
 NamedTuples, equal and hashing alike exactly when their fields do, so
@@ -101,6 +102,9 @@ class PlayState(NamedTuple):
     def stage(self) -> int:
         return len(self.history) + 1
 
+
+# ``_record(PlayState, fields)`` builds the record in C, skipping its Python ``__new__``.
+_record = tuple.__new__
 
 FREE = "free"
 TRUTH = "truth"
@@ -191,8 +195,9 @@ def report_menus(structure: TypeStructure) -> Table:
 
 def feasible_reports(scenario: Scenario, state: PlayState, agent: str) -> tuple[str, ...]:
     i = scenario.structure.agent_position[agent]
-    if state.history:
-        return scenario.menus[(agent, state.awareness[i], state.history[-1][i], state.pooled[-1])]
+    history = state.history
+    if history:
+        return scenario.menus[(agent, state.awareness[i], history[-1][i], state.pooled[-1])]
     return scenario.menus[(agent, state.awareness[i], None, None)]
 
 
@@ -208,7 +213,8 @@ def advance(scenario: Scenario, state: PlayState, reports: tuple[str, ...]) -> P
     some awareness.  An awareness above a true type's own level, which a
     caller of :func:`initial_state` can bring about, raises LevelNotBelow.
     """
-    if state.stopped:
+    true_profile, awareness, perceived, history, pooled_levels, stopped = state
+    if stopped:
         raise InfeasibleReport("play already stopped")
     structure = scenario.structure
     agents = structure.agents
@@ -221,21 +227,19 @@ def advance(scenario: Scenario, state: PlayState, reports: tuple[str, ...]) -> P
             raise InfeasibleReport(f"{agent}: {report}")
         level = levels[(agent, report)]
         pooled = level if pooled is None else joins[(pooled, level)]
-    history = state.history
-    awareness, perceived = state.awareness, state.perceived
-    if not history or pooled != state.pooled[-1]:
-        awareness = tuple(joins[(a, pooled)] for a in awareness)
-        if awareness != state.awareness:
-            projections = structure.projection_table
-            perceived = tuple(projections[(agent, t, a)] for agent, t, a
-                              in zip(agents, state.true_profile, awareness))
+    if not history or pooled != pooled_levels[-1]:
+        joined = tuple([joins[(a, pooled)] for a in awareness])
+        if joined != awareness:
+            awareness, projections = joined, structure.projection_table
+            perceived = tuple([projections[(agent, t, a)] for agent, t, a
+                               in zip(agents, true_profile, joined)])
     stopped = bool(history) and reports == history[-1]
-    return PlayState(state.true_profile, awareness, perceived, history + (reports,),
-                     state.pooled + (pooled,), stopped)
+    return _record(PlayState, (true_profile, awareness, perceived, history + (reports,),
+                               pooled_levels + (pooled,), stopped))
 
 
 def transcript(state: PlayState) -> Transcript:
-    return Transcript(state.history, state.pooled, state.stopped)
+    return _record(Transcript, (state.history, state.pooled, state.stopped))
 
 
 def max_stages(scenario: Scenario) -> int:
@@ -278,7 +282,7 @@ def report_profiles(scenario: Scenario, state: PlayState,
     callable ``(scenario, state, agent) -> report`` its one report.  A play
     still running past :func:`max_stages` is a protocol failure.
     """
-    if state.stage > max_stages(scenario):
+    if len(state.history) >= max_stages(scenario):
         raise AssertionError("protocol failed to stop within the stage cap")
     menus = []
     for i, agent in enumerate(scenario.structure.agents):
@@ -301,23 +305,29 @@ def iter_completions(scenario: Scenario, state: PlayState, policies: Mapping[str
     :class:`InfeasibleReport` from :func:`advance` and
     :class:`StrategySpaceTooLarge` from :meth:`PlayBudget.charge`.  Every
     feasible report path is realized by some strategy profile and vice
-    versa, so walking plays is outcome-equivalent to walking strategies."""
-    return _completions(scenario, state, policies, budget)
+    versa, so walking plays is outcome-equivalent to walking strategies.
 
-
-def _completions(scenario: Scenario, state: PlayState, policies: Mapping[str, object],
-                 budget: PlayBudget | None) -> Iterator[PlayState]:
-    """The walk of :func:`iter_completions`.  Private, so that a wrapper of
-    the public name sees one call per walk, not one per node; and at module
-    level, since a self-recursive closure is a reference cycle that keeps
-    what it captured alive until the cyclic collector runs."""
+    One explicit stack holds each running state of the current path with
+    its untried report profiles, which are drawn as soon as :func:`advance`
+    builds the state; a terminal goes straight to the caller."""
     if state.stopped:
         if budget is not None:
             budget.charge()
         yield state
         return
-    for reports in report_profiles(scenario, state, policies):
-        yield from _completions(scenario, advance(scenario, state, reports), policies, budget)
+    stack = [(state, report_profiles(scenario, state, policies))]
+    while stack:
+        parent, untried = stack[-1]
+        for reports in untried:
+            state = advance(scenario, parent, reports)
+            if not state.stopped:
+                stack.append((state, report_profiles(scenario, state, policies)))
+                break
+            if budget is not None:
+                budget.charge()
+            yield state
+        else:
+            stack.pop()
 
 
 def plan_policy(agent: str, reports_by_stage: tuple[str, ...], scenario: Scenario):

@@ -120,10 +120,11 @@ def rspa_auction(scenario: Scenario, scheme: SchemeConfig,
     return bids[0][2], bids[1][0]
 
 
-def scheme_outcome(scenario: Scenario, scheme: SchemeConfig, profile: tuple[str, ...]) -> str:
+def scheme_outcome(scenario: Scenario, scheme: SchemeConfig, profile: tuple[str, ...]) -> tuple:
+    """(outcome, price) that ``profile`` settles on: rspa's auction, else no price."""
     if scheme.kind == RSPA:
-        return rspa_auction(scenario, scheme, profile)[0]
-    return scenario.outcomes.efficient_outcome(profile)
+        return rspa_auction(scenario, scheme, profile)
+    return scenario.outcomes.efficient_outcome(profile), None
 
 
 def y_value(scenario: Scenario, scheme: SchemeConfig, agent: str, level: str,
@@ -166,7 +167,7 @@ class Mechanism:
     premia and its settlements.
 
     ``premium`` fills m_i(level) per (agent, level) asked, by the one recursion
-    of the module docstring over the premium-free settlements (recipient None);
+    of the module docstring over i's premium-free transfers (``_transfer``);
     :func:`transfer_report`, and so ``report`` and ``utility``, fills one
     settlement per payoff summary (final profile, final pooled level,
     premium recipient), which is everything a settlement reads.  Entries are
@@ -233,10 +234,22 @@ class Mechanism:
 
     def _premium_free(self, agent: str, level: str) -> list[tuple[tuple[str, ...], str, Fraction]]:
         """(profile, outcome, ``agent``'s transfer) of the premium-free
-        settlement of each profile at ``level``."""
-        reports = ((p, self._settlement(p, level, None))
+        settlement of each profile at ``level``, no other agent's transfer made."""
+        settled = ((p, scheme_outcome(self.scenario, self.scheme, p))
                    for p in self.scenario.structure.profiles(level))
-        return [(p, r.outcome, r.transfers[agent]) for p, r in reports]
+        return [(p, s[0], self._transfer(agent, level, p, s)) for p, s in settled]
+
+    def _transfer(self, agent: str, level: str, final: tuple[str, ...],
+                  settled: tuple[str, Fraction | None]) -> Fraction:
+        """``agent``'s premium-free transfer when ``final`` settles at ``level``
+        on ``settled``, its :func:`scheme_outcome`: the one transfer formula."""
+        (outcome, price), scheme = settled, self.scheme
+        if scheme.kind != RSPA:
+            return (self.scenario.outcomes.opponents_welfare(agent, outcome, final)
+                    + y_value(self.scenario, scheme, agent, level, final))
+        if agent == scheme.buyer:
+            return -price
+        return price if scheme.supplies[agent] == outcome else Fraction(0)
 
     def _settlement(self, final: tuple[str, ...], level: str,
                     recipient: str | None) -> TransferReport:
@@ -280,28 +293,23 @@ def transfer_report(mechanism: Mechanism, transcript: Transcript) -> TransferRep
         raise TranscriptNotStopped()
     recipient = (None if mechanism.scheme.kind == STATIC_VICKREY
                  else first_pooled_reporter(mechanism.scenario, transcript))
-    return mechanism._settlement(transcript.final, transcript.final_pooled, recipient)
+    return mechanism._settlement(transcript.stages[-1], transcript.pooled[-1], recipient)
 
 
 def _settle(mechanism: Mechanism, final: tuple[str, ...], level: str,
             recipient: str | None) -> TransferReport:
     scenario, scheme = mechanism.scenario, mechanism.scheme
-    agents = scenario.structure.agents
     adjustments = awareness_adjustments(mechanism, level, recipient)
-    if scheme.kind == RSPA:
-        outcome, price = rspa_auction(scenario, scheme, final)
-        transfers = {a: (price if scheme.supplies[a] == outcome else Fraction(0)) + adjustments[a]
-                     for a in agents if a != scheme.buyer}
-        transfers[scheme.buyer] = -price - sum(adjustments.values())
-    else:
-        outcome = scenario.outcomes.efficient_outcome(final)
-        transfers = {}
-        for a in agents:
-            transfers[a] = (scenario.outcomes.opponents_welfare(a, outcome, final)
-                            + y_value(scenario, scheme, a, level, final)
-                            + adjustments[a])
+    settled = scheme_outcome(scenario, scheme, final)
+    # The rspa buyer funds every adjustment and is listed last.
+    sink = scheme.buyer if scheme.kind == RSPA else None
+    transfers = {a: mechanism._transfer(a, level, final, settled) + adjustments[a]
+                 for a in scenario.structure.agents if a != sink}
+    if sink is not None:
+        transfers[sink] = (mechanism._transfer(sink, level, final, settled)
+                           - sum(adjustments.values()))
     balance = -sum(transfers.values())
-    return TransferReport(outcome, transfers, adjustments, recipient, balance)
+    return TransferReport(settled[0], transfers, adjustments, recipient, balance)
 
 
 # The name bench/tracer.py resolves to reach ``Mechanism.premium``.

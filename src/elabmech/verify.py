@@ -159,11 +159,11 @@ def check_pooled_implementation(scenario: Scenario, scheme: SchemeConfig) -> Ver
             checked += 1
             draw = NatureDraw(true_profile, awareness)
             transcript = mech.run(draw, top)
-            implemented = scheme_outcome(scenario, scheme, transcript.final)
+            implemented = scheme_outcome(scenario, scheme, transcript.final)[0]
             pooled = scenario.lattice.join_all(awareness)
             target_profile = tuple(structure.project(agent, t, pooled)
                                    for agent, t in zip(structure.agents, true_profile))
-            target = scheme_outcome(scenario, scheme, target_profile)
+            target = scheme_outcome(scenario, scheme, target_profile)[0]
             if implemented != target:
                 witnesses.append(Witness(
                     f"draw {true_profile} at awareness {awareness}: implemented {implemented}, "
@@ -212,12 +212,14 @@ def check_budget(scenario: Scenario, scheme: SchemeConfig, mode: str = "balance"
     witnesses = []
     checked = 0
     policies = {agent: FREE for agent in structure.agents}
+    balance_mode = mode == "balance"
     for terminal in engine.iter_completions(scenario, state, policies, budget):
         checked += 1
         transcript = engine.transcript(terminal)
         report = transfer_report(mech, transcript)
         balance = report.operator_balance
-        if balance != 0 if mode == "balance" else balance < 0:
+        # A Fraction's sign is its numerator's, read without Fraction.__lt__.
+        if balance != 0 if balance_mode else balance.numerator < 0:
             total = -balance
             witnesses.append(Witness(
                 f"transfers sum to {total} on transcript {transcript.stages}",

@@ -4,7 +4,7 @@ Each is the earlier, enumerating form of a construction that ``elabmech``
 now builds once in closed form: the welfare decomposition by Gaussian
 elimination over the rationals, and the projection closure by comparing
 every covering path.  The play walk is an explicit-stack loop that keeps
-each play's states, in place of the engine's recursion over terminals.
+each play's states, where the engine's walk keeps only the running path.
 :class:`CheckedAccessors` keeps the lookups as they were before every
 table raised its own domain error: plain dicts, each miss translated by
 the accessor that reads it.

@@ -253,6 +253,8 @@ def test_advance_matches_the_always_recomputing_rule_on_every_reached_state():
                 continue
             for reports in engine.report_profiles(s, state, free):
                 after = engine.advance(s, state, reports)
+                # Tuple equality ignores the subclass, so the type is checked apart.
+                assert type(after) is engine.PlayState, (s.name, state, reports)
                 assert after == reference_advance(s, state, reports), (s.name, state, reports)
                 if state.history and after.pooled[-1] == state.pooled[-1]:
                     carried += 1
@@ -573,6 +575,8 @@ def test_recursive_walk_matches_the_explicit_stack_walk(case, monkeypatch):
         paths = walk_until_raise(reference.iter_paths, s, start, policies)
         plays, used, raised = walk_until_raise(engine.iter_completions, s, start, policies)
         assert raised is None and used == len(plays)
+        assert all(type(play) is engine.PlayState
+                   and type(engine.transcript(play)) is engine.Transcript for play in plays)
         assert (plays, used, raised) == terminals(paths), (s.name, start)
         assert engine.truthful_path(s, start, policies) == list(paths[0][0])
         if len(plays) > 1:
