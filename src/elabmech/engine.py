@@ -177,19 +177,20 @@ def report_menus(structure: TypeStructure) -> Table:
     pooled level is at least the last report's level, so it is the
     protocol floor.  Levels come by down-set size, then name.
     """
-    lattice = structure.lattice
+    lattice, down, preimage = structure.lattice, structure.lattice.down_set, structure.preimage
+    order = sorted(lattice.elements, key=lambda x: (len(down(x)), x))
     menus = Table({}, lambda key: InfeasibleReport(f"no report menu {key!r}"))
     for aware in lattice.elements:
-        levels = sorted(lattice.down_set(aware), key=lambda x: (len(lattice.down_set(x)), x))
+        levels = [level for level in order if level in down(aware)]
+        above = {pooled: [level for level in levels if pooled in down(level)] for pooled in levels}
         for agent in structure.agents:
             menus[(agent, aware, None, None)] = tuple(
                 t for level in levels for t in structure.space(agent, level))
             for pooled in levels:
-                above = [level for level in levels if pooled in lattice.down_set(level)]
-                for own in lattice.down_set(pooled):
+                for own in down(pooled):
                     for last in structure.space(agent, own):
                         menus[(agent, aware, last, pooled)] = tuple(
-                            t for level in above for t in structure.preimage(agent, last, level))
+                            [t for level in above[pooled] for t in preimage(agent, last, level)])
     return menus
 
 

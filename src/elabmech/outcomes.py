@@ -1,8 +1,8 @@
 """Physical outcomes, exact-rational valuations, and welfare maximization.
 
-Valuations are ``fractions.Fraction`` throughout; transfers downstream
-demand exact equality, so floats never enter.  Availability is indexed by
-awareness level and need not be monotone.  The welfare argmax and the
+Valuations are ``fractions.Fraction`` (ints converted, any other value a
+violation); transfers demand exact equality.  Availability is
+indexed by awareness level and need not be monotone.  The welfare argmax and the
 opponent-restricted argmax break ties by a scenario-supplied total order
 over outcomes (default: identifier order), so outputs are deterministic.
 The efficient outcome is the restricted argmax that leaves nobody out.
@@ -25,8 +25,8 @@ class OutcomeModel:
 
     ``_efficient`` memoizes the one argmax per (left-out agent or None,
     profile) asked, filled lazily: filling it at load costs 0.13 + 0.30 ms
-    median per generated scenario against 0.38 ms to parse it (2-core Xeon,
-    Python 3.11), and most queries ask for few profiles.
+    median per generated scenario against 0.41-0.46 ms mean to load one (2-core
+    Xeon, Python 3.11), and most queries ask for few profiles.
     """
 
     def __init__(self, structure: TypeStructure, outcomes: Iterable[str],
@@ -37,7 +37,8 @@ class OutcomeModel:
         self.outcomes = tuple(dict.fromkeys(outcomes))
         self.available = Table({level: tuple(dict.fromkeys(xs)) for level, xs in available.items()},
                                structure.lattice.miss)
-        self.valuations = Table({key: Fraction(v) for key, v in valuations.items()},
+        self.valuations = Table({key: Fraction(v) if isinstance(v, int) else v
+                                 for key, v in valuations.items()},
                                 tuple_miss("agent, type, outcome", MissingValuation,
                                            lambda *key: MissingValuation("(%s, %s, %s)" % key)))
         order = tuple(tie_break) if tie_break is not None else tuple(sorted(self.outcomes))
@@ -66,18 +67,20 @@ class OutcomeModel:
             for x in xs:
                 if x not in self.outcomes:
                     out.append(f"available({level}) lists undeclared outcome {x}")
-        for (agent, t, x), _ in self.valuations.items():
+        for (agent, t, x), v in self.valuations.items():
             if (agent, t) not in self.structure.level_table:
                 out.append(f"valuation references undeclared type ({agent}, {t})")
             if x not in self.outcomes:
                 out.append(f"valuation references undeclared outcome {x}")
+            if not isinstance(v, Fraction):
+                out.append(f"valuation ({agent}, {t}, {x}) is {v!r}, not an int or Fraction")
+        reachable = {level: sorted({x for lower in lattice.down_set(level)
+                                    for x in self.available.get(lower, ())})
+                     for level in lattice.elements}
         for agent in self.structure.agents:
             for level in lattice.elements:
-                reachable = set()
-                for lower in lattice.down_set(level):
-                    reachable.update(self.available.get(lower, ()))
                 for t in self.structure.space(agent, level):
-                    for x in sorted(reachable):
+                    for x in reachable[level]:
                         if (agent, t, x) not in self.valuations:
                             out.append(f"missing valuation ({agent}, {t}, {x})")
         return out

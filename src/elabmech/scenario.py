@@ -194,9 +194,10 @@ def _joined(records: dict[str, list[tuple[int, list[str]]]], key: str) -> list[s
     return [value for _, values in records[key] for value in values]
 
 
-def _fraction(token: str, lineno: int) -> Fraction:
+def _fraction(token: str, lineno: int, parsed: dict[str, Fraction]) -> Fraction:
+    """``token`` as a rational, parsed once per file into ``parsed``."""
     try:
-        return Fraction(token)
+        return parsed[token] if token in parsed else parsed.setdefault(token, Fraction(token))
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"line {lineno}: bad rational {token!r}") from None
 
@@ -231,7 +232,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     for _, (level, *outcomes) in records["available"]:
         available.setdefault(level, []).extend(outcomes)
     tie_break = _once(records, "tie_break")
-    valuations = {(agent, t, x0): _fraction(v, lineno)
+    rationals: dict[str, Fraction] = {}
+    valuations = {(agent, t, x0): _fraction(v, lineno, rationals)
                   for lineno, (agent, t, x0, v) in records["value"]}
     [scheme_kind] = _once(records, "kind") or ["clarke"]
     [buyer] = _once(records, "buyer") or [None]
@@ -241,7 +243,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         raise ParseError(f"line {records['simplified_premium_ok'][0][0]}: "
                          f"record 'simplified_premium_ok' takes true/yes/1 or false/no/0, "
                          f"got {simplified_ok!r}")
-    y_tables = {(agent, level, tuple(opp)): _fraction(v, lineno)
+    y_tables = {(agent, level, tuple(opp)): _fraction(v, lineno, rationals)
                 for lineno, (agent, level, *opp, v) in records["y"]}
     draw_specs = []
     for lineno, (draw_name, part, *rest) in records["draw"]:

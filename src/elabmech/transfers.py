@@ -167,7 +167,7 @@ class Mechanism:
     premia and its settlements.
 
     ``premium`` fills m_i(level) per (agent, level) asked, by the one recursion
-    of the module docstring over i's premium-free transfers (``_transfer``);
+    of the module docstring, each call building i's premium-free list per level once;
     :func:`transfer_report`, and so ``report`` and ``utility``, fills one
     settlement per payoff summary (final profile, final pooled level,
     premium recipient), which is everything a settlement reads.  Entries are
@@ -182,10 +182,7 @@ class Mechanism:
         self._settlements: dict[tuple, TransferReport] = {}
 
     def premium(self, agent: str, level: str) -> Fraction:
-        key = (agent, level)
-        if key not in self._premia:
-            self._premia[key] = self._compute(agent, level)
-        return self._premia[key]
+        return self._compute(agent, level, {})
 
     def run(self, draw: NatureDraw, partial: str,
             strategies: Mapping[str, object] | None = None) -> Transcript:
@@ -203,28 +200,32 @@ class Mechanism:
         rep = self.report(transcript)
         return self.scenario.outcomes.value(agent, eval_type, rep.outcome) + rep.transfers[agent]
 
-    def _compute(self, agent: str, level: str) -> Fraction:
-        """m_i(level) by the rule of the module docstring."""
-        scenario, rspa = self.scenario, self.scheme.kind == RSPA
+    def _compute(self, agent: str, level: str, lists: dict[str, list]) -> Fraction:
+        """m_i(level) by the rule of the module docstring, memoized; ``lists`` holds
+        the agent's premium-free lists by level, local to one :meth:`premium` call."""
+        scenario, rspa, key = self.scenario, self.scheme.kind == RSPA, (agent, level)
+        if key in self._premia:
+            return self._premia[key]
         if level == scenario.lattice.bottom or agent not in bidders(scenario, self.scheme):
             return Fraction(0)
         i, value = scenario.structure.agent_position[agent], scenario.outcomes.value
         fine = [(p[i], value(agent, p[i], x) + pay)
-                for p, x, pay in self._premium_free(agent, level)]
+                for p, x, pay in self._premium_free(agent, level, lists)]
         best = Fraction(0)
         for lower in self._lower(level):
-            base, coarse = self.premium(agent, lower), self._premium_free(agent, lower)
+            base, coarse = self._compute(agent, lower, lists), self._premium_free(agent, lower, lists)
             # Groves and clarke value the coarse outcome at the agent's fine
             # type, exactly as the recursion is written; rspa at her own coarse type.
             gain = {t: max(value(agent, p[i] if rspa else t, x) + pay for p, x, pay in coarse)
                     for t in dict.fromkeys(t for t, _ in fine)}
             best = max(best, base + max(gain[t] - u for t, u in fine))
         if rspa and self.scheme.simplified_premium_ok:
-            short = self._rspa_premium_simplified(agent, level)
+            short = self._rspa_premium_simplified(agent, level, lists)
             if short != best:
                 raise PremiumAssumptionFails(
                     f"simplified premium {short} for ({agent}, {level}) disagrees with the "
                     f"full recursion {best}; the opt-out assumption does not hold here")
+        self._premia[key] = best
         return best
 
     def _lower(self, level: str) -> list[str]:
@@ -232,12 +233,15 @@ class Mechanism:
         below = self.scenario.lattice.strictly_below(level)
         return [lower for lower in self.scenario.lattice.elements if lower in below]
 
-    def _premium_free(self, agent: str, level: str) -> list[tuple[tuple[str, ...], str, Fraction]]:
-        """(profile, outcome, ``agent``'s transfer) of the premium-free
-        settlement of each profile at ``level``, no other agent's transfer made."""
-        settled = ((p, scheme_outcome(self.scenario, self.scheme, p))
-                   for p in self.scenario.structure.profiles(level))
-        return [(p, s[0], self._transfer(agent, level, p, s)) for p, s in settled]
+    def _premium_free(self, agent: str, level: str,
+                      lists: dict[str, list]) -> list[tuple[tuple[str, ...], str, Fraction]]:
+        """(profile, outcome, ``agent``'s transfer) of each profile's premium-free
+        settlement at ``level``, no other agent's transfer made; built once into ``lists``."""
+        if level not in lists:
+            settled = ((p, scheme_outcome(self.scenario, self.scheme, p))
+                       for p in self.scenario.structure.profiles(level))
+            lists[level] = [(p, s[0], self._transfer(agent, level, p, s)) for p, s in settled]
+        return lists[level]
 
     def _transfer(self, agent: str, level: str, final: tuple[str, ...],
                   settled: tuple[str, Fraction | None]) -> Fraction:
@@ -259,12 +263,12 @@ class Mechanism:
             report = self._settlements[key] = _settle(self, *key)
         return report
 
-    def _rspa_premium_simplified(self, agent: str, level: str) -> Fraction:
+    def _rspa_premium_simplified(self, agent: str, level: str, lists: dict[str, list]) -> Fraction:
         """The largest m(lower) + u(coarse), with no u(fine) and no floor; 0 at the bottom."""
         i, value = self.scenario.structure.agent_position[agent], self.scenario.outcomes.value
-        return max((self._rspa_premium_simplified(agent, lower)
+        return max((self._rspa_premium_simplified(agent, lower, lists)
                     + max(value(agent, p[i], x) + pay
-                          for p, x, pay in self._premium_free(agent, lower))
+                          for p, x, pay in self._premium_free(agent, lower, lists))
                     for lower in self._lower(level)), default=Fraction(0))
 
 

@@ -5,6 +5,8 @@ now builds once in closed form: the welfare decomposition by Gaussian
 elimination over the rationals, and the projection closure by comparing
 every covering path.  The play walk is an explicit-stack loop that keeps
 each play's states, where the engine's walk keeps only the running path.
+:func:`report_menus` sorts each awareness level's down-set and lists the
+levels above each pooled level again for every agent, as the engine once did.
 :class:`CheckedAccessors` keeps the lookups as they were before every
 table raised its own domain error: plain dicts, each miss translated by
 the accessor that reads it.
@@ -45,6 +47,25 @@ def iter_paths(scenario, state, policies, budget=None):
             path.pop()
         else:
             return
+
+
+def report_menus(structure):
+    """Every feasible-report menu, keyed and ordered as ``engine.report_menus``
+    keys and orders them, in a plain dict."""
+    lattice = structure.lattice
+    menus = {}
+    for aware in lattice.elements:
+        levels = sorted(lattice.down_set(aware), key=lambda x: (len(lattice.down_set(x)), x))
+        for agent in structure.agents:
+            menus[(agent, aware, None, None)] = tuple(
+                t for level in levels for t in structure.space(agent, level))
+            for pooled in levels:
+                above = [level for level in levels if pooled in lattice.down_set(level)]
+                for own in lattice.down_set(pooled):
+                    for last in structure.space(agent, own):
+                        menus[(agent, aware, last, pooled)] = tuple(
+                            t for level in above for t in structure.preimage(agent, last, level))
+    return menus
 
 
 def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:

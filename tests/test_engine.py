@@ -215,6 +215,19 @@ def test_menu_table_matches_the_per_call_rule_on_every_reached_state():
         assert reached
 
 
+def test_report_menus_match_the_reference_build():
+    from test_scenario_io import DIAMOND
+
+    scenarios = [fixture(name) for name in ("example1", "example2", "example4r")]
+    scenarios += [generate_scenario(seed, k, procurement) for seed in (2026, 777, 31)
+                  for k in range(60) for procurement in (False, True)]
+    scenarios.append(parse_scenario(DIAMOND))
+    for s in scenarios:
+        menus, expected = engine.report_menus(s.structure), reference.report_menus(s.structure)
+        assert list(menus) == list(expected), s.name
+        assert list(menus.values()) == list(expected.values()), s.name
+
+
 def reference_advance(scenario, state, reports):
     """The stage rule before the carry-over shortcut, kept as the oracle:
     every stage joins every awareness with the pooled level and re-projects

@@ -4,7 +4,7 @@ import pytest
 
 from elabmech.fixtures import fixture
 from elabmech.generate import generate_scenario
-from elabmech.outcomes import MissingValuation
+from elabmech.outcomes import MissingValuation, OutcomeModel
 from elabmech.scenario import parse_scenario
 
 FINAL1 = ("s1t80", "s2t86", "buabc")
@@ -182,3 +182,27 @@ def test_one_memoized_argmax_matches_the_two_cached_loops():
                                   for x in model.available[level]]
                         ties += scores.count(max(scores)) > 1
     assert ties  # the corpus exercises the tie-break order
+
+
+def _example2_model(change):
+    s = fixture("example2")
+    model = s.outcomes
+    valuations = {key: change(key, v) for key, v in model.valuations.items()}
+    return OutcomeModel(s.structure, model.outcomes, model.available, valuations, model.tie_break)
+
+
+def test_a_float_valuation_is_a_violation_one_line_per_key():
+    floats = list(fixture("example2").outcomes.valuations)[:2]
+    model = _example2_model(lambda key, v: 0.1 if key == floats[0] else
+                            float(v) if key == floats[1] else v)
+    assert model.violations() == [
+        f"valuation ({', '.join(floats[0])}) is 0.1, not an int or Fraction",
+        f"valuation ({', '.join(floats[1])}) is {float(model.valuations[floats[1]])!r}, "
+        f"not an int or Fraction"]
+
+
+def test_int_valuations_become_fractions():
+    model = _example2_model(lambda key, v: int(v))
+    assert model.violations() == []
+    assert model.valuations == fixture("example2").outcomes.valuations
+    assert all(type(v) is Fraction for v in model.valuations.values())

@@ -149,6 +149,49 @@ def test_rational_parsing():
         parse_scenario(MINIMAL.replace("value: solo t x 1", "value: solo t x nope"))
 
 
+def test_a_bad_rational_on_two_lines_names_the_first():
+    lines = FIXTURES["example2"].splitlines()
+    first, second = [n for n, line in enumerate(lines) if line.startswith("value: ")][1:3]
+    for n in (first, second):
+        lines[n] = lines[n].rsplit(" ", 1)[0] + " 1/0"
+    with pytest.raises(ParseError) as err:
+        parse_scenario("\n".join(lines))
+    assert str(err.value) == f"line {first + 1}: bad rational '1/0'"
+
+
+def _token_rationals(text, record):
+    """Each ``record`` line's leading values and its last token as a fresh Fraction."""
+    out = {}
+    for line in text.splitlines():
+        key, _, rest = line.partition(":")
+        if key.strip() == record:
+            *ident, token = rest.split()
+            out[tuple(ident)] = Fraction(token)
+    return out
+
+
+def test_valuations_and_y_entries_are_the_exact_rationals_of_their_tokens():
+    # Distinct tokens of one value share no parse: 1/2, 2/4 and 0.5 stay apart as text.
+    tokens = iter(["1/2", "2/4", "0.5", "-3", "7/4", "1/2", "-3"])
+    varied = "\n".join(line.rsplit(" ", 1)[0] + " " + next(tokens) if line.startswith("y: ")
+                       else line for line in _groves_example2().splitlines())
+    texts = [FIXTURES[name] for name in FIXTURES] + [_groves_example2(), varied, DIAMOND]
+    generated = [generate_scenario(seed, k, procurement) for seed in (2026, 777, 31)
+                 for k in range(60) for procurement in (False, True)]
+    texts += [serialize_scenario(g) for g in generated]
+    for text in texts:
+        s = parse_scenario(text)
+        values, ys = s.outcomes.valuations, s.scheme.y_tables or {}
+        assert dict(values) == _token_rationals(text, "value")
+        assert {(a, level, *opp): v for (a, level, opp), v in ys.items()} == \
+            _token_rationals(text, "y")
+        assert all(type(v) is Fraction for v in (*values.values(), *ys.values()))
+    assert sorted(set(parse_scenario(varied).scheme.y_tables.values())) == \
+        [Fraction(-3), Fraction(1, 2), Fraction(7, 4)]
+    for g in generated:
+        assert parse_scenario(serialize_scenario(g)).outcomes.valuations == g.outcomes.valuations
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse_scenario("stray: line\n")

@@ -5,6 +5,7 @@ bids are 2 and 3, so the pivot payment is 2; the premium for the bidder who
 first announced the pooled level is exactly the margin she could have kept
 by concealing (winning at 2 against 1 instead of losing), which is 1.
 """
+from collections import Counter
 from fractions import Fraction
 from itertools import islice, product
 
@@ -525,6 +526,39 @@ def test_rspa_premium_simplified_cross_check_rejects_when_assumption_fails():
     mech = Mechanism(s, flagged)
     with pytest.raises(ValueError):
         mech.premium("s1", "hi")
+
+
+def _first_diamond(procurement):
+    return next(s for k in range(60)
+                if (s := generate_scenario(2026, k, procurement)).lattice.elements == DIAMOND)
+
+
+@pytest.mark.parametrize("name", ["example1", "clarke-diamond", "rspa-diamond",
+                                  "rspa-diamond-simplified"])
+def test_one_premium_call_builds_each_premium_free_list_once(name, monkeypatch):
+    s = fixture(name) if name == "example1" else _first_diamond("rspa" in name)
+    scheme = s.scheme._replace(simplified_premium_ok=name.endswith("simplified"))
+    calls = Counter()
+    transfer = Mechanism._transfer
+
+    def counted(self, agent, level, final, settled):
+        calls[(agent, level)] += 1
+        return transfer(self, agent, level, final, settled)
+
+    monkeypatch.setattr(Mechanism, "_transfer", counted)
+    for agent in s.agents:
+        calls.clear()
+        mech = Mechanism(s, scheme)
+        try:
+            mech.premium(agent, s.lattice.top)
+        except transfers.PremiumAssumptionFails:
+            assert scheme.simplified_premium_ok
+        if agent == scheme.buyer:
+            assert not calls
+            continue
+        # Every level lies below the top, so the recursion reads each level's list.
+        assert calls == {(agent, level): len(list(s.structure.profiles(level)))
+                         for level in s.lattice.elements}, (name, agent)
 
 
 def test_transcript_not_stopped_rejected():
