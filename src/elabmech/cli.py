@@ -97,7 +97,8 @@ def _apply_scheme(scenario: Scenario, kind: str | None) -> Scenario:
 def _script_strategies(path: str, scenario: Scenario):
     """Policies playing a script of ``agent stage report`` lines, and the line
     number of every scripted (agent, stage) the play has not consulted yet.
-    An infeasible scripted report is a ParseError naming its line."""
+    An infeasible scripted report is a ParseError naming its line, and a truthful
+    one that a scripted report made infeasible names the agent's last line."""
     script: dict[tuple[str, int], tuple[str, int]] = {}
     for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -116,13 +117,20 @@ def _script_strategies(path: str, scenario: Scenario):
                              f"scripted on line {script[key][1]}")
         script[key] = (report, lineno)
     unused = {key: lineno for key, (_, lineno) in script.items()}
+    consulted: dict[str, int] = {}  # agent -> line of its last consulted report
 
     def policy(scenario: Scenario, state: engine.PlayState, agent: str) -> str:
         key = (agent, state.stage)
         unused.pop(key, None)
         if key not in script:
-            return state.perceived[scenario.structure.agent_position[agent]]
+            truth = state.perceived[scenario.structure.agent_position[agent]]
+            if agent in consulted and truth not in engine.feasible_reports(scenario, state, agent):
+                raise ParseError(f"{path}: line {consulted[agent]}: after this line {agent} "
+                                 f"cannot report its perceived type {truth} at unscripted "
+                                 f"stage {state.stage}")
+            return truth
         report, lineno = script[key]
+        consulted[agent] = lineno
         if report not in engine.feasible_reports(scenario, state, agent):
             raise ParseError(f"{path}: line {lineno}: {agent} cannot report {report} "
                              f"at stage {state.stage}")

@@ -152,17 +152,17 @@ def state_key(scenario: Scenario, state: PlayState) -> tuple:
 def initial_state(scenario: Scenario, game_level: str, true_profile: tuple[str, ...],
                   awareness: tuple[str, ...]) -> PlayState:
     structure = scenario.structure
-    lattice = structure.lattice
-    effective = tuple(lattice.meet(a, game_level) for a in awareness)
-    perceived = tuple(structure.project(agent, t, eff)
-                      for agent, t, eff in zip(structure.agents, true_profile, effective))
-    return PlayState(true_profile, effective, perceived, (), (), False)
+    meets, projections = structure.lattice.meet_table, structure.projection_table
+    effective = tuple([meets[(a, game_level)] for a in awareness])
+    perceived = tuple([projections[(agent, t, eff)]
+                       for agent, t, eff in zip(structure.agents, true_profile, effective)])
+    return _record(PlayState, (true_profile, effective, perceived, (), (), False))
 
 
 def state_from_draw(scenario: Scenario, draw: NatureDraw, partial_level: str) -> PlayState:
     structure = scenario.structure
-    profile = tuple(structure.project(agent, t, partial_level)
-                    for agent, t in zip(structure.agents, draw.true_types))
+    profile = tuple([structure.projection_table[(agent, t, partial_level)]
+                     for agent, t in zip(structure.agents, draw.true_types)])
     return initial_state(scenario, partial_level, profile, draw.awareness)
 
 
@@ -280,11 +280,14 @@ def report_profiles(scenario: Scenario, state: PlayState,
 
     This is the one place that dispatches a policy: FREE offers every
     feasible report, TRUTH (the default) the current perceived type, and a
-    callable ``(scenario, state, agent) -> report`` its one report.  A play
+    callable ``(scenario, state, agent) -> report`` its one report; with no
+    policies the one profile is ``state.perceived``, undispatched.  A play
     still running past :func:`max_stages` is a protocol failure.
     """
     if len(state.history) >= max_stages(scenario):
         raise AssertionError("protocol failed to stop within the stage cap")
+    if not policies:  # every agent tells the truth
+        return iter((state.perceived,))
     menus = []
     for i, agent in enumerate(scenario.structure.agents):
         policy = policies.get(agent, TRUTH)

@@ -6,9 +6,10 @@ exact utility or welfare gap; a result holds exactly when it has no
 witness.  No numerical tolerance appears anywhere; all comparisons are exact
 over rationals.  Participation and dominance are checked for the agents of
 :func:`transfers.bidders`.  Checks are pure functions of their scenario,
-which they write only by filling its argmax memo: distinct (property, draw,
-level) cells may be fanned out to parallel workers and their results merged
-in any order.
+which they write only by filling its argmax memo (the outcome and target
+caches of :func:`check_pooled_implementation` are local to one call):
+distinct (property, draw, level) cells may be fanned out to parallel workers
+and their results merged in any order.
 
 :data:`PROPERTIES` is the one rule for which property applies under which
 scheme kind, and :func:`check` its one guard; a ``check_*`` assumes it applies.
@@ -65,7 +66,7 @@ memory, 64,930 entries on ``example1``.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate, product
 from typing import Iterable, Iterator, NamedTuple
 
@@ -148,22 +149,24 @@ def check_efficiency(scenario: Scenario) -> VerificationResult:
 
 def check_pooled_implementation(scenario: Scenario, scheme: SchemeConfig) -> VerificationResult:
     """Truthful play implements the outcome of the true profile projected to
-    the agents' pooled awareness, for every nature draw."""
+    the agents' pooled awareness, for every nature draw.  Each distinct
+    profile is settled once, and each true profile's target once per pooled
+    level, when a draw first needs it."""
     mech = Mechanism(scenario, scheme)
     witnesses = []
     checked = 0
     structure = scenario.structure
     top = scenario.lattice.top
+    settle = cache(lambda profile: scheme_outcome(scenario, scheme, profile)[0])
+    target_of = cache(lambda true_profile, pooled: settle(tuple(
+        structure.project(agent, t, pooled) for agent, t in zip(structure.agents, true_profile))))
     for true_profile in structure.profiles(top):
         for awareness in product(scenario.lattice.elements, repeat=len(scenario.agents)):
             checked += 1
             draw = NatureDraw(true_profile, awareness)
             transcript = mech.run(draw, top)
-            implemented = scheme_outcome(scenario, scheme, transcript.final)[0]
-            pooled = scenario.lattice.join_all(awareness)
-            target_profile = tuple(structure.project(agent, t, pooled)
-                                   for agent, t in zip(structure.agents, true_profile))
-            target = scheme_outcome(scenario, scheme, target_profile)[0]
+            implemented = settle(transcript.final)
+            target = target_of(true_profile, scenario.lattice.join_all(awareness))
             if implemented != target:
                 witnesses.append(Witness(
                     f"draw {true_profile} at awareness {awareness}: implemented {implemented}, "

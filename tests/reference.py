@@ -10,16 +10,24 @@ levels above each pooled level again for every agent, as the engine once did.
 :class:`CheckedAccessors` keeps the lookups as they were before every
 table raised its own domain error: plain dicts, each miss translated by
 the accessor that reads it.
+
+The truthful-run checks are kept as they were before each outcome was
+settled once per check: :func:`check_pooled_implementation` settles both
+outcomes of every draw, and it and :func:`check_stage_bound` play through
+:func:`initial_state`, which reads the ``meet`` and ``project`` accessors,
+and :func:`report_profiles`, which dispatches every agent's policy even when
+there is none.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
-from elabmech import engine
+from elabmech import engine, verify
 from elabmech.lattice import UnknownLevel
 from elabmech.outcomes import MissingValuation
-from elabmech.transfers import opponent_profile
-from elabmech.typespace import LevelNotBelow, UnknownType
+from elabmech.transfers import STATIC_VICKREY, opponent_profile, scheme_outcome
+from elabmech.typespace import LevelNotBelow, NatureDraw, UnknownType
 
 
 def iter_paths(scenario, state, policies, budget=None):
@@ -273,3 +281,88 @@ class CheckedAccessors:
         except KeyError:
             raise UnknownType(f"{agent}: {report}") from None
         return recipient
+
+
+def initial_state(scenario, game_level, true_profile, awareness):
+    structure = scenario.structure
+    lattice = structure.lattice
+    effective = tuple(lattice.meet(a, game_level) for a in awareness)
+    perceived = tuple(structure.project(agent, t, eff)
+                      for agent, t, eff in zip(structure.agents, true_profile, effective))
+    return engine.PlayState(true_profile, effective, perceived, (), (), False)
+
+
+def report_profiles(scenario, state, policies):
+    if len(state.history) >= engine.max_stages(scenario):
+        raise AssertionError("protocol failed to stop within the stage cap")
+    menus = []
+    for i, agent in enumerate(scenario.structure.agents):
+        policy = policies.get(agent, engine.TRUTH)
+        if policy == engine.FREE:
+            menus.append(engine.feasible_reports(scenario, state, agent))
+        elif policy == engine.TRUTH:
+            menus.append((state.perceived[i],))
+        else:
+            menus.append((policy(scenario, state, agent),))
+    return product(*menus)
+
+
+def truthful_path(scenario, state):
+    path = [state]
+    while not state.stopped:
+        state = engine.advance(scenario, state, next(report_profiles(scenario, state, {})))
+        path.append(state)
+    return path
+
+
+def run(scenario, scheme, draw, partial_level):
+    """``Mechanism.run`` without strategies, from the states built above."""
+    structure = scenario.structure
+    profile = tuple(structure.project(agent, t, partial_level)
+                    for agent, t in zip(structure.agents, draw.true_types))
+    state = initial_state(scenario, partial_level, profile, draw.awareness)
+    if scheme.kind == STATIC_VICKREY:
+        state = engine.advance(scenario, state, state.perceived)
+        return engine.Transcript(state.history, state.pooled, True)
+    return engine.transcript(truthful_path(scenario, state)[-1])
+
+
+def check_pooled_implementation(scenario, scheme):
+    witnesses = []
+    checked = 0
+    structure = scenario.structure
+    top = scenario.lattice.top
+    for true_profile in structure.profiles(top):
+        for awareness in product(scenario.lattice.elements, repeat=len(scenario.agents)):
+            checked += 1
+            draw = NatureDraw(true_profile, awareness)
+            transcript = run(scenario, scheme, draw, top)
+            implemented = scheme_outcome(scenario, scheme, transcript.final)[0]
+            pooled = scenario.lattice.join_all(awareness)
+            target_profile = tuple(structure.project(agent, t, pooled)
+                                   for agent, t in zip(structure.agents, true_profile))
+            target = scheme_outcome(scenario, scheme, target_profile)[0]
+            if implemented != target:
+                witnesses.append(verify.Witness(
+                    f"draw {true_profile} at awareness {awareness}: implemented {implemented}, "
+                    f"pooled-awareness target {target}",
+                    {"true_types": list(true_profile), "awareness": list(awareness),
+                     "stages": [list(s) for s in transcript.stages],
+                     "implemented": implemented, "target": target}))
+    return verify.VerificationResult("pooled-implementation", witnesses, checked)
+
+
+def check_stage_bound(scenario):
+    witnesses = []
+    checked = 0
+    for level in scenario.lattice.elements:
+        for profile, awareness in verify._partial_draws(scenario, level):
+            checked += 1
+            state = initial_state(scenario, level, profile, awareness)
+            state = truthful_path(scenario, state)[-1]
+            if len(state.history) > verify.STAGE_BOUND:
+                witnesses.append(verify.Witness(
+                    f"truthful run took {len(state.history)} stages at level {level}",
+                    {"level": level, "profile": list(profile), "awareness": list(awareness),
+                     "stages": [list(s) for s in state.history]}))
+    return verify.VerificationResult("stage-bound", witnesses, checked)

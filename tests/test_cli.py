@@ -366,6 +366,19 @@ def test_run_script_rejects_every_line_under_the_static_scheme(tmp_path, capsys)
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("text, lineno, stage", [("a1 1 a1lo1\n", 1, 2),
+                                                  ("a1 1 a1lo1\na1 2 a1hi1\n", 2, 3)])
+def test_a_scripted_lie_makes_the_truthful_fallback_bad_input(tmp_path, capsys, text, lineno,
+                                                              stage):
+    # a1 perceives a1hi2, which elaborates neither a1lo1 nor a1hi1
+    assert _run_script(tmp_path, text) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {tmp_path / 'script.txt'}: line {lineno}: after this line a1 cannot report "
+        f"its perceived type a1hi2 at unscripted stage {stage}"]
+
+
 def test_verify_dominance_under_the_static_scheme_exits_two(capsys):
     assert main(["verify", "example2", "--scheme", "static_vickrey",
                  "--property", "dominance"]) == 2

@@ -6,7 +6,8 @@ from elabmech import engine, transfers, verify
 from elabmech.fixtures import fixture
 from elabmech.generate import generate_scenario
 from elabmech.scenario import parse_scenario
-from elabmech.typespace import LevelNotBelow, NatureDraw
+from elabmech.lattice import UnknownLevel
+from elabmech.typespace import LevelNotBelow, NatureDraw, UnknownType
 
 import reference
 
@@ -226,6 +227,52 @@ def test_report_menus_match_the_reference_build():
         menus, expected = engine.report_menus(s.structure), reference.report_menus(s.structure)
         assert list(menus) == list(expected), s.name
         assert list(menus.values()) == list(expected.values()), s.name
+
+
+def settled(call, *args):
+    """What ``call(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return call(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
+def truthful_corpus():
+    """The fixtures and ``generate_scenario(seed, k < 40)`` of both kinds for
+    seeds 2026, 777 and 31: the corpus of the truthful-run differentials."""
+    return ([fixture(name) for name in ("example1", "example2", "example4r")]
+            + [generate_scenario(seed, k, procurement) for seed in (2026, 777, 31)
+               for procurement in (False, True) for k in range(40)])
+
+
+def test_policy_free_steps_and_initial_states_match_the_reference():
+    for s in truthful_corpus():
+        for level in s.lattice.elements:
+            for profile, awareness in verify._partial_draws(s, level):
+                state = settled(engine.initial_state, s, level, profile, awareness)
+                assert state == settled(reference.initial_state, s, level, profile, awareness)
+                if type(state) is not engine.PlayState:
+                    continue
+                for node in engine.truthful_path(s, state)[:-1]:
+                    assert (list(engine.report_profiles(s, node, {}))
+                            == list(reference.report_profiles(s, node, {})) == [node.perceived])
+                capped = state._replace(history=(state.perceived,) * s.stage_cap)
+                with pytest.raises(AssertionError, match="stage cap"):
+                    engine.report_profiles(s, capped, {})
+
+
+def test_initial_state_raises_as_the_reference_on_bad_input():
+    s = fixture("example2")
+    top, bottom = s.lattice.top, s.lattice.bottom
+    high, low = next(s.structure.profiles(top)), next(s.structure.profiles(bottom))
+    cases = [(UnknownLevel, ("zz", high, (top, top))),
+             (UnknownLevel, (top, high, (top, "zz"))),
+             (UnknownType, (top, ("a1zz", high[1]), (top, top))),
+             (LevelNotBelow, (top, low, (top, top)))]  # awareness above the types' level
+    for error, args in cases:
+        fast = settled(engine.initial_state, s, *args)
+        assert fast == settled(reference.initial_state, s, *args)
+        assert fast[0] is error, args
 
 
 def reference_advance(scenario, state, reports):

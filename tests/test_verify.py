@@ -12,7 +12,7 @@ from elabmech.scenario import parse_scenario
 from elabmech.transfers import Mechanism, SchemeConfig, bidders
 
 import reference
-from test_engine import payoff_summary
+from test_engine import payoff_summary, settled
 from test_generate import generate_on
 
 
@@ -655,6 +655,65 @@ def test_truthful_run_checks_keep_their_counts(name):
         assert (result.checked, len(result.witnesses)) == want
     assert verify.check_stage_bound(s).checked == stage_bound
     assert verify.check_pooled_implementation(s, s.scheme).checked == pooled
+
+
+def _assert_truthful_run_checks_match_the_reference(s, monkeypatch):
+    assert (settled(verify.check_pooled_implementation, s, s.scheme)
+            == settled(reference.check_pooled_implementation, s, s.scheme))
+    assert settled(verify.check_stage_bound, s) == settled(reference.check_stage_bound, s)
+    modes = ("ex_post", "ex_ante_anticipated")
+    fast = [settled(verify.check_participation, s, s.scheme, mode) for mode in modes]
+    with monkeypatch.context() as m:
+        m.setattr(engine, "initial_state", reference.initial_state)
+        m.setattr(engine, "report_profiles", reference.report_profiles)
+        assert fast == [settled(verify.check_participation, s, s.scheme, mode) for mode in modes]
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example4r"])
+def test_truthful_run_checks_match_the_reference_on_the_fixtures(name, monkeypatch):
+    s = fixture(name)
+    _assert_truthful_run_checks_match_the_reference(s, monkeypatch)
+    static = s.scheme._replace(kind=transfers.STATIC_VICKREY)
+    result = verify.check_pooled_implementation(s, static)
+    assert result == reference.check_pooled_implementation(s, static)
+    if name == "example2":
+        assert not result.holds
+
+
+@pytest.mark.parametrize("seed", [2026, 777, 31])
+@pytest.mark.parametrize("procurement", [False, True], ids=["clarke", "rspa"])
+def test_truthful_run_checks_match_the_reference_on_generated_scenarios(seed, procurement,
+                                                                        monkeypatch):
+    for k in range(40):
+        _assert_truthful_run_checks_match_the_reference(
+            generate_scenario(seed, k, procurement), monkeypatch)
+
+
+def test_mutant_settling_on_the_first_stage_is_killed_by_pooled_implementation(monkeypatch):
+    s = fixture("example2")
+    assert verify.check_pooled_implementation(s, s.scheme).holds
+    advance = engine.advance
+    monkeypatch.setattr(engine, "advance", lambda scenario, state, reports:
+                        advance(scenario, state, reports)._replace(stopped=True))
+    result = verify.check_pooled_implementation(s, s.scheme)
+    assert not result.holds
+    assert result.witnesses[0].replay["stages"] == [["a1hi1", "a2lo"]]
+
+
+def test_mutant_stop_rule_waiting_for_a_second_repeat_is_killed_by_stage_bound(monkeypatch):
+    s = fixture("example2")
+    assert verify.check_stage_bound(s).holds
+    advance = engine.advance
+
+    def waits(scenario, state, reports):
+        after = advance(scenario, state, reports)
+        h = after.history
+        return after._replace(stopped=len(h) > 2 and h[-1] == h[-2] == h[-3])
+
+    monkeypatch.setattr(engine, "advance", waits)
+    result = verify.check_stage_bound(s)
+    assert not result.holds
+    assert result.witnesses[0].description == "truthful run took 4 stages at level hi"
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
