@@ -149,12 +149,13 @@ def cmd_run(args) -> int:
     if args.strategy != "truth":
         strategies, unused = _script_strategies(args.strategy, scenario)
     mech = Mechanism(scenario, scenario.scheme)
-    transcript = mech.run(draw, partial, strategies)
+    path = mech.run(draw, partial, strategies)
+    transcript = engine.transcript(path)
     if unused:
         (agent, stage), lineno = next(iter(unused.items()))
         raise ParseError(f"{args.strategy}: line {lineno}: {agent} stage {stage} was never "
                          f"consulted (the play ended after stage {transcript.n_stages})")
-    report = mech.report(transcript)
+    report = mech.report(path[-1])
     print(f"scenario: {scenario.name}   scheme: {scenario.scheme.kind}   "
           f"partial game: {partial}")
     for stage, (profile, pooled) in enumerate(zip(transcript.stages, transcript.pooled), 1):

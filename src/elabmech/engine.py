@@ -15,10 +15,11 @@ tabulates every such menu once per scenario.
 :func:`report_profiles` is the one place that expands a running state: it
 dispatches the per-agent policies and enforces the stage cap.  On it stand
 the two walks: :func:`iter_completions`, one explicit stack over the play
-tree that hands each terminal straight to its caller, and
-:func:`truthful_path` along the first play.  The dominance check's dynamic
-program expands states through :func:`report_profiles` too, keyed on
-:func:`state_key`.
+tree that hands each play's path of states straight to its caller, and
+:func:`truthful_path` along the first play.  A state holds no history:
+:func:`transcript` builds a play's stages from such a path where they are
+shown.  The dominance check's dynamic program expands states through
+:func:`report_profiles` too, keyed on :func:`state_key`.
 
 All state is immutable: :class:`PlayState` and :class:`Transcript` are
 NamedTuples, equal and hashing alike exactly when their fields do, so
@@ -50,20 +51,13 @@ class StrategySpaceTooLarge(Exception):
 
 
 class Transcript(NamedTuple):
-    """The record of a play: each stage's report profile, each stage's
-    pooled level, and whether the play stopped.  An immutable NamedTuple."""
+    """The display record of a play: each stage's report profile, each
+    stage's pooled level, and whether the play stopped.  An immutable
+    NamedTuple, built by :func:`transcript` only where stages are shown."""
 
     stages: tuple[tuple[str, ...], ...]
     pooled: tuple[str, ...]
     stopped: bool
-
-    @property
-    def final(self) -> tuple[str, ...]:
-        return self.stages[-1]
-
-    @property
-    def final_pooled(self) -> str:
-        return self.pooled[-1]
 
     @property
     def n_stages(self) -> int:
@@ -71,36 +65,46 @@ class Transcript(NamedTuple):
 
 
 class PlayState(NamedTuple):
-    """One running or stopped play, as an immutable NamedTuple.
+    """One running or stopped play, as an immutable NamedTuple: the true
+    profile, perceived types, the stage about to be played (1 before the
+    first), the last report profile and its pooled ``level`` (None before
+    the first stage), awareness, the premium recipient of that level, and
+    whether the play stopped.
 
     Every state that :func:`initial_state` or :func:`advance` builds keeps
     two invariants, which let :func:`advance` skip work that cannot change:
 
     (I1) ``perceived[i]`` is ``project(agent_i, true_profile[i], awareness[i])``,
          read from ``TypeStructure.projection_table``;
-    (I2) after any stage, ``awareness[i]`` lies weakly above ``pooled[-1]``,
+    (I2) after any stage, ``awareness[i]`` lies weakly above ``level``,
          because it was just joined with it.
 
-    For a fixed true profile, :func:`state_key` fixes the whole subtree
-    below a state, payoffs included.  Menus, :func:`advance`, the stop rule,
-    the stage cap and :func:`plan_policy` read only the stage, the last
-    report profile, the last pooled level and awareness, and by (I1)
-    perceived types follow from awareness.  A settlement reads the final
-    profile, the final pooled level and the premium recipient; the
-    recipient of a later pooled level is fixed by the stage that reaches it,
-    and while the level stays it is the current one's, which the key holds.
+    The recipient of a pooled level is the one agent who reported a type at
+    it at the first stage that reached it, or None when two or more agents
+    tie there.  Along a feasible play pooled levels never fall and no report
+    lies above its stage's pooled level, so a first report at a pooled level
+    can only be made at the first stage whose pooled level it is; if nobody
+    makes one there, every agent reaches the level together at the next
+    stage, which is a tie.  So :func:`advance` applies the rule when the
+    pooled level changes and keeps the recipient while it stays.
+
+    Everything from ``stage`` on is :func:`state_key`: for a fixed true
+    profile it fixes the whole subtree below a state, payoffs included.
+    Menus, :func:`advance`, the stop rule, the stage cap and
+    :func:`plan_policy` read only the stage, the last report profile, the
+    pooled level and awareness, and by (I1) perceived types follow from
+    awareness.  A settlement reads the final profile, the final pooled level
+    and its recipient.
     """
 
     true_profile: tuple[str, ...]
-    awareness: tuple[str, ...]
     perceived: tuple[str, ...]
-    history: tuple[tuple[str, ...], ...]
-    pooled: tuple[str, ...]
+    stage: int
+    last: tuple[str, ...] | None
+    level: str | None
+    awareness: tuple[str, ...]
+    recipient: str | None
     stopped: bool
-
-    @property
-    def stage(self) -> int:
-        return len(self.history) + 1
 
 
 # ``_record(PlayState, fields)`` builds the record in C, skipping its Python ``__new__``.
@@ -123,30 +127,10 @@ class PlayBudget:
             raise StrategySpaceTooLarge(self.bound)
 
 
-def pooled_recipient(structure: TypeStructure, stages: tuple[tuple[str, ...], ...],
-                     pooled: tuple[str, ...]) -> str | None:
-    """The one agent reporting at the last pooled level at the first stage
-    that reached it, or None when no agent or several do.  Report levels
-    are read from ``TypeStructure.level_table``, which raises UnknownType."""
-    target = pooled[-1]
-    levels = structure.level_table
-    recipient = None
-    for agent, report in zip(structure.agents, stages[pooled.index(target)]):
-        if levels[(agent, report)] == target:
-            if recipient is not None:
-                return None
-            recipient = agent
-    return recipient
-
-
 def state_key(scenario: Scenario, state: PlayState) -> tuple:
-    """The payoff-sufficient key of ``state`` (see :class:`PlayState`): its
-    awareness at the first stage; later (stage, last report profile, last
-    pooled level, awareness, recipient of the last pooled level, stopped)."""
-    if not state.history:
-        return state.awareness
-    return (state.stage, state.history[-1], state.pooled[-1], state.awareness,
-            pooled_recipient(scenario.structure, state.history, state.pooled), state.stopped)
+    """The payoff-sufficient key of ``state`` (see :class:`PlayState`): (stage,
+    last report profile, pooled level, awareness, recipient, stopped)."""
+    return state[2:]
 
 
 def initial_state(scenario: Scenario, game_level: str, true_profile: tuple[str, ...],
@@ -156,7 +140,7 @@ def initial_state(scenario: Scenario, game_level: str, true_profile: tuple[str, 
     effective = tuple([meets[(a, game_level)] for a in awareness])
     perceived = tuple([projections[(agent, t, eff)]
                        for agent, t, eff in zip(structure.agents, true_profile, effective)])
-    return _record(PlayState, (true_profile, effective, perceived, (), (), False))
+    return _record(PlayState, (true_profile, perceived, 1, None, None, effective, None, False))
 
 
 def state_from_draw(scenario: Scenario, draw: NatureDraw, partial_level: str) -> PlayState:
@@ -196,10 +180,9 @@ def report_menus(structure: TypeStructure) -> Table:
 
 def feasible_reports(scenario: Scenario, state: PlayState, agent: str) -> tuple[str, ...]:
     i = scenario.structure.agent_position[agent]
-    history = state.history
-    if history:
-        return scenario.menus[(agent, state.awareness[i], history[-1][i], state.pooled[-1])]
-    return scenario.menus[(agent, state.awareness[i], None, None)]
+    last = state.last
+    return scenario.menus[(agent, state.awareness[i],
+                          None if last is None else last[i], state.level)]
 
 
 def advance(scenario: Scenario, state: PlayState, reports: tuple[str, ...]) -> PlayState:
@@ -209,12 +192,14 @@ def advance(scenario: Scenario, state: PlayState, reports: tuple[str, ...]) -> P
     One pass over the agents checks each report against its menu, then
     joins its level into the pooled level, so an undeclared report is an
     :class:`InfeasibleReport`.  By (I2) a pooled level equal to the last one
-    raises nobody's awareness, so awareness and perceived types carry over;
-    by (I1) a new pooled level re-projects the true types only when it raised
-    some awareness.  An awareness above a true type's own level, which a
-    caller of :func:`initial_state` can bring about, raises LevelNotBelow.
+    raises nobody's awareness and keeps its recipient, so awareness,
+    perceived types and the recipient carry over; a new pooled level takes
+    the recipient rule of :class:`PlayState`, and by (I1) re-projects the
+    true types only when it raised some awareness.  An awareness above a
+    true type's own level, which a caller of :func:`initial_state` can bring
+    about, raises LevelNotBelow.
     """
-    true_profile, awareness, perceived, history, pooled_levels, stopped = state
+    true_profile, perceived, stage, last, pooled_before, awareness, recipient, stopped = state
     if stopped:
         raise InfeasibleReport("play already stopped")
     structure = scenario.structure
@@ -228,19 +213,25 @@ def advance(scenario: Scenario, state: PlayState, reports: tuple[str, ...]) -> P
             raise InfeasibleReport(f"{agent}: {report}")
         level = levels[(agent, report)]
         pooled = level if pooled is None else joins[(pooled, level)]
-    if not history or pooled != pooled_levels[-1]:
+    if pooled != pooled_before:
         joined = tuple([joins[(a, pooled)] for a in awareness])
         if joined != awareness:
             awareness, projections = joined, structure.projection_table
             perceived = tuple([projections[(agent, t, a)] for agent, t, a
                                in zip(agents, true_profile, joined)])
-    stopped = bool(history) and reports == history[-1]
-    return _record(PlayState, (true_profile, awareness, perceived, history + (reports,),
-                               pooled_levels + (pooled,), stopped))
+        reporters = [agent for agent, report in zip(agents, reports)
+                     if levels[(agent, report)] == pooled]
+        recipient = reporters[0] if len(reporters) == 1 else None
+    return _record(PlayState, (true_profile, perceived, stage + 1, reports, pooled, awareness,
+                               recipient, reports == last))
 
 
-def transcript(state: PlayState) -> Transcript:
-    return _record(Transcript, (state.history, state.pooled, state.stopped))
+def transcript(path: list[PlayState]) -> Transcript:
+    """The display record of the play whose states ``path`` lists, its
+    initial state first."""
+    played = path[1:]
+    return _record(Transcript, (tuple([s.last for s in played]),
+                                tuple([s.level for s in played]), path[-1].stopped))
 
 
 def max_stages(scenario: Scenario) -> int:
@@ -260,17 +251,17 @@ def truthful_path(scenario: Scenario, state: PlayState,
 
 
 def run(scenario: Scenario, draw: NatureDraw, partial_level: str,
-        strategies: Mapping[str, object] | None = None) -> Transcript:
-    """Play the partial game to completion; agents without a strategy tell the truth."""
-    return transcript(truthful_path(scenario, state_from_draw(scenario, draw, partial_level),
-                                    strategies)[-1])
+        strategies: Mapping[str, object] | None = None) -> list[PlayState]:
+    """Every state of the partial game's play, the initial state first and the
+    terminal last; agents without a strategy tell the truth."""
+    return truthful_path(scenario, state_from_draw(scenario, draw, partial_level), strategies)
 
 
-def run_single_stage(scenario: Scenario, draw: NatureDraw, partial_level: str) -> Transcript:
-    """Degenerate static protocol: one truthful report round, no feedback."""
+def run_single_stage(scenario: Scenario, draw: NatureDraw, partial_level: str) -> list[PlayState]:
+    """Degenerate static protocol: one truthful report round, no feedback,
+    as the path of :func:`run`."""
     state = state_from_draw(scenario, draw, partial_level)
-    state = advance(scenario, state, state.perceived)
-    return Transcript(state.history, state.pooled, True)
+    return [state, advance(scenario, state, state.perceived)._replace(stopped=True)]
 
 
 def report_profiles(scenario: Scenario, state: PlayState,
@@ -284,7 +275,7 @@ def report_profiles(scenario: Scenario, state: PlayState,
     policies the one profile is ``state.perceived``, undispatched.  A play
     still running past :func:`max_stages` is a protocol failure.
     """
-    if len(state.history) >= max_stages(scenario):
+    if state.stage > max_stages(scenario):
         raise AssertionError("protocol failed to stop within the stage cap")
     if not policies:  # every agent tells the truth
         return iter((state.perceived,))
@@ -301,37 +292,40 @@ def report_profiles(scenario: Scenario, state: PlayState,
 
 
 def iter_completions(scenario: Scenario, state: PlayState, policies: Mapping[str, object],
-                     budget: PlayBudget | None = None) -> Iterator[PlayState]:
-    """The terminal of every play from ``state`` under the policies of
-    :func:`report_profiles`, depth first, report profiles in ``product``
-    order, each charged to ``budget`` before it is yielded.  The stage cap's
-    ``AssertionError`` comes from :func:`report_profiles`, an
-    :class:`InfeasibleReport` from :func:`advance` and
-    :class:`StrategySpaceTooLarge` from :meth:`PlayBudget.charge`.  Every
-    feasible report path is realized by some strategy profile and vice
-    versa, so walking plays is outcome-equivalent to walking strategies.
+                     budget: PlayBudget | None = None) -> Iterator[list[PlayState]]:
+    """Every play from ``state`` under the policies of :func:`report_profiles`,
+    as the list of its states, ``state`` first and the terminal last: depth
+    first, report profiles in ``product`` order, each charged to ``budget``
+    before it is yielded.  The stage cap's ``AssertionError`` comes from
+    :func:`report_profiles`, an :class:`InfeasibleReport` from
+    :func:`advance` and :class:`StrategySpaceTooLarge` from
+    :meth:`PlayBudget.charge`.  Every feasible report path is realized by
+    some strategy profile and vice versa, so walking plays is
+    outcome-equivalent to walking strategies.
 
     One explicit stack holds each running state of the current path with
     its untried report profiles, which are drawn as soon as :func:`advance`
-    builds the state; a terminal goes straight to the caller."""
+    builds the state; a play goes straight to the caller, as a fresh list."""
     if state.stopped:
         if budget is not None:
             budget.charge()
-        yield state
+        yield [state]
         return
-    stack = [(state, report_profiles(scenario, state, policies))]
+    path, stack = [state], [report_profiles(scenario, state, policies)]
     while stack:
-        parent, untried = stack[-1]
-        for reports in untried:
+        parent = path[-1]
+        for reports in stack[-1]:
             state = advance(scenario, parent, reports)
             if not state.stopped:
-                stack.append((state, report_profiles(scenario, state, policies)))
+                path.append(state)
+                stack.append(report_profiles(scenario, state, policies))
                 break
             if budget is not None:
                 budget.charge()
-            yield state
+            yield path + [state]
         else:
             stack.pop()
+            path.pop()
 
 
 def plan_policy(agent: str, reports_by_stage: tuple[str, ...], scenario: Scenario):
@@ -362,8 +356,8 @@ def plan_policy(agent: str, reports_by_stage: tuple[str, ...], scenario: Scenari
         assert owner == agent
         target = schedule[min(state.stage, len(schedule)) - 1]
         level = meets[(target, state.awareness[idx])]
-        if state.history:
-            floor = joins[(levels[(agent, state.history[-1][idx])], state.pooled[-1])]
+        if state.last is not None:
+            floor = joins[(levels[(agent, state.last[idx])], state.level)]
             level = joins[(level, floor)]
         return projections[(agent, final_report, level)]
 

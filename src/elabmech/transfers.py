@@ -1,4 +1,4 @@
-"""Transfer schemes over stopped transcripts.
+"""Transfer schemes over stopped plays.
 
 Four kinds:
 
@@ -20,17 +20,19 @@ level, profile ``coarse`` at it and profile ``fine`` at ``level``, u being
 i's utility in the premium-free settlement, so the premium and the
 settlement share one premium-free transfer.  Groves and clarke value
 coarse's outcome at i's type in ``fine``, rspa at hers in ``coarse``.  The
-premium goes to the unique first reporter of the final pooled level.  Under
+premium goes to the unique first reporter of the final pooled level, the
+recipient that :class:`engine.PlayState` carries.  Under
 groves/clarke every other agent funds an equal share, keeping the adjustment
 terms budget neutral; under rspa the buyer pays and non-recipients owe nothing.
 
 A settlement therefore reads only its payoff summary: the final profile,
-the final pooled level and the premium recipient.  :func:`transfer_report`
-finds that summary once per transcript, and :class:`Mechanism` is the one
-settlement object: it holds the memo of premia and of settlements keyed on
-the summary, so the many transcripts that share a summary are settled once;
-the reports it hands out are shared and read-only.  :meth:`Mechanism.run`
-picks the protocol a scheme plays, and :func:`bidders` whose incentives count.
+the final pooled level and the premium recipient, all three fields of the
+stopped state.  :func:`transfer_report` reads that summary, and
+:class:`Mechanism` is the one settlement object: it holds the memo of premia
+and of settlements keyed on the summary, so the many plays that share a
+summary are settled once; the reports it hands out are shared and read-only.
+:meth:`Mechanism.run` picks the protocol a scheme plays, and :func:`bidders`
+whose incentives count.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from . import engine
-from .engine import Transcript
+from .engine import PlayState
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -146,20 +148,13 @@ def clarke_y(scenario: Scenario, agent: str, profile: tuple[str, ...]) -> Fracti
     return -scenario.outcomes.opponents_welfare(agent, restricted, profile)
 
 
-def first_pooled_reporter(scenario: Scenario, transcript: Transcript) -> str | None:
-    """The unique agent who first reported a type at the final pooled level,
-    or None when two or more agents tie there.
-
-    The domain is the stopped transcripts of feasible plays.  Along such a
-    play pooled levels never fall and no report lies above its stage's
-    pooled level, so a first report at the final pooled level can only be
-    made at the first stage whose pooled level is final.  If nobody makes
-    one there, every agent reaches the level together at the next stage,
-    which is a tie.
-    """
-    if not transcript.stopped:
+def first_pooled_reporter(scenario: Scenario, state: PlayState) -> str | None:
+    """The unique agent who first reported a type at the final pooled level
+    of the stopped ``state``, or None when two or more agents tie there: its
+    ``recipient``, by the rule of :class:`engine.PlayState`."""
+    if not state.stopped:
         raise TranscriptNotStopped()
-    return engine.pooled_recipient(scenario.structure, transcript.stages, transcript.pooled)
+    return state.recipient
 
 
 class Mechanism:
@@ -172,7 +167,7 @@ class Mechanism:
     settlement per payoff summary (final profile, final pooled level,
     premium recipient), which is everything a settlement reads.  Entries are
     exact and never change once written, and the reports handed out are
-    shared between transcripts, so callers must treat them as read-only.
+    shared between plays, so callers must treat them as read-only.
     """
 
     def __init__(self, scenario: Scenario, scheme: SchemeConfig):
@@ -185,19 +180,19 @@ class Mechanism:
         return self._compute(agent, level, {})
 
     def run(self, draw: NatureDraw, partial: str,
-            strategies: Mapping[str, object] | None = None) -> Transcript:
-        """The transcript of ``draw`` in the ``partial`` game: one truthful round,
+            strategies: Mapping[str, object] | None = None) -> list[PlayState]:
+        """The path of ``draw``'s play in the ``partial`` game: one truthful round,
         ignoring ``strategies``, under ``static_vickrey``; else :func:`engine.run`."""
         if self.scheme.kind == STATIC_VICKREY:
             return engine.run_single_stage(self.scenario, draw, partial)
         return engine.run(self.scenario, draw, partial, strategies)
 
-    def report(self, transcript: Transcript) -> TransferReport:
-        return transfer_report(self, transcript)
+    def report(self, state: PlayState) -> TransferReport:
+        return transfer_report(self, state)
 
-    def utility(self, transcript: Transcript, agent: str, eval_type: str) -> Fraction:
-        """Quasilinear payoff of the play, valued at ``eval_type``."""
-        rep = self.report(transcript)
+    def utility(self, state: PlayState, agent: str, eval_type: str) -> Fraction:
+        """Quasilinear payoff of the play stopped at ``state``, valued at ``eval_type``."""
+        rep = self.report(state)
         return self.scenario.outcomes.value(agent, eval_type, rep.outcome) + rep.transfers[agent]
 
     def _compute(self, agent: str, level: str, lists: dict[str, list]) -> Fraction:
@@ -289,15 +284,14 @@ def awareness_adjustments(mechanism: Mechanism, level: str,
     return out
 
 
-def transfer_report(mechanism: Mechanism, transcript: Transcript) -> TransferReport:
-    """The settlement of a stopped transcript under ``mechanism``, memoized
-    there on its payoff summary (final profile, final pooled level, premium
-    recipient; the recipient is None under ``static_vickrey``)."""
-    if not transcript.stopped:
-        raise TranscriptNotStopped()
-    recipient = (None if mechanism.scheme.kind == STATIC_VICKREY
-                 else first_pooled_reporter(mechanism.scenario, transcript))
-    return mechanism._settlement(transcript.stages[-1], transcript.pooled[-1], recipient)
+def transfer_report(mechanism: Mechanism, state: PlayState) -> TransferReport:
+    """The settlement of a stopped play under ``mechanism``, memoized there on
+    its payoff summary (final profile, final pooled level, premium
+    recipient; the recipient is None under ``static_vickrey``), which the
+    stopped ``state`` holds."""
+    recipient = first_pooled_reporter(mechanism.scenario, state)
+    return mechanism._settlement(state.last, state.level,
+                                 None if mechanism.scheme.kind == STATIC_VICKREY else recipient)
 
 
 def _settle(mechanism: Mechanism, final: tuple[str, ...], level: str,

@@ -61,13 +61,14 @@ once per distinct step of the check, whichever agent's tables reach it.
 soundness argument.  :func:`engine.report_profiles` still runs on every
 expansion, so the stage cap trips as before, and a step that raises is not
 stored.  The table lives until the check returns; that is its cost in
-memory, 64,930 entries on ``example1``.
+memory, 64,650 entries on ``example1`` (64,930 while a state kept its whole
+history, which split states that the key now merges).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial
-from itertools import accumulate, product
+from functools import cache
+from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
 from . import engine
@@ -164,15 +165,15 @@ def check_pooled_implementation(scenario: Scenario, scheme: SchemeConfig) -> Ver
         for awareness in product(scenario.lattice.elements, repeat=len(scenario.agents)):
             checked += 1
             draw = NatureDraw(true_profile, awareness)
-            transcript = mech.run(draw, top)
-            implemented = settle(transcript.final)
+            path = mech.run(draw, top)
+            implemented = settle(path[-1].last)
             target = target_of(true_profile, scenario.lattice.join_all(awareness))
             if implemented != target:
                 witnesses.append(Witness(
                     f"draw {true_profile} at awareness {awareness}: implemented {implemented}, "
                     f"pooled-awareness target {target}",
                     {"true_types": list(true_profile), "awareness": list(awareness),
-                     "stages": [list(s) for s in transcript.stages],
+                     "stages": [list(s) for s in engine.transcript(path).stages],
                      "implemented": implemented, "target": target}))
     return VerificationResult("pooled-implementation", witnesses, checked)
 
@@ -185,13 +186,14 @@ def check_stage_bound(scenario: Scenario) -> VerificationResult:
     for level in scenario.lattice.elements:
         for profile, awareness in _partial_draws(scenario, level):
             checked += 1
-            state = engine.initial_state(scenario, level, profile, awareness)
-            state = engine.truthful_path(scenario, state)[-1]
-            if len(state.history) > STAGE_BOUND:
+            path = engine.truthful_path(
+                scenario, engine.initial_state(scenario, level, profile, awareness))
+            if len(path) > STAGE_BOUND + 1:
+                stages = engine.transcript(path).stages
                 witnesses.append(Witness(
-                    f"truthful run took {len(state.history)} stages at level {level}",
+                    f"truthful run took {len(stages)} stages at level {level}",
                     {"level": level, "profile": list(profile), "awareness": list(awareness),
-                     "stages": [list(s) for s in state.history]}))
+                     "stages": [list(s) for s in stages]}))
     return VerificationResult("stage-bound", witnesses, checked)
 
 
@@ -216,17 +218,17 @@ def check_budget(scenario: Scenario, scheme: SchemeConfig, mode: str = "balance"
     checked = 0
     policies = {agent: FREE for agent in structure.agents}
     balance_mode = mode == "balance"
-    for terminal in engine.iter_completions(scenario, state, policies, budget):
+    for path in engine.iter_completions(scenario, state, policies, budget):
         checked += 1
-        transcript = engine.transcript(terminal)
-        report = transfer_report(mech, transcript)
+        report = transfer_report(mech, path[-1])
         balance = report.operator_balance
         # A Fraction's sign is its numerator's, read without Fraction.__lt__.
         if balance != 0 if balance_mode else balance.numerator < 0:
             total = -balance
+            stages = engine.transcript(path).stages
             witnesses.append(Witness(
-                f"transfers sum to {total} on transcript {transcript.stages}",
-                {"stages": [list(s) for s in transcript.stages], "sum": str(total),
+                f"transfers sum to {total} on transcript {stages}",
+                {"stages": [list(s) for s in stages], "sum": str(total),
                  "transfers": {a: str(v) for a, v in report.transfers.items()}}))
             break
     prop = "budget-balance" if mode == "balance" else "no-deficit"
@@ -270,7 +272,6 @@ def check_participation(scenario: Scenario, scheme: SchemeConfig,
         for profile, awareness in _partial_draws(scenario, level, require_join=True):
             path = engine.truthful_path(
                 scenario, engine.initial_state(scenario, level, profile, awareness))
-            transcript = engine.transcript(path[-1])
             reached = path[:-1] if mode == "ex_post" else path[:1]
             for agent in bidders(scenario, scheme):
                 i = structure.agent_position[agent]
@@ -278,7 +279,7 @@ def check_participation(scenario: Scenario, scheme: SchemeConfig,
                     if structure.level_of(agent, node.perceived[i]) != level:
                         continue
                     checked += 1
-                    u = mech.utility(transcript, agent, node.perceived[i])
+                    u = mech.utility(path[-1], agent, node.perceived[i])
                     if u < 0:
                         witnesses.append(Witness(
                             f"{agent} gets {u} at stage-{node.stage} information set "
@@ -286,7 +287,7 @@ def check_participation(scenario: Scenario, scheme: SchemeConfig,
                             {"agent": agent, "level": level, "profile": list(profile),
                              "awareness": list(awareness), "stage": node.stage,
                              "perceived": node.perceived[i], "utility": str(u),
-                             "stages": [list(s) for s in transcript.stages]}))
+                             "stages": [list(s) for s in engine.transcript(path).stages]}))
     prop = "participation-ex-post" if mode == "ex_post" else "participation-ex-ante"
     return VerificationResult(prop, witnesses, checked)
 
@@ -346,8 +347,7 @@ class _Tables:
 
 def _subtree_key(scenario: Scenario, state: engine.PlayState) -> tuple:
     """:func:`engine.state_key` less the stage, which only the stage cap reads below."""
-    key = engine.state_key(scenario, state)
-    return key[1:] if state.history else key
+    return engine.state_key(scenario, state)[1:]
 
 
 def _step(scenario: Scenario, steps: dict, state: engine.PlayState,
@@ -381,11 +381,11 @@ def _replay_policies(scenario: Scenario, tables: _Tables, state: engine.PlayStat
                      plans: tuple[tuple[str, ...], ...]) -> dict[str, object]:
     """The agent FREE and each opponent replaying the plan whose suffix
     from ``state``'s stage is in ``plans``: ``plan_policy`` reads a plan
-    only from the current stage on, so the history stands in for the rest."""
-    agents = scenario.structure.agents
+    only from the current stage on, so the suffix's first report stands in
+    for every earlier stage."""
+    agents, before = scenario.structure.agents, state.stage - 1
     policies: dict[str, object] = {
-        agents[k]: engine.plan_policy(agents[k], tuple(s[k] for s in state.history) + plan,
-                                      scenario)
+        agents[k]: engine.plan_policy(agents[k], plan[:1] * before + plan, scenario)
         for k, plan in zip(tables.rivals, plans)}
     policies[tables.agent] = FREE
     return policies
@@ -425,7 +425,7 @@ def _best_deviation(scenario: Scenario, mech: Mechanism, tables: _Tables,
         if child.stopped:
             # Terminals are settled, not stored: a terminal is reached
             # again almost only through a parent the table already answers.
-            report = mech.report(engine.transcript(child))
+            report = mech.report(child)
             items = ((report.outcome, report.transfers[agent]),)
             plays += 1
         else:
@@ -470,7 +470,7 @@ def _truth_tree(scenario: Scenario, mech: Mechanism, tables: _Tables,
         # does, and is settled for that parent's lines.
         if not conditioning:
             return 1, 0, 0, (), -1
-        u_truth = mech.utility(engine.transcript(state), tables.agent, state.perceived[i])
+        u_truth = mech.utility(state, tables.agent, state.perceived[i])
         return 1, 0, 0, ((((),) * len(tables.rivals), u_truth),), -1
     if subtree is None:
         subtree = _subtree_key(scenario, state)
@@ -507,31 +507,28 @@ def _walk(scenario: Scenario, mech: Mechanism, tables: _Tables, budget: PlayBudg
     """(first witness or None, checked) of walking one instance play by
     play, each play charged as it is reached: the dominance check's
     reference order, through the same deviation table.  A truthful play's
-    running states are rebuilt by replaying its reports from ``start`` with
-    the deterministic :func:`engine.advance`, which charges nothing."""
+    conditioning states are read off its path."""
     agent, level, i = tables.agent, tables.level, tables.index
     checked = 0
     # The agent tells the truth while opponents report freely; each play
     # fixes one opponents' plan profile.
-    for terminal in engine.iter_completions(scenario, start, tables.opponents, budget):
-        truth_transcript = engine.transcript(terminal)
-        plans = tuple(tuple(stage[k] for stage in truth_transcript.stages)
-                      for k in tables.rivals)
+    for truth_path in engine.iter_completions(scenario, start, tables.opponents, budget):
+        plans = tuple(tuple(state.last[k] for state in truth_path[1:]) for k in tables.rivals)
         policies = _replay_policies(scenario, tables, start, plans)
         # Every conditioning state perceives the agent's true type (see
         # the module docstring): value the truthful play once.
         u_truth = None
-        for h_state in accumulate(terminal.history[:-1], partial(engine.advance, scenario),
-                                  initial=start):
+        for h_state in truth_path[:-1]:
             if h_state.awareness[i] != level:
                 continue
             eval_type = h_state.perceived[i]
             if u_truth is None:
-                u_truth = mech.utility(truth_transcript, agent, eval_type)
+                u_truth = mech.utility(truth_path[-1], agent, eval_type)
             checked += 1
+            before = h_state.stage - 1
             summary, plays, _ = _best_deviation(
                 scenario, mech, tables, h_state,
-                tuple(_stripped(p[h_state.stage - 1:]) for p in plans), policies)
+                tuple(_stripped(p[before:]) for p in plans), policies)
             if _best_value(scenario, agent, eval_type, summary) <= u_truth:
                 # Walking these plays would charge each of them and find
                 # no witness.
@@ -539,10 +536,11 @@ def _walk(scenario: Scenario, mech: Mechanism, tables: _Tables, budget: PlayBudg
                 continue
             # Walk the plays in order, so that the witness and the point
             # where the budget trips are those of the plain walk.
-            for dev_terminal in engine.iter_completions(scenario, h_state, policies, budget):
-                dev_transcript = engine.transcript(dev_terminal)
-                u_dev = mech.utility(dev_transcript, agent, eval_type)
+            for dev_path in engine.iter_completions(scenario, h_state, policies, budget):
+                u_dev = mech.utility(dev_path[-1], agent, eval_type)
                 if u_dev > u_truth:
+                    truth = engine.transcript(truth_path)
+                    deviation = engine.transcript(truth_path[:before] + dev_path)
                     return Witness(
                         f"{agent} gains {u_dev - u_truth} by deviating at stage "
                         f"{h_state.stage} (draw {profile} / {awareness} in the "
@@ -551,8 +549,8 @@ def _walk(scenario: Scenario, mech: Mechanism, tables: _Tables, budget: PlayBudg
                          "awareness": list(awareness),
                          "conditioning_stage": h_state.stage,
                          "perceived": eval_type,
-                         "truth_stages": [list(s) for s in truth_transcript.stages],
-                         "deviation_stages": [list(s) for s in dev_transcript.stages],
+                         "truth_stages": [list(s) for s in truth.stages],
+                         "deviation_stages": [list(s) for s in deviation.stages],
                          "truth_utility": str(u_truth),
                          "deviation_utility": str(u_dev)}), checked
     return None, checked

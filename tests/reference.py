@@ -17,11 +17,18 @@ outcomes of every draw, and it and :func:`check_stage_bound` play through
 :func:`initial_state`, which reads the ``meet`` and ``project`` accessors,
 and :func:`report_profiles`, which dispatches every agent's policy even when
 there is none.
+
+:class:`PlayState` is the play state as it was before it carried its own
+key: it keeps the whole history of report profiles and pooled levels, and
+:func:`advance`, :func:`state_key`, :func:`transcript` and
+:func:`iter_completions` over it find the premium recipient again by
+scanning that history (:func:`pooled_recipient`).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from elabmech import engine, verify
 from elabmech.lattice import UnknownLevel
@@ -289,11 +296,11 @@ def initial_state(scenario, game_level, true_profile, awareness):
     effective = tuple(lattice.meet(a, game_level) for a in awareness)
     perceived = tuple(structure.project(agent, t, eff)
                       for agent, t, eff in zip(structure.agents, true_profile, effective))
-    return engine.PlayState(true_profile, effective, perceived, (), (), False)
+    return engine.PlayState(true_profile, perceived, 1, None, None, effective, None, False)
 
 
 def report_profiles(scenario, state, policies):
-    if len(state.history) >= engine.max_stages(scenario):
+    if state.stage > engine.max_stages(scenario):
         raise AssertionError("protocol failed to stop within the stage cap")
     menus = []
     for i, agent in enumerate(scenario.structure.agents):
@@ -322,9 +329,9 @@ def run(scenario, scheme, draw, partial_level):
                     for agent, t in zip(structure.agents, draw.true_types))
     state = initial_state(scenario, partial_level, profile, draw.awareness)
     if scheme.kind == STATIC_VICKREY:
-        state = engine.advance(scenario, state, state.perceived)
-        return engine.Transcript(state.history, state.pooled, True)
-    return engine.transcript(truthful_path(scenario, state)[-1])
+        after = engine.advance(scenario, state, state.perceived)
+        return engine.Transcript((after.last,), (after.level,), True)
+    return engine.transcript(truthful_path(scenario, state))
 
 
 def check_pooled_implementation(scenario, scheme):
@@ -337,7 +344,7 @@ def check_pooled_implementation(scenario, scheme):
             checked += 1
             draw = NatureDraw(true_profile, awareness)
             transcript = run(scenario, scheme, draw, top)
-            implemented = scheme_outcome(scenario, scheme, transcript.final)[0]
+            implemented = scheme_outcome(scenario, scheme, transcript.stages[-1])[0]
             pooled = scenario.lattice.join_all(awareness)
             target_profile = tuple(structure.project(agent, t, pooled)
                                    for agent, t in zip(structure.agents, true_profile))
@@ -359,10 +366,127 @@ def check_stage_bound(scenario):
         for profile, awareness in verify._partial_draws(scenario, level):
             checked += 1
             state = initial_state(scenario, level, profile, awareness)
-            state = truthful_path(scenario, state)[-1]
-            if len(state.history) > verify.STAGE_BOUND:
+            stages = engine.transcript(truthful_path(scenario, state)).stages
+            if len(stages) > verify.STAGE_BOUND:
                 witnesses.append(verify.Witness(
-                    f"truthful run took {len(state.history)} stages at level {level}",
+                    f"truthful run took {len(stages)} stages at level {level}",
                     {"level": level, "profile": list(profile), "awareness": list(awareness),
-                     "stages": [list(s) for s in state.history]}))
+                     "stages": [list(s) for s in stages]}))
     return verify.VerificationResult("stage-bound", witnesses, checked)
+
+
+class PlayState(NamedTuple):
+    """One running or stopped play with its whole history: each stage's
+    report profile and pooled level."""
+
+    true_profile: tuple[str, ...]
+    awareness: tuple[str, ...]
+    perceived: tuple[str, ...]
+    history: tuple[tuple[str, ...], ...]
+    pooled: tuple[str, ...]
+    stopped: bool
+
+    @property
+    def stage(self) -> int:
+        return len(self.history) + 1
+
+
+def history_state(state):
+    """The history-keeping twin of ``engine.initial_state``'s ``state``."""
+    assert state.stage == 1
+    return PlayState(state.true_profile, state.awareness, state.perceived, (), (), False)
+
+
+def pooled_recipient(structure, stages, pooled):
+    """The one agent reporting at the last pooled level at the first stage
+    that reached it, or None when no agent or several do."""
+    target = pooled[-1]
+    levels = structure.level_table
+    recipient = None
+    for agent, report in zip(structure.agents, stages[pooled.index(target)]):
+        if levels[(agent, report)] == target:
+            if recipient is not None:
+                return None
+            recipient = agent
+    return recipient
+
+
+def state_key(scenario, state):
+    """Awareness at the first stage; later (stage, last report profile,
+    last pooled level, awareness, recipient of the last pooled level, stopped)."""
+    if not state.history:
+        return state.awareness
+    return (state.stage, state.history[-1], state.pooled[-1], state.awareness,
+            pooled_recipient(scenario.structure, state.history, state.pooled), state.stopped)
+
+
+def feasible_reports(scenario, state, agent):
+    i = scenario.structure.agent_position[agent]
+    history = state.history
+    if history:
+        return scenario.menus[(agent, state.awareness[i], history[-1][i], state.pooled[-1])]
+    return scenario.menus[(agent, state.awareness[i], None, None)]
+
+
+def advance(scenario, state, reports):
+    true_profile, awareness, perceived, history, pooled_levels, stopped = state
+    if stopped:
+        raise engine.InfeasibleReport("play already stopped")
+    structure = scenario.structure
+    agents = structure.agents
+    if len(reports) != len(agents):
+        raise engine.InfeasibleReport(f"{len(reports)} reports for {len(agents)} agents")
+    joins, levels = structure.lattice.join_table, structure.level_table
+    pooled = None
+    for agent, report in zip(agents, reports):
+        if report not in feasible_reports(scenario, state, agent):
+            raise engine.InfeasibleReport(f"{agent}: {report}")
+        level = levels[(agent, report)]
+        pooled = level if pooled is None else joins[(pooled, level)]
+    if not history or pooled != pooled_levels[-1]:
+        joined = tuple(joins[(a, pooled)] for a in awareness)
+        if joined != awareness:
+            awareness, projections = joined, structure.projection_table
+            perceived = tuple(projections[(agent, t, a)]
+                              for agent, t, a in zip(agents, true_profile, joined))
+    stopped = bool(history) and reports == history[-1]
+    return PlayState(true_profile, awareness, perceived, history + (reports,),
+                     pooled_levels + (pooled,), stopped)
+
+
+def transcript(state):
+    return engine.Transcript(state.history, state.pooled, state.stopped)
+
+
+def _history_profiles(scenario, state, policies):
+    """``report_profiles`` over a history-keeping state, for FREE and TRUTH."""
+    if len(state.history) >= engine.max_stages(scenario):
+        raise AssertionError("protocol failed to stop within the stage cap")
+    return product(*(feasible_reports(scenario, state, agent)
+                     if policies.get(agent, engine.TRUTH) == engine.FREE
+                     else (state.perceived[i],)
+                     for i, agent in enumerate(scenario.structure.agents)))
+
+
+def iter_completions(scenario, state, policies, budget=None):
+    """The terminal of every play from the history-keeping ``state``, depth
+    first, report profiles in ``product`` order, each charged before it is
+    yielded; FREE and TRUTH policies only."""
+    if state.stopped:
+        if budget is not None:
+            budget.charge()
+        yield state
+        return
+    stack = [(state, _history_profiles(scenario, state, policies))]
+    while stack:
+        parent, untried = stack[-1]
+        for reports in untried:
+            state = advance(scenario, parent, reports)
+            if not state.stopped:
+                stack.append((state, _history_profiles(scenario, state, policies)))
+                break
+            if budget is not None:
+                budget.charge()
+            yield state
+        else:
+            stack.pop()

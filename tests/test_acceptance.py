@@ -52,8 +52,9 @@ def zero_y_tables(scenario):
 def test_criterion_01_example1_reproduction():
     start = time.perf_counter()
     s = fixture("example1")
-    t = engine.run(s, s.draw(), s.lattice.top)
-    report = Mechanism(s, s.scheme).report(t)
+    path = engine.run(s, s.draw(), s.lattice.top)
+    t = engine.transcript(path)
+    report = Mechanism(s, s.scheme).report(path[-1])
     elapsed = time.perf_counter() - start
     _criterion("1 (procurement example, exact)", [
         ("stops at stage 3", t.stopped and t.n_stages == 3),
@@ -71,11 +72,11 @@ def test_criterion_02a_example2_reproduction():
     start = time.perf_counter()
     s = fixture("example2")
     static = s.scheme._replace(kind="static_vickrey")
-    t_static = engine.run_single_stage(s, s.draw(), "hi")
+    t_static = engine.run_single_stage(s, s.draw(), "hi")[-1]
     r_static = Mechanism(s, static).report(t_static)
     static_pooled = verify.check_pooled_implementation(s, static)
     mech = Mechanism(s, s.scheme)
-    t_dyn = engine.run(s, s.draw(), "hi")
+    t_dyn = engine.run(s, s.draw(), "hi")[-1]
     r_dyn = mech.report(t_dyn)
     elapsed = time.perf_counter() - start
     _criterion("2a (auction example: static failure, dynamic core)", [
@@ -95,7 +96,7 @@ def test_criterion_02b_example2_published_settlement():
     # share of bidder 1's premium comes on top of it.  The published surplus
     # of 1 is what the operator would keep if it funded the premium itself.
     s = fixture("example2")
-    r_dyn = Mechanism(s, s.scheme).report(engine.run(s, s.draw(), "hi"))
+    r_dyn = Mechanism(s, s.scheme).report(engine.run(s, s.draw(), "hi")[-1])
     pivot_a2 = r_dyn.transfers["a2"] - r_dyn.adjustments["a2"]
     _criterion("2b (auction example: published settlement figures)", [
         ("bidder 2 wins", r_dyn.outcome == "win2"),
@@ -356,10 +357,10 @@ def test_criterion_10_structural_suite():
         state = engine.initial_state(s, top, next(s.structure.profiles(top)),
                                      (top,) * len(s.agents))
         from itertools import islice
-        for terminal in islice(
+        for path in islice(
                 engine.iter_completions(s, state, {a: engine.FREE for a in s.agents}), 300):
-            monotone &= all(s.lattice.leq(a, b)
-                            for a, b in zip(terminal.pooled, terminal.pooled[1:]))
+            pooled = engine.transcript(path).pooled
+            monotone &= all(s.lattice.leq(a, b) for a, b in zip(pooled, pooled[1:]))
     clauses.append(("pooled levels weakly increase along every transcript", monotone))
     clauses.append(("runtime < 30 s", time.perf_counter() - start < 30.0))
     _criterion("10 (structural property suite)", clauses)

@@ -88,7 +88,7 @@ def test_advance_pools_and_elaborates():
     s = fixture("example1")
     state = stage1(s)
     state = engine.advance(s, state, ("s1ab", "s2bc", "bue"))
-    assert state.pooled[-1] == "abc"
+    assert state.level == "abc"
     assert state.perceived == ("s1t80", "s2t86", "buabc")
     assert state.awareness == ("abc", "abc", "abc")
 
@@ -110,8 +110,8 @@ def test_pooled_levels_weakly_increase_along_any_feasible_play():
         state = engine.initial_state(s, top, next(s.structure.profiles(top)),
                                      (top,) * len(s.agents))
         completions = engine.iter_completions(s, state, {a: engine.FREE for a in s.agents})
-        for terminal in islice(completions, 4000):
-            pooled = terminal.pooled
+        for path in islice(completions, 4000):
+            pooled = engine.transcript(path).pooled
             for earlier, later in zip(pooled, pooled[1:]):
                 assert s.lattice.leq(earlier, later)
 
@@ -149,8 +149,8 @@ def reference_feasible_reports(scenario, state, agent):
     lattice = structure.lattice
     i = structure.agent_position[agent]
     aware = state.awareness[i]
-    last = state.history[-1][i] if state.history else None
-    pooled = state.pooled[-1] if state.history else None
+    last = state.last[i] if state.last is not None else None
+    pooled = state.level
     levels = sorted(lattice.down_set(aware), key=lambda x: (len(lattice.down_set(x)), x))
     out = []
     if last is None:
@@ -256,7 +256,7 @@ def test_policy_free_steps_and_initial_states_match_the_reference():
                 for node in engine.truthful_path(s, state)[:-1]:
                     assert (list(engine.report_profiles(s, node, {}))
                             == list(reference.report_profiles(s, node, {})) == [node.perceived])
-                capped = state._replace(history=(state.perceived,) * s.stage_cap)
+                capped = state._replace(stage=s.stage_cap + 1)
                 with pytest.raises(AssertionError, match="stage cap"):
                     engine.report_profiles(s, capped, {})
 
@@ -278,7 +278,8 @@ def test_initial_state_raises_as_the_reference_on_bad_input():
 def reference_advance(scenario, state, reports):
     """The stage rule before the carry-over shortcut, kept as the oracle:
     every stage joins every awareness with the pooled level and re-projects
-    every true type."""
+    every true type; a new pooled level takes the one agent reporting at it,
+    if there is one, as its recipient."""
     if state.stopped:
         raise engine.InfeasibleReport("play already stopped")
     structure = scenario.structure
@@ -293,9 +294,14 @@ def reference_advance(scenario, state, reports):
     awareness = tuple(lattice.join(a, pooled) for a in state.awareness)
     perceived = tuple(structure.project(agent, t, a)
                       for agent, t, a in zip(structure.agents, state.true_profile, awareness))
-    stopped = bool(state.history) and reports == state.history[-1]
-    return engine.PlayState(state.true_profile, awareness, perceived,
-                            state.history + (reports,), state.pooled + (pooled,), stopped)
+    recipient = state.recipient
+    if state.last is None or pooled != state.level:
+        at_level = [agent for agent, r in zip(structure.agents, reports)
+                    if structure.level_of(agent, r) == pooled]
+        recipient = at_level[0] if len(at_level) == 1 else None
+    stopped = state.last is not None and reports == state.last
+    return engine.PlayState(state.true_profile, perceived, state.stage + 1, reports, pooled,
+                            awareness, recipient, stopped)
 
 
 def test_advance_matches_the_always_recomputing_rule_on_every_reached_state():
@@ -307,8 +313,8 @@ def test_advance_matches_the_always_recomputing_rule_on_every_reached_state():
             for agent, t, aware, seen_type in zip(s.agents, state.true_profile,
                                                   state.awareness, state.perceived):
                 assert seen_type == structure.project(agent, t, aware), (s.name, state)  # I1
-                if state.history:
-                    assert s.lattice.leq(state.pooled[-1], aware), (s.name, state)  # I2
+                if state.last is not None:
+                    assert s.lattice.leq(state.level, aware), (s.name, state)  # I2
             if state.stopped:
                 continue
             for reports in engine.report_profiles(s, state, free):
@@ -316,7 +322,7 @@ def test_advance_matches_the_always_recomputing_rule_on_every_reached_state():
                 # Tuple equality ignores the subclass, so the type is checked apart.
                 assert type(after) is engine.PlayState, (s.name, state, reports)
                 assert after == reference_advance(s, state, reports), (s.name, state, reports)
-                if state.history and after.pooled[-1] == state.pooled[-1]:
+                if state.last is not None and after.level == state.level:
                     carried += 1
                 elif after.awareness != state.awareness:
                     raised += 1
@@ -356,7 +362,8 @@ def test_a_bad_report_at_any_position_names_its_agent():
              for agent in agents}
     # A later-stage state at which every agent has a declared type outside
     # its menu, and the first state of a play.
-    later = next(state for state in reached_states(s) if state.history and not state.stopped
+    later = next(state for state in reached_states(s) if state.last is not None
+                 and not state.stopped
                  and all(set(types[a]) - set(engine.feasible_reports(s, state, a))
                          for a in agents))
     for state in (stage1(s), later):
@@ -375,17 +382,18 @@ def test_a_bad_report_at_any_position_names_its_agent():
 
 def test_play_records_are_immutable_values():
     s = fixture("example2")
-    state = stage1(s)
-    state = engine.advance(s, state, state.perceived)
-    record = engine.transcript(state)
-    assert record == engine.Transcript(state.history, state.pooled, state.stopped)
-    for obj, field in ((state, "history"), (state, "stopped"), (record, "pooled"),
+    start = stage1(s)
+    state = engine.advance(s, start, start.perceived)
+    record = engine.transcript([start, state])
+    assert record == engine.Transcript((state.last,), (state.level,), state.stopped)
+    for obj, field in ((state, "last"), (state, "stopped"), (record, "pooled"),
                        (record, "stopped")):
         with pytest.raises(AttributeError):
             setattr(obj, field, None)
-    assert engine.PlayState(true_profile=state.true_profile, awareness=state.awareness,
-                            perceived=state.perceived, history=state.history,
-                            pooled=state.pooled, stopped=state.stopped) == state
+    assert engine.PlayState(true_profile=state.true_profile, perceived=state.perceived,
+                            stage=state.stage, last=state.last, level=state.level,
+                            awareness=state.awareness, recipient=state.recipient,
+                            stopped=state.stopped) == state
     assert engine.Transcript(stages=record.stages, pooled=record.pooled,
                              stopped=record.stopped) == record
 
@@ -411,41 +419,150 @@ def test_states_built_apart_with_equal_fields_are_equal_and_hash_alike():
     assert len(by_value) == sum(1 for _ in reached_states(s)) and twins
 
 
-def payoff_summary(scenario, terminal):
-    transcript = engine.transcript(terminal)
-    return (transcript.final, transcript.final_pooled,
-            transfers.first_pooled_reporter(scenario, transcript))
+def history_key(s, old):
+    """``reference.state_key`` of the history-keeping ``old``, with the first
+    stage written out as the engine's key writes it."""
+    if old.history:
+        return reference.state_key(s, old)
+    return (1, None, None, reference.state_key(s, old), None, False)
 
 
-def free_subtree(s, state, free, found):
-    """(plays, Counter of payoff summaries) of the all-FREE subtree below
-    ``state``, memoized on the whole state, which is exact."""
-    got = found.get(state)
+def check_against_history(s, start, policies, mechs):
+    """Walk the play tree from ``start`` and from its history-keeping twin in
+    lockstep, and check every reached state: its report profiles, key and
+    recipient are the ones the history gives, and each stopped play has the
+    reference's payoff summary, whose settlement under each pair of
+    ``mechs`` (one per side, each with its own memo) is checked once.  Then
+    ``engine.iter_completions`` must yield the reference walk's plays in its
+    order, each reading as the reference's transcript.  Returns the number
+    of states checked."""
+    structure = s.structure
+    todo, checked, settled = [(start, reference.history_state(start))], 0, set()
+    while todo:
+        new, old = todo.pop()
+        checked += 1
+        assert engine.state_key(s, new) == history_key(s, old), (s.name, new, old)
+        if old.history:
+            assert new.recipient == reference.pooled_recipient(structure, old.history,
+                                                               old.pooled), (s.name, old)
+        if new.stopped:
+            summary = (old.history[-1], old.pooled[-1],
+                       reference.pooled_recipient(structure, old.history, old.pooled))
+            assert (new.last, new.level, new.recipient) == summary, (s.name, old)
+            if summary not in settled:
+                settled.add(summary)
+                for mech, old_mech in mechs:
+                    static = mech.scheme.kind == transfers.STATIC_VICKREY
+                    assert transfers.transfer_report(mech, new) == old_mech._settlement(
+                        *summary[:2], None if static else summary[2]), (s.name, old)
+            continue
+        profiles = list(engine.report_profiles(s, new, policies))
+        assert profiles == list(reference._history_profiles(s, old, policies)), (s.name, old)
+        todo.extend((engine.advance(s, new, reports), reference.advance(s, old, reports))
+                    for reports in profiles)
+    plays = [engine.transcript(p) for p in engine.iter_completions(s, start, policies)]
+    assert plays == [reference.transcript(t) for t in reference.iter_completions(
+        s, reference.history_state(start), policies)], s.name
+    return checked
+
+
+def differential_starts(s, every_draw):
+    """The start of every partial draw at every level, or only the all-aware
+    start at the top."""
+    top = s.lattice.top
+    if not every_draw:
+        return [engine.initial_state(s, top, next(s.structure.profiles(top)),
+                                     (top,) * len(s.agents))]
+    return [engine.initial_state(s, level, profile, awareness)
+            for level in s.lattice.elements
+            for profile, awareness in verify._partial_draws(s, level)]
+
+
+@pytest.mark.parametrize("kind", ["walk-corpus", "example1", "clarke", "rspa"])
+def test_every_reached_state_matches_the_history_keeping_state(kind):
+    # The walk corpus from every partial draw; example1 and generate_scenario
+    # (2026, k < 20) of both kinds from the all-aware top start, which reaches
+    # every stopped transcript.
+    if kind == "walk-corpus":
+        scenarios, every_draw = walk_corpus(), True
+    elif kind == "example1":
+        scenarios, every_draw = [fixture("example1")], False
+    else:
+        scenarios = [generate_scenario(2026, k, kind == "rspa") for k in range(20)]
+        every_draw = False
+    checked = 0
+    for s in scenarios:
+        free = {agent: engine.FREE for agent in s.agents}
+        mechs = [(transfers.Mechanism(s, scheme), transfers.Mechanism(s, scheme))
+                 for scheme in (s.scheme, s.scheme._replace(kind=transfers.STATIC_VICKREY))]
+        for start in differential_starts(s, every_draw):
+            checked += check_against_history(s, start, free, mechs)
+    assert checked
+
+
+def payoff_summary(scenario, path):
+    """(final profile, final pooled level, premium recipient) of the play
+    ``path`` lists from its initial state, the recipient found by scanning
+    its stages, as the history-keeping reference state does."""
+    t = engine.transcript(path)
+    return (t.stages[-1], t.pooled[-1],
+            reference.pooled_recipient(scenario.structure, t.stages, t.pooled))
+
+
+def free_subtree(s, path, free, found):
+    """(plays, Counter of payoff summaries) of the all-FREE subtree below the
+    last state of ``path``, memoized on the whole path, which is exact."""
+    key = tuple(path)
+    got = found.get(key)
     if got is None:
+        state = path[-1]
         if state.stopped:
-            got = (1, Counter([payoff_summary(s, state)]))
+            got = (1, Counter([payoff_summary(s, path)]))
         else:
             plays, summaries = 0, Counter()
             for reports in engine.report_profiles(s, state, free):
-                n, below = free_subtree(s, engine.advance(s, state, reports), free, found)
+                n, below = free_subtree(s, path + [engine.advance(s, state, reports)], free,
+                                        found)
                 plays += n
                 summaries.update(below)
             got = (plays, summaries)
-        found[state] = got
+        found[key] = got
     return got
 
 
+def reached_paths(s):
+    """Every distinct path, from its initial state, that the all-FREE walk
+    takes from every partial draw at every level, each once."""
+    free = {agent: engine.FREE for agent in s.agents}
+    seen = set()
+    for level in s.lattice.elements:
+        for profile, awareness in verify._partial_draws(s, level):
+            todo = [[engine.initial_state(s, level, profile, awareness)]]
+            while todo:
+                path = todo.pop()
+                if tuple(path) in seen:
+                    continue
+                seen.add(tuple(path))
+                yield path
+                state = path[-1]
+                if not state.stopped:
+                    todo.extend(path + [engine.advance(s, state, reports)]
+                                for reports in engine.report_profiles(s, state, free))
+
+
 def free_key_groups(s):
-    """(merged, split) over every state the all-FREE walk reaches: states
-    whose key an earlier, different state has, and keys whose states have
-    different subtrees."""
+    """(merged, split) over every path the all-FREE walk takes: paths whose
+    last state's key an earlier path with a different history has, and keys
+    whose paths have different subtrees."""
     free = {agent: engine.FREE for agent in s.agents}
     found, by_key, merged = {}, {}, 0
-    for state in reached_states(s):
-        key = engine.state_key(s, state)
-        merged += key in by_key
-        by_key.setdefault(key, []).append(free_subtree(s, state, free, found))
-    return merged, sum(any(got != results[0] for got in results) for results in by_key.values())
+    for path in reached_paths(s):
+        stages = engine.transcript(path).stages
+        first, results = by_key.setdefault(engine.state_key(s, path[-1]), (stages, []))
+        merged += first != stages
+        results.append(free_subtree(s, path, free, found))
+    return merged, sum(any(got != results[0] for got in results)
+                       for _, results in by_key.values())
 
 
 def test_state_key_fixes_the_free_subtree_on_every_reached_state():
@@ -458,20 +575,14 @@ def test_state_key_fixes_the_free_subtree_on_every_reached_state():
     assert merged
 
 
-def test_mutant_state_key_without_recipient_is_killed_by_key_sufficiency(monkeypatch):
-    state_key = engine.state_key
-
-    def without_recipient(scenario, state):
-        key = state_key(scenario, state)
-        return key[:4] + key[5:] if state.history else key
-
-    monkeypatch.setattr(engine, "state_key", without_recipient)
+def test_mutant_state_dropping_the_recipient_is_killed_by_key_sufficiency(plant_recipient):
+    plant_recipient(lambda scenario, state, child: None)
     assert free_key_groups(fixture("example2"))[1] == 16
 
 
 def test_run_example1_transcript():
     s = fixture("example1")
-    t = engine.run(s, s.draw(), s.lattice.top)
+    t = engine.transcript(engine.run(s, s.draw(), s.lattice.top))
     assert t.stages == (("s1ab", "s2bc", "bue"),
                         ("s1t80", "s2t86", "buabc"),
                         ("s1t80", "s2t86", "buabc"))
@@ -482,7 +593,7 @@ def test_run_example1_transcript():
 def test_run_fully_aware_agents_stop_at_stage_two():
     s = fixture("example1")
     draw = NatureDraw(("s1t80", "s2t86", "buabc"), ("abc", "abc", "abc"))
-    t = engine.run(s, draw, "abc")
+    t = engine.transcript(engine.run(s, draw, "abc"))
     assert t.n_stages == 2
     assert t.stages[0] == t.stages[1]
 
@@ -496,25 +607,26 @@ def test_truthful_final_profile_is_projection_of_truth_to_pooled_awareness():
                 if len(s.agents) != 2:
                     continue
                 draw = NatureDraw(true_profile, awareness)
-                t = engine.run(s, draw, top)
+                t = engine.transcript(engine.run(s, draw, top))
                 pooled = s.lattice.join_all(awareness)
                 expected = tuple(s.structure.project(a, ty, pooled)
                                  for a, ty in zip(s.agents, true_profile))
-                assert t.final == expected
+                assert t.stages[-1] == expected
 
 
 def test_run_single_stage_reports_perceptions_and_stops():
     s = fixture("example2")
-    t = engine.run_single_stage(s, s.draw(), "hi")
+    t = engine.transcript(engine.run_single_stage(s, s.draw(), "hi"))
     assert t.stages == (("a1hi2", "a2lo"),)
     assert t.stopped
 
 
 def test_scripted_strategy_via_run():
     s = fixture("example2")
-    t = engine.run(s, s.draw(), "hi", {"a1": lambda scenario, state, agent: "a1lo2"})
+    t = engine.transcript(engine.run(s, s.draw(), "hi",
+                                     {"a1": lambda scenario, state, agent: "a1lo2"}))
     # concealment keeps the play at the low level and it stops immediately
-    assert t.final_pooled == "lo"
+    assert t.pooled[-1] == "lo"
     assert t.n_stages == 2
     assert t.stages == (("a1lo2", "a2lo"), ("a1lo2", "a2lo"))
 
@@ -526,8 +638,8 @@ def enumerate_deviation_plays(scenario, state, agent, opponents=None, bound=10 *
     policies = dict(opponents or {})
     policies[agent] = engine.FREE
     budget = engine.PlayBudget(bound)
-    for terminal in engine.iter_completions(scenario, state, policies, budget):
-        yield engine.transcript(terminal)
+    for path in engine.iter_completions(scenario, state, policies, budget):
+        yield engine.transcript(path)
 
 
 def test_enumerate_deviation_plays_includes_concealment():
@@ -576,18 +688,19 @@ def test_strategy_space_bound_trips():
 
 def test_plan_policy_replays_verbatim_on_its_own_branch():
     s = fixture("example2")
-    t = engine.run(s, s.draw(), "hi")
+    t = engine.transcript(engine.run(s, s.draw(), "hi"))
     plan = engine.plan_policy("a2", tuple(stage[1] for stage in t.stages), s)
-    state = stage1(s)
-    while not state.stopped:
+    path = [stage1(s)]
+    while not path[-1].stopped:
+        state = path[-1]
         reports = (state.perceived[0], plan(s, state, "a2"))
-        state = engine.advance(s, state, reports)
-    assert engine.transcript(state).stages == t.stages
+        path.append(engine.advance(s, state, reports))
+    assert engine.transcript(path).stages == t.stages
 
 
 def test_plan_policy_caps_to_awareness_when_the_pool_stays_low():
     s = fixture("example2")
-    t = engine.run(s, s.draw(), "hi")  # a2's plan elaborates to a2hi3 at stage 2
+    t = engine.transcript(engine.run(s, s.draw(), "hi"))  # a2's plan elaborates to a2hi3 at stage 2
     plan = engine.plan_policy("a2", tuple(stage[1] for stage in t.stages), s)
     state = stage1(s)
     state = engine.advance(s, state, ("a1lo2", "a2lo"))  # a1 conceals
@@ -614,7 +727,7 @@ def walk_cases(s):
     for level in s.lattice.elements:
         for profile, awareness in verify._partial_draws(s, level):
             start = engine.initial_state(s, level, profile, awareness)
-            truth = engine.truthful_path(s, start)[-1].history
+            truth = engine.transcript(engine.truthful_path(s, start)).stages
             plans = {a: engine.plan_policy(a, tuple(stage[k] for stage in truth), s)
                      for k, a in enumerate(s.agents) if k}
             for policies in (free, {}, {**plans, s.agents[0]: engine.FREE}):
@@ -627,24 +740,32 @@ def terminals(walked):
     return [path[-1] for path in paths], used, raised
 
 
+def as_tuples(walked):
+    """``walk_until_raise`` of a path walk, each play's path as a tuple."""
+    paths, used, raised = walked
+    return [tuple(path) for path in paths], used, raised
+
+
 @pytest.mark.parametrize("case", WALK_CASES, ids=str)
 def test_recursive_walk_matches_the_explicit_stack_walk(case, monkeypatch):
     s = walk_scenario(case)
     cases = list(walk_cases(s))
     for start, policies in cases:
         paths = walk_until_raise(reference.iter_paths, s, start, policies)
-        plays, used, raised = walk_until_raise(engine.iter_completions, s, start, policies)
+        walked = walk_until_raise(engine.iter_completions, s, start, policies)
+        plays, used, raised = walked
         assert raised is None and used == len(plays)
-        assert all(type(play) is engine.PlayState
+        assert all(type(play) is list and type(play[-1]) is engine.PlayState
                    and type(engine.transcript(play)) is engine.Transcript for play in plays)
-        assert (plays, used, raised) == terminals(paths), (s.name, start)
+        assert terminals(walked) == terminals(paths), (s.name, start)
+        assert as_tuples(walked) == paths, (s.name, start)
         assert engine.truthful_path(s, start, policies) == list(paths[0][0])
         if len(plays) > 1:
             short = walk_until_raise(engine.iter_completions, s, start, policies,
                                      len(plays) - 1)
             assert short == (plays[:-1], len(plays), engine.StrategySpaceTooLarge)
-            assert short == terminals(walk_until_raise(reference.iter_paths, s, start,
-                                                       policies, len(plays) - 1))
+            assert as_tuples(short) == walk_until_raise(reference.iter_paths, s, start,
+                                                        policies, len(plays) - 1)
     full_cap = engine.max_stages
     # One stage short of the cap trips only plays after the first; a cap
     # of two stages trips some first plays as well.
@@ -654,7 +775,8 @@ def test_recursive_walk_matches_the_explicit_stack_walk(case, monkeypatch):
         for start, policies in cases:
             paths = walk_until_raise(reference.iter_paths, s, start, policies)
             walked = walk_until_raise(engine.iter_completions, s, start, policies)
-            assert walked == terminals(paths)
+            assert terminals(walked) == terminals(paths)
+            assert as_tuples(walked) == paths
             capped += walked[2] is AssertionError
             # truthful_path follows the first play, so it trips the cap
             # exactly when the walk trips it before yielding any play.
@@ -679,9 +801,9 @@ def uncapped_plan_policy(agent, reports_by_stage, scenario):
 
     def policy(scenario_, state, owner):
         level = schedule[min(state.stage, len(schedule)) - 1]
-        if state.history:
+        if state.last is not None:
             level = lattice.join(level, lattice.join(
-                structure.level_of(agent, state.history[-1][idx]), state.pooled[-1]))
+                structure.level_of(agent, state.last[idx]), state.level))
         return structure.project(agent, reports_by_stage[-1], level)
 
     return policy

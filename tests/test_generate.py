@@ -183,9 +183,10 @@ def test_pooled_levels_monotone_along_generated_transcripts(seed):
     top = s.lattice.top
     state = engine.initial_state(s, top, next(s.structure.profiles(top)),
                                  (top,) * len(s.agents))
-    for terminal in islice(
+    for path in islice(
             engine.iter_completions(s, state, {a: engine.FREE for a in s.agents}), 500):
-        for earlier, later in zip(terminal.pooled, terminal.pooled[1:]):
+        pooled = engine.transcript(path).pooled
+        for earlier, later in zip(pooled, pooled[1:]):
             assert s.lattice.leq(earlier, later)
 
 

@@ -91,15 +91,31 @@ def test_every_table_misses_as_its_checked_accessor_did(name):
     _agree([(f,) for f in (*FIXTURES, "nosuch")], FIXTURES.__getitem__, ref.fixture_text)
     _agree([("nosuch",)], fixture, ref.fixture_text)
 
-    # A stage profile with a foreign or undeclared report in any position.
+    # A stage profile with a foreign or undeclared report in any position,
+    # played from the first stage with every agent aware of the top, where
+    # every own type is feasible.  The recipient rule reads the level table
+    # only for reports that passed their menu, so a bad report is refused
+    # with the message the accessor's miss carried, and every other profile
+    # settles on the recipient the accessor's scan finds.
     menus = []
     for agent in structure.agents:
         own = [t for (a, _), ts in structure.spaces.items() if a == agent for t in ts]
         foreign = [t for t in types if t not in own]  # another agent's type, then "zz"
         menus.append((*own, *dict.fromkeys((foreign[0], "zz"))))
-    _agree([((stage,), (target,)) for stage in product(*menus) for target in lattice.elements],
-           lambda stages, pooled: engine.pooled_recipient(structure, stages, pooled),
-           ref.pooled_recipient)
+    top = lattice.top
+    start = engine.initial_state(s, top, next(structure.profiles(top)),
+                                 (top,) * len(structure.agents))
+    refused = 0
+    for stage in product(*menus):
+        try:
+            after = engine.advance(s, start, stage)
+        except InfeasibleReport as err:
+            # No level is "zz", so the scan reads every report up to the bad one.
+            assert _outcome(ref.pooled_recipient, (stage,), ("zz",)) == (UnknownType, str(err))
+            refused += 1
+        else:
+            assert after.recipient == ref.pooled_recipient((stage,), (after.level,)), stage
+    assert refused
 
 
 def _in_generator(read):
@@ -143,7 +159,7 @@ def test_no_bad_key_escapes_as_a_non_domain_error(name):
         *((lambda st, a: engine.feasible_reports(s, st, a), (st, a),
            UnknownType if a == "zz" else InfeasibleReport)
           for st in (state, later, state._replace(awareness=("zz",) * len(agents)),
-                     later._replace(history=(("zz",) * len(agents),)))
+                     later._replace(last=("zz",) * len(agents)))
           for a in (*agents, "zz")),
         *((read, ((a, b),), UnknownLevel) for a, b in product(lattice.elements, repeat=2)
           for read in (lattice.down_set, lattice.strictly_below)),
@@ -194,7 +210,7 @@ def test_a_played_scenario_is_freed_without_the_cycle_collector(make):
     try:
         s = makers[make]()
         mech = Mechanism(s, s.scheme)
-        mech.report(mech.run(s.draw(), s.lattice.top))
+        mech.report(mech.run(s.draw(), s.lattice.top)[-1])
         refs = [weakref.ref(x) for x in (s, s.structure, s.lattice, s.outcomes)]
         del s, mech
         assert [ref() for ref in refs] == [None] * 4

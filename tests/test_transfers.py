@@ -18,7 +18,7 @@ from elabmech.scenario import parse_scenario
 from elabmech.transfers import (FewerThanTwoSellers, Mechanism, MissingYEntry, SchemeConfig,
                                 TranscriptNotStopped, awareness_adjustments, clarke_y,
                                 first_pooled_reporter, rspa_auction, transfer_report)
-from elabmech.typespace import NatureDraw, UnknownType
+from elabmech.typespace import NatureDraw
 
 PROCUREMENT = """
 [lattice]
@@ -71,19 +71,27 @@ draw: main types s1=s1hi s2=s2hi b=bhi levels s1=lo s2=hi b=lo
 
 
 def run_fixture(name):
+    """The fixture and the stopped state of its truthful play of the first draw."""
     s = fixture(name)
-    t = engine.run(s, s.draw(), s.lattice.top)
+    t = engine.run(s, s.draw(), s.lattice.top)[-1]
     return s, t
 
 
-def _stopped_transcripts(s, limit=None):
-    """The first ``limit`` (default all) stopped transcripts of the all-FREE
-    walk from the top level."""
+def _stopped_plays(s, limit=None):
+    """The first ``limit`` (default all) plays of the all-FREE walk from the
+    top level, each as its path of states."""
     top = s.lattice.top
     state = engine.initial_state(s, top, next(s.structure.profiles(top)),
                                  (top,) * len(s.agents))
-    terminals = engine.iter_completions(s, state, {a: engine.FREE for a in s.agents})
-    return [engine.transcript(terminal) for terminal in islice(terminals, limit)]
+    return list(islice(engine.iter_completions(s, state, {a: engine.FREE for a in s.agents}),
+                       limit))
+
+
+def truthful_play(s, level, profile):
+    """The path of the truthful play at ``level`` of ``profile``, every agent
+    aware of the level."""
+    return engine.truthful_path(s, engine.initial_state(s, level, profile,
+                                                        (level,) * len(s.agents)))
 
 
 def test_first_pooled_reporter_example2_is_the_aware_bidder():
@@ -116,18 +124,18 @@ value: a2 r x 1
 [scheme]
 kind: clarke
 """
-TIE_TRANSCRIPT = engine.Transcript(stages=(("p", "r"), ("p", "r")), pooled=("l0", "l0"),
-                                   stopped=True)
-
-
 def test_first_pooled_reporter_ties_and_misses():
     one = parse_scenario(TIE)
-    assert first_pooled_reporter(one, TIE_TRANSCRIPT) is None  # simultaneous at stage 1
+    tie = truthful_play(one, "l0", ("p", "r"))
+    assert engine.transcript(tie) == engine.Transcript(
+        stages=(("p", "r"), ("p", "r")), pooled=("l0", "l0"), stopped=True)
+    assert first_pooled_reporter(one, tie[-1]) is None  # simultaneous at stage 1
     with pytest.raises(TranscriptNotStopped):
-        first_pooled_reporter(one, engine.Transcript((("p", "r"),), ("l0",), False))
-    # A stopped transcript naming an undeclared type: the level lookup misses.
-    with pytest.raises(UnknownType):
-        first_pooled_reporter(one, engine.Transcript((("p", "zz"),) * 2, ("l0",) * 2, True))
+        first_pooled_reporter(one, tie[1])
+    # A stage naming an undeclared type never reaches the recipient rule:
+    # advance refuses the report before it reads the report's level.
+    with pytest.raises(engine.InfeasibleReport, match="a2: zz"):
+        engine.advance(one, tie[1], ("p", "zz"))
 
 
 def test_premium_example2_value():
@@ -246,7 +254,7 @@ def test_adjustments_example2():
     s, t = run_fixture("example2")
     recipient = first_pooled_reporter(s, t)
     assert recipient == "a1"
-    adjustments = awareness_adjustments(Mechanism(s, s.scheme), t.final_pooled, recipient)
+    adjustments = awareness_adjustments(Mechanism(s, s.scheme), t.level, recipient)
     assert adjustments == {"a1": Fraction(1), "a2": Fraction(-1)}
 
 
@@ -254,7 +262,7 @@ def test_adjustments_zero_when_nobody_is_first():
     s, t = run_fixture("example1")
     recipient = first_pooled_reporter(s, t)
     assert recipient is None
-    adjustments = awareness_adjustments(Mechanism(s, s.scheme), t.final_pooled, recipient)
+    adjustments = awareness_adjustments(Mechanism(s, s.scheme), t.level, recipient)
     assert all(v == 0 for v in adjustments.values())
 
 
@@ -262,12 +270,12 @@ def test_adjustments_sum_to_zero_on_every_feasible_transcript():
     for name in ("example2", "example4r"):
         s = fixture(name)
         mech = Mechanism(s, s.scheme)
-        transcripts = _stopped_transcripts(s, 3000)
-        for t in transcripts:
-            adjustments = awareness_adjustments(mech, t.final_pooled,
-                                                first_pooled_reporter(s, t))
+        plays = _stopped_plays(s, 3000)
+        for path in plays:
+            t = path[-1]
+            adjustments = awareness_adjustments(mech, t.level, first_pooled_reporter(s, t))
             assert sum(adjustments.values()) == 0
-        assert transcripts
+        assert plays
 
 
 def test_clarke_transfers_example1():
@@ -329,8 +337,10 @@ value: only t x 5
 kind: groves
 y: only l0 0
 """)
-    t = engine.Transcript(stages=(("t",), ("t",)), pooled=("l0", "l0"), stopped=True)
-    report = transfer_report(Mechanism(solo, solo.scheme), t)
+    play = truthful_play(solo, "l0", ("t",))
+    assert engine.transcript(play) == engine.Transcript(stages=(("t",), ("t",)),
+                                                        pooled=("l0", "l0"), stopped=True)
+    report = transfer_report(Mechanism(solo, solo.scheme), play[-1])
     assert report.transfers == {"only": Fraction(0)}
     assert report.outcome == "x"
 
@@ -365,7 +375,7 @@ draw: main types only=f levels only=hi
 """)
     mech = Mechanism(solo, solo.scheme)
     assert mech.premium("only", "hi") == 4
-    t = engine.run(solo, solo.draw(), "hi")
+    t = engine.run(solo, solo.draw(), "hi")[-1]
     report = transfer_report(Mechanism(solo, solo.scheme), t)
     assert report.premium_recipient == "only"
     assert report.adjustments == {"only": Fraction(0)}
@@ -374,9 +384,9 @@ draw: main types only=f levels only=hi
 
 def test_clarke_y_values():
     s, t = run_fixture("example1")
-    assert clarke_y(s, "buyer", t.final) == 0   # restricted outcome is idle
-    assert clarke_y(s, "s1", t.final) == -100
-    assert clarke_y(s, "s2", t.final) == -20
+    assert clarke_y(s, "buyer", t.last) == 0   # restricted outcome is idle
+    assert clarke_y(s, "s1", t.last) == -100
+    assert clarke_y(s, "s2", t.last) == -20
 
 
 def test_clarke_y_bounds_opponent_welfare():
@@ -393,7 +403,7 @@ def test_clarke_y_bounds_opponent_welfare():
 def test_static_vickrey_example2():
     s = fixture("example2")
     static = s.scheme._replace(kind="static_vickrey")
-    t = engine.run_single_stage(s, s.draw(), "hi")
+    t = engine.run_single_stage(s, s.draw(), "hi")[-1]
     report = transfer_report(Mechanism(s, static), t)
     assert report.outcome == "win1"
     assert report.transfers == {"a1": Fraction(-1), "a2": Fraction(0)}
@@ -415,7 +425,7 @@ def test_rspa_second_lowest_cost_and_winner():
 
 def test_rspa_transfers_pay_second_price_with_premium_funded_by_buyer():
     s = parse_scenario(PROCUREMENT)
-    t = engine.run(s, s.draw(), "hi")
+    t = engine.run(s, s.draw(), "hi")[-1]
     # seller 2 alone was aware of hi, so she reveals it first and collects
     # the premium even though seller 1 wins the project
     report = transfer_report(Mechanism(s, s.scheme), t)
@@ -443,8 +453,8 @@ def test_rspa_budget_balances_on_every_feasible_transcript():
                                  (top,) * len(s.agents))
     mech = Mechanism(s, s.scheme)
     seen = 0
-    for terminal in engine.iter_completions(s, state, {a: engine.FREE for a in s.agents}):
-        report = mech.report(engine.transcript(terminal))
+    for path in engine.iter_completions(s, state, {a: engine.FREE for a in s.agents}):
+        report = mech.report(path[-1])
         assert sum(report.transfers.values()) == 0
         seen += 1
     assert seen > 10
@@ -563,7 +573,9 @@ def test_one_premium_call_builds_each_premium_free_list_once(name, monkeypatch):
 
 def test_transcript_not_stopped_rejected():
     s = fixture("example2")
-    t = engine.Transcript((("a1hi2", "a2lo"),), ("hi",), False)
+    t = engine.run(s, s.draw(), "hi")[1]
+    assert engine.transcript(engine.run(s, s.draw(), "hi")[:2]) == engine.Transcript(
+        (("a1hi2", "a2lo"),), ("hi",), False)
     with pytest.raises(TranscriptNotStopped):
         transfer_report(Mechanism(s, s.scheme), t)
 
@@ -597,18 +609,18 @@ def test_memoized_settlement_matches_a_fresh_report(name, variant, ablate_premiu
     if variant == "ablated":
         ablate_premium()
     shared = Mechanism(s, scheme)
-    transcripts = _stopped_transcripts(s)
-    for transcript in transcripts:
-        assert (transfer_report(shared, transcript)
-                == transfer_report(Mechanism(s, scheme), transcript)), (name, transcript)
-    assert len(transcripts) > len(shared._settlements) > 0
+    plays = _stopped_plays(s)
+    for path in plays:
+        assert (transfer_report(shared, path[-1])
+                == transfer_report(Mechanism(s, scheme), path[-1])), (name, path[-1])
+    assert len(plays) > len(shared._settlements) > 0
 
 
 def reference_first_reports(scenario, transcript):
     """Each agent's first stage with a report at the final pooled level, by
     scanning every stage and agent."""
     structure = scenario.structure
-    target = transcript.final_pooled
+    target = transcript.pooled[-1]
     earliest = {}
     for stage, profile in enumerate(transcript.stages, start=1):
         for agent, report in zip(structure.agents, profile):
@@ -626,15 +638,17 @@ def reference_first_pooled_reporter(scenario, transcript):
 
 
 def test_one_stage_first_reporter_matches_the_all_stages_scan():
-    corpus = [(fixture("example1"), _stopped_transcripts(fixture("example1"), 3000)),
-              (parse_scenario(TIE), [TIE_TRANSCRIPT])]
-    corpus += [(s, _stopped_transcripts(s))
+    tie = parse_scenario(TIE)
+    corpus = [(fixture("example1"), _stopped_plays(fixture("example1"), 3000)),
+              (tie, [truthful_play(tie, "l0", ("p", "r"))])]
+    corpus += [(s, _stopped_plays(s))
                for s in map(_settlement_scenario, SETTLEMENT_CASES)]
     found = set()
-    for s, transcripts in corpus:
-        for t in transcripts:
+    for s, plays in corpus:
+        for path in plays:
+            t = engine.transcript(path)
             expected = reference_first_pooled_reporter(s, t)
-            assert first_pooled_reporter(s, t) == expected, (s.agents, t)
+            assert first_pooled_reporter(s, path[-1]) == expected, (s.agents, t)
             found.add(expected is None)
     assert found == {True, False}
     assert {CHAIN2, CHAIN3, DIAMOND} <= {s.lattice.elements for s, _ in corpus}
@@ -661,29 +675,47 @@ def test_recipient_found_once_per_settlement(monkeypatch):
     assert calls == {"transfer_report": 26, "first_pooled_reporter": 26}
 
 
-# Planted first-reporter defects and the property that kills each.
+# Planted recipient defects, each in advance's recipient update, and the
+# property that kills each.
 
-def _tie_read_as_first_agent(scenario, transcript):
-    earliest = reference_first_reports(scenario, transcript)
-    return min(earliest, key=earliest.get) if earliest else None
+def _at_level(scenario, state):
+    """The agents whose report at ``state``'s last stage lies at its pooled
+    level, in agent order."""
+    levels = scenario.structure.level_table
+    return [agent for agent, report in zip(scenario.agents, state.last)
+            if levels[(agent, report)] == state.level]
 
 
-def _premium_to_last_reporter(scenario, transcript):
-    earliest = reference_first_reports(scenario, transcript)
-    return max(earliest, key=earliest.get) if earliest else None
+def _first_to_reach(scenario, state, child, latest):
+    """The first agent, in agent order, of the earliest (or, if ``latest``,
+    the latest) stage at which some agent first reports at the pooled level."""
+    same = state.last is not None and child.level == state.level
+    before = _at_level(scenario, state) if same else []
+    reached = [agent for agent in _at_level(scenario, child) if agent not in before]
+    if reached and (latest or not before):
+        return reached[0]
+    return state.recipient if same else None
 
 
-def test_mutant_tie_read_as_first_agent_is_killed_by_ex_ante_participation(monkeypatch):
+def _tie_read_as_first_agent(scenario, state, child):
+    return _first_to_reach(scenario, state, child, latest=False)
+
+
+def _premium_to_last_reporter(scenario, state, child):
+    return _first_to_reach(scenario, state, child, latest=True)
+
+
+def test_mutant_tie_read_as_first_agent_is_killed_by_ex_ante_participation(plant_recipient):
     s = fixture("example2")
     assert verify.check_participation(s, s.scheme, "ex_ante_anticipated").holds
-    monkeypatch.setattr(transfers, "first_pooled_reporter", _tie_read_as_first_agent)
+    plant_recipient(_tie_read_as_first_agent)
     assert not verify.check_participation(s, s.scheme, "ex_ante_anticipated").holds
 
 
-def test_mutant_premium_to_last_reporter_is_killed_by_dominance(monkeypatch):
+def test_mutant_premium_to_last_reporter_is_killed_by_dominance(plant_recipient):
     s = fixture("example2")
     assert verify.check_conditional_dominance(s, s.scheme).holds
-    monkeypatch.setattr(transfers, "first_pooled_reporter", _premium_to_last_reporter)
+    plant_recipient(_premium_to_last_reporter)
     assert not verify.check_conditional_dominance(s, s.scheme).holds
 
 
@@ -717,7 +749,75 @@ def test_full_awareness_reduces_to_static_vcg():
         static = Mechanism(s, s.scheme._replace(kind=transfers.STATIC_VICKREY))
         for true_profile in s.structure.profiles(top):
             draw = NatureDraw(true_profile, (top,) * len(s.agents))
-            assert (dynamic.report(dynamic.run(draw, top))
-                    == static.report(static.run(draw, top))), (s.name, true_profile)
+            assert (dynamic.report(dynamic.run(draw, top)[-1])
+                    == static.report(static.run(draw, top)[-1])), (s.name, true_profile)
             draws += 1
     assert draws == 166
+
+
+def test_mutant_static_vickrey_without_its_pivot_is_killed_by_the_full_awareness_reduction(
+        monkeypatch):
+    # Plant a static settlement that drops the clarke pivot (y) term, so
+    # each agent is paid her opponents' welfare: it differs from the dynamic
+    # settlement at full awareness.
+    y_value = transfers.y_value
+
+    def no_static_pivot(scenario, scheme, agent, level, profile):
+        if scheme.kind == transfers.STATIC_VICKREY:
+            return Fraction(0)
+        return y_value(scenario, scheme, agent, level, profile)
+
+    monkeypatch.setattr(transfers, "y_value", no_static_pivot)
+    with pytest.raises(AssertionError):
+        test_full_awareness_reduces_to_static_vcg()
+
+
+def balance_lemma_misses(s):
+    """(settlements, paid, misses) over every settlement of ``s`` under its
+    scheme: each profile at each level as the final profile, the premium
+    going to nobody or to any one agent.  ``paid`` counts those paying a
+    premium; a miss is one whose operator balance is not minus the sum of
+    its premium-free transfers."""
+    mech = Mechanism(s, s.scheme)
+    settlements = paid = misses = 0
+    for level in s.lattice.elements:
+        for final in s.structure.profiles(level):
+            settled = transfers.scheme_outcome(s, s.scheme, final)
+            free = sum(mech._transfer(agent, level, final, settled) for agent in s.agents)
+            for recipient in (None, *s.agents):
+                report = mech._settlement(final, level, recipient)
+                settlements += 1
+                paid += any(report.adjustments.values())
+                misses += report.operator_balance != -free
+    return settlements, paid, misses
+
+
+@pytest.mark.parametrize("kind", ["fixtures", "clarke", "rspa"])
+def test_balance_is_minus_the_premium_free_transfers(kind):
+    # The adjustment terms are budget neutral: under groves and clarke the
+    # recipient's premium is what the others fund, and under rspa the buyer
+    # funds it, so the balance reads the premium-free transfers alone.
+    if kind == "fixtures":
+        scenarios = [fixture(name) for name in ("example1", "example2", "example4r")]
+    else:
+        scenarios = [generate_scenario(2026, k, kind == "rspa") for k in range(30)]
+    paid = 0
+    for s in scenarios:
+        settlements, premia, misses = balance_lemma_misses(s)
+        assert settlements and not misses, s.name
+        paid += premia
+    assert paid
+
+
+def test_mutant_premium_share_paid_twice_is_killed_by_the_balance_lemma(monkeypatch):
+    s = fixture("example2")
+    assert balance_lemma_misses(s)[2] == 0
+
+    def share_paid_twice(mechanism, level, recipient):
+        adjustments = awareness_adjustments(mechanism, level, recipient)
+        return {a: v if a == recipient else 2 * v for a, v in adjustments.items()}
+
+    monkeypatch.setattr(transfers, "awareness_adjustments", share_paid_twice)
+    assert balance_lemma_misses(s)[2]
+    # No-deficit cannot see it: the operator only keeps more.
+    assert verify.check_budget(s, s.scheme, "no_deficit").holds

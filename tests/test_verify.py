@@ -43,8 +43,8 @@ def test_pooled_implementation_example2_clarke_serves_the_truly_aware_value():
     result = verify.check_pooled_implementation(s, s.scheme)
     assert result.holds
     # and the main draw allocates to bidder 2 at the pooled level
-    t = engine.run(s, s.draw(), "hi")
-    assert s.outcomes.efficient_outcome(t.final) == "win2"
+    t = engine.run(s, s.draw(), "hi")[-1]
+    assert s.outcomes.efficient_outcome(t.last) == "win2"
 
 
 def test_pooled_implementation_static_fails_on_example2():
@@ -77,10 +77,10 @@ def test_dominance_example2_and_premium_knife_edge():
     assert verify.check_conditional_dominance(s, s.scheme).holds
     # revealing or concealing leaves the discloser at utility exactly 1
     mech = Mechanism(s, s.scheme)
-    truth = engine.run(s, s.draw(), "hi")
+    truth = engine.run(s, s.draw(), "hi")[-1]
     assert mech.utility(truth, "a1", "a1hi2") == 1
     conceal = engine.run(s, s.draw(), "hi", {"a1": lambda scenario, state, agent: "a1lo2"})
-    assert mech.utility(conceal, "a1", "a1hi2") == 1
+    assert mech.utility(conceal[-1], "a1", "a1hi2") == 1
 
 
 def test_dominance_fails_without_the_premium_term(ablate_premium):
@@ -106,10 +106,11 @@ def test_dominance_witness_replays_to_the_same_gap(ablate_premium):
     eval_type = witness["perceived"]
 
     def replay(stages):
-        st = state
+        path = [state]
         for reports in stages:
-            st = engine.advance(s, st, tuple(reports))
-        return engine.transcript(st)
+            path.append(engine.advance(s, path[-1], tuple(reports)))
+        assert [list(p) for p in engine.transcript(path).stages] == stages
+        return path[-1]
 
     u_truth = mech.utility(replay(witness["truth_stages"]), "a1", eval_type)
     u_dev = mech.utility(replay(witness["deviation_stages"]), "a1", eval_type)
@@ -177,7 +178,7 @@ def _direct_plan_space_dominance_oracle(scenario, scheme):
                                     reports[i] = state.perceived[i]
                                     reports[j] = policy(scenario, state, other)
                                     state = engine.advance(scenario, state, tuple(reports))
-                                truth = engine.transcript(state)
+                                truth = state
                                 for node in path:
                                     if structure.level_of(agent,
                                                           node.perceived[i]) != level:
@@ -187,8 +188,7 @@ def _direct_plan_space_dominance_oracle(scenario, scheme):
                                     for dev in reference.iter_paths(
                                             scenario, node,
                                             {agent: engine.FREE, other: policy}):
-                                        u_dev = mech.utility(engine.transcript(dev[-1]),
-                                                             agent, eval_type)
+                                        u_dev = mech.utility(dev[-1], agent, eval_type)
                                         if u_dev > u_truth:
                                             violations.append((agent, u_truth, u_dev))
     return violations
@@ -318,7 +318,7 @@ def test_stage_bound_on_fixtures():
 def test_stage_bound_common_awareness_stops_at_two():
     s = fixture("example2")
     from elabmech.typespace import NatureDraw
-    t = engine.run(s, NatureDraw(("a1hi1", "a2hi2"), ("hi", "hi")), "hi")
+    t = engine.transcript(engine.run(s, NatureDraw(("a1hi1", "a2hi2"), ("hi", "hi")), "hi"))
     assert t.n_stages == 2
 
 
@@ -326,7 +326,7 @@ def test_no_deficit_example1_with_surplus_80():
     s = fixture("example1")
     result = verify.check_budget(s, s.scheme, "no_deficit")
     assert result.holds
-    t = engine.run(s, s.draw(), "abc")
+    t = engine.run(s, s.draw(), "abc")[-1]
     assert Mechanism(s, s.scheme).report(t).operator_balance == 80
 
 
@@ -505,8 +505,7 @@ def test_participation_witness_replays_to_the_same_utility():
     node = nodes[witness["stage"] - 1]
     i = s.structure.agent_position[witness["agent"]]
     assert node.perceived[i] == witness["perceived"]
-    u = Mechanism(s, s.scheme).utility(engine.transcript(state), witness["agent"],
-                                       witness["perceived"])
+    u = Mechanism(s, s.scheme).utility(state, witness["agent"], witness["perceived"])
     assert u == Fraction(witness["utility"]) < 0
 
 
@@ -705,10 +704,17 @@ def test_mutant_stop_rule_waiting_for_a_second_repeat_is_killed_by_stage_bound(m
     assert verify.check_stage_bound(s).holds
     advance = engine.advance
 
+    # A state holds only the last report profile, so the mutant keeps the
+    # trailing repeats of every state it built, by identity, holding each
+    # state so that no identity is reused.
+    built = {}
+
     def waits(scenario, state, reports):
         after = advance(scenario, state, reports)
-        h = after.history
-        return after._replace(stopped=len(h) > 2 and h[-1] == h[-2] == h[-3])
+        repeats = built.get(id(state), (state, 0))[1] + 1 if after.stopped else 0
+        after = after._replace(stopped=repeats >= 2)
+        built[id(after)] = (after, repeats)
+        return after
 
     monkeypatch.setattr(engine, "advance", waits)
     result = verify.check_stage_bound(s)
@@ -721,8 +727,8 @@ def test_run_matches_the_single_truthful_completion(name):
     s = fixture(name)
     for draw in s.draws.values():
         for level in s.lattice.elements:
-            (terminal,) = engine.iter_completions(s, engine.state_from_draw(s, draw, level), {})
-            assert engine.run(s, draw, level) == engine.transcript(terminal)
+            (path,) = engine.iter_completions(s, engine.state_from_draw(s, draw, level), {})
+            assert engine.run(s, draw, level) == path
 
 
 # Dominance counts measured before the opponent walk of
@@ -778,20 +784,20 @@ def _reference_dominance(scenario, scheme, bound=10 ** 6):
         start = engine.initial_state(scenario, level, profile, awareness)
         opponents = {a: engine.FREE for a in agents if a != agent}
         for path in reference.iter_paths(scenario, start, opponents, budget):
-            truth = engine.transcript(path[-1])
+            truth = engine.transcript(path)
             policies = {a: engine.plan_policy(a, tuple(stage[k] for stage in truth.stages),
                                               scenario)
                         for k, a in enumerate(agents) if a != agent}
             policies[agent] = engine.FREE
-            for h_state in path[:-1]:
+            for h, h_state in enumerate(path[:-1]):
                 if structure.level_of(agent, h_state.perceived[i]) != level:
                     continue
                 eval_type = h_state.perceived[i]
-                u_truth = mech.utility(truth, agent, eval_type)
+                u_truth = mech.utility(path[-1], agent, eval_type)
                 checked += 1
                 for dev_path in reference.iter_paths(scenario, h_state, policies, budget):
-                    deviation = engine.transcript(dev_path[-1])
-                    u_dev = mech.utility(deviation, agent, eval_type)
+                    deviation = engine.transcript(path[:h] + dev_path)
+                    u_dev = mech.utility(dev_path[-1], agent, eval_type)
                     if u_dev > u_truth:
                         return False, checked, {
                             "agent": agent, "level": level, "profile": list(profile),
@@ -804,27 +810,30 @@ def _reference_dominance(scenario, scheme, bound=10 ** 6):
 
 
 def replay_subtree_states(s):
-    """(agent, opponents' full plans, their replay policies, state) for
+    """(agent, opponents' full plans, their replay policies, path) for
     every state of every deviation subtree the plain dominance walk visits,
-    each once."""
+    each once, ``path`` listing the states from the initial one to it."""
     seen = set()
     for agent, level, profile, awareness in verify._dominance_instances(s, bidders(s, s.scheme)):
         i = s.structure.agent_position[agent]
         rivals = [(k, a) for k, a in enumerate(s.agents) if a != agent]
         start = engine.initial_state(s, level, profile, awareness)
         for path in reference.iter_paths(s, start, {a: engine.FREE for _, a in rivals}):
-            plans = tuple(tuple(stage[k] for stage in path[-1].history) for k, _ in rivals)
+            stages = engine.transcript(path).stages
+            plans = tuple(tuple(stage[k] for stage in stages) for k, _ in rivals)
             policies = {a: engine.plan_policy(a, plan, s) for (_, a), plan in zip(rivals, plans)}
             policies[agent] = engine.FREE
-            todo = [h for h in path[:-1] if s.structure.level_of(agent, h.perceived[i]) == level]
+            todo = [list(path[:h + 1]) for h, state in enumerate(path[:-1])
+                    if s.structure.level_of(agent, state.perceived[i]) == level]
             while todo:
-                state = todo.pop()
-                if (agent, plans, state) in seen:
+                prefix = todo.pop()
+                if (agent, plans, tuple(prefix)) in seen:
                     continue
-                seen.add((agent, plans, state))
-                yield agent, plans, policies, state
+                seen.add((agent, plans, tuple(prefix)))
+                yield agent, plans, policies, prefix
+                state = prefix[-1]
                 if not state.stopped:
-                    todo.extend(engine.advance(s, state, reports)
+                    todo.extend(prefix + [engine.advance(s, state, reports)]
                                 for reports in engine.report_profiles(s, state, policies))
 
 
@@ -835,13 +844,14 @@ def test_state_key_fixes_every_deviation_subtree_under_plan_replay():
     for name in ("example2", "example4r", "gen301-3", "gen301-4"):
         s = _differential_scenario(name)
         by_key = {}
-        for agent, plans, policies, state in replay_subtree_states(s):
-            terminals = list(engine.iter_completions(s, state, policies))
-            got = (len(terminals), Counter(payoff_summary(s, t) for t in terminals))
+        for agent, plans, policies, prefix in replay_subtree_states(s):
+            state = prefix[-1]
+            plays = [prefix[:-1] + p for p in engine.iter_completions(s, state, policies)]
+            got = (len(plays), Counter(payoff_summary(s, p) for p in plays))
             key = (agent, plans, engine.state_key(s, state))
-            first = by_key.setdefault(key, (state, got))
-            assert got == first[1], (name, agent, plans, first[0], state)
-            merged += first[0] != state
+            first = by_key.setdefault(key, (prefix, got))
+            assert got == first[1], (name, agent, plans, first[0], prefix)
+            merged += first[0] != prefix
     # The key does merge states whose histories differ.
     assert merged
 
@@ -855,14 +865,16 @@ def test_subtree_key_fixes_every_deviation_summary_under_plan_replay():
         s = _differential_scenario(name)
         mech = Mechanism(s, s.scheme)
         by_key, tables, steps = {}, {}, {}
-        for agent, plans, policies, state in replay_subtree_states(s):
+        for agent, plans, policies, prefix in replay_subtree_states(s):
+            state = prefix[-1]
             raw = tuple(p[min(state.stage, len(p)) - 1:] for p in plans)
             suffixes = tuple(verify._stripped(p) for p in raw)
-            terminals = list(engine.iter_completions(s, state, policies))
-            got = (len(terminals), Counter(payoff_summary(s, t) for t in terminals))
+            plays = [prefix[:-1] + p for p in engine.iter_completions(s, state, policies)]
+            terminals = [play[-1] for play in plays]
+            got = (len(plays), Counter(payoff_summary(s, p) for p in plays))
             key = (agent, verify._subtree_key(s, state), suffixes)
             first = by_key.setdefault(key, (state, raw, got))
-            assert got == first[2], (name, agent, suffixes, first[0], state)
+            assert got == first[2], (name, agent, suffixes, first[0], prefix)
             across_stages += first[0].stage != state.stage
             across_repeats += first[1] != raw
             if state.stopped:
@@ -873,7 +885,7 @@ def test_subtree_key_fixes_every_deviation_summary_under_plan_replay():
             assert plays == len(terminals)
             for eval_type in s.structure.space(agent, level):
                 assert verify._best_value(s, agent, eval_type, summary) == max(
-                    mech.utility(engine.transcript(t), agent, eval_type) for t in terminals)
+                    mech.utility(t, agent, eval_type) for t in terminals)
     # The key merges states the stage, or the repeats, would split.
     assert across_stages and across_repeats
 
@@ -948,8 +960,7 @@ def test_dominance_advances_each_step_once_per_check(name, monkeypatch):
 
 def _deeper_twin(state):
     """``state`` one stage deeper: its first stage played twice."""
-    return state._replace(history=state.history[:1] + state.history,
-                          pooled=state.pooled[:1] + state.pooled)
+    return state._replace(stage=state.stage + 1)
 
 
 def test_a_hit_one_stage_deeper_trips_the_stage_cap(monkeypatch):
